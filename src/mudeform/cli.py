@@ -61,12 +61,9 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.mu is not None and not self.mu > -0.5 + 1e-6:
-            raise ValueError("mu must exceed -1/2 + 1e-6")
-        if self.mu_grid is not None:
-            for m in self.mu_grid:
-                if not m > -0.5 + 1e-6:
-                    raise ValueError(f"grid mu={m} must exceed -1/2 + 1e-6")
+        mus = (() if self.mu is None else (self.mu,)) + (self.mu_grid or ())
+        for mu in mus:
+            MuContext(mu)  # raises ValueError naming a bad mu
 
     def echo(self) -> dict:
         out = {}

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import betaln, gammaln
 
-from . import exact
 from .errors import EvaluationError
 
 MU_MIN = -0.5 + 1e-6
@@ -45,14 +44,14 @@ class MuContext:
     norm_const: float = field(init=False)
 
     def __post_init__(self):
-        if not self.mu > MU_MIN:
-            raise ValueError(f"mu must exceed -1/2 + 1e-6, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > MU_MIN):
+            raise ValueError(f"need finite mu > -1/2 + 1e-6, got {self.mu}")
         log_nc = -(self.mu + 0.5) * math.log(2.0) - gammaln(self.mu + 0.5)
         object.__setattr__(self, "norm_const", math.exp(log_nc))
 
     @property
     def mu_fraction(self) -> Fraction:
-        """mu as an exact binary rational, for the exact-algebra oracle."""
+        """Exact binary rational mu, for even_coeff and the exact oracle."""
         return Fraction(self.mu)
 
 
@@ -346,12 +345,27 @@ def exp_mu_integral(z: complex, ctx: MuContext, rule: JacobiRule | None = None) 
 
 # --- |exp_mu(i s)|^2 by three routes ------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _even_coeff_exact(j: int, mu_frac: Fraction) -> Fraction:
-    """Exact p_{2j,mu}(-1,1) / gamma_mu(2j) at rational mu."""
-    num = exact.p_at_exact(2 * j).evaluate(mu_frac)
-    den = exact.gamma_mu_exact(2 * j).evaluate(mu_frac)
-    return num / den
+EVEN_COEFF_TABLES = 64  # per-mu coefficient tables kept, least recent dropped
+
+
+@lru_cache(maxsize=EVEN_COEFF_TABLES)
+def _even_coeff_table(mu: Fraction) -> list[Fraction]:
+    return [Fraction(1)]
+
+
+def even_coeff(j: int, mu: Fraction) -> Fraction:
+    """c_j = p_{2j,mu}(-1,1) / gamma_mu(2j), exactly, at rational mu.
+
+    The paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
+    with gamma_mu(2j) = 4^j j! (mu+1/2)_j, give c_i / c_{i-1} =
+    (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.
+    """
+    table = _even_coeff_table(mu)
+    while len(table) <= j:
+        i = len(table)
+        table.append(table[-1] * (
+            (mu + i - 1) / (i * (2 * mu + i) * (mu + i - Fraction(1, 2)))))
+    return table[j]
 
 
 def _abs2_product(s: float, ctx: MuContext, tol: float, prec_bits: int) -> float:
@@ -364,7 +378,7 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
     with diagnostics.
 
-    Coefficients come from the exact-algebra layer, so the only float error
+    Coefficients are exact rationals (even_coeff), so the only float error
     is in the alternating outer sum; it is monitored and escalated.  Note
     this sum cancels like e^(2|s|), twice as hard as the complex series.
     """
@@ -379,7 +393,7 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
         consecutive = 0
         for j in range(1, 400):
             power *= s2
-            term = (-1.0) ** j * float(_even_coeff_exact(j, muf)) * power
+            term = (-1.0) ** j * float(even_coeff(j, muf)) * power
             total += term
             last = abs(term)
             peak = max(peak, abs(total))
@@ -404,7 +418,7 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
             consecutive = 0
             for j in range(1, 2000):
                 power *= s2_mp
-                c = _even_coeff_exact(j, muf)
+                c = even_coeff(j, muf)
                 term = (-1) ** j * mpmath.mpf(c.numerator) / c.denominator * power
                 total_mp += term
                 peak_mp = max(peak_mp, abs(total_mp))

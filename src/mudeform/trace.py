@@ -18,14 +18,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from . import exact
 from .core import (MuContext, _cached_eta_rule, abs2_grid_error_bound,
-                   default_eta_nodes, exp_mu_imag_on_grid)
+                   default_eta_nodes, even_coeff, exp_mu_imag_on_grid)
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
 from .measure import measure, moment_mp, weighted_panel_rule
@@ -119,14 +117,6 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
 MOMENT_SERIES_MAX_TERMS = 200
 
 
-@lru_cache(maxsize=4096)
-def _series_coeff(j: int, mu_frac) -> tuple[int, int]:
-    """Exact p_{2j,mu}(-1,1)/gamma_mu(2j) at rational mu, as (num, den)."""
-    c = (exact.p_at_exact(2 * j).evaluate(mu_frac)
-         / exact.gamma_mu_exact(2 * j).evaluate(mu_frac))
-    return c.numerator, c.denominator
-
-
 def trace_moment_series(A: IntervalSet, B: IntervalSet, ctx: MuContext,
                         tol: float = 1e-13) -> TraceEstimate:
     """The trace as sum_j (-1)^j p_{2j,mu}(-1,1)/gamma_mu(2j) M_A(2j) M_B(2j).
@@ -141,8 +131,7 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         return TraceEstimate.build(0.0, 0.0, "moment_series", product)
     s_max = A.sup_abs * B.sup_abs
     # the alternating terms only start decaying near j ~ s_max, so past
-    # this point the cap is guaranteed to fire; fail fast instead of
-    # computing enormous exact coefficients first
+    # this point the 200-term cap is guaranteed to fire; fail fast
     if s_max > 0.75 * MOMENT_SERIES_MAX_TERMS:
         raise EvaluationError(
             f"moment series cannot converge within {MOMENT_SERIES_MAX_TERMS} "
@@ -156,8 +145,8 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         consecutive = 0
         stopped_at = None
         for j in range(MOMENT_SERIES_MAX_TERMS + 1):
-            num, den = _series_coeff(j, muf)
-            term = ((-1) ** j * mpmath.mpf(num) / den
+            c = even_coeff(j, muf)
+            term = ((-1) ** j * mpmath.mpf(c.numerator) / c.denominator
                     * moment_mp(A, ctx.mu, 2 * j) * moment_mp(B, ctx.mu, 2 * j))
             total += term
             peak = max(peak, abs(total))

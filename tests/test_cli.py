@@ -42,10 +42,18 @@ class TestSpecfun:
         assert code == 2
         assert "--z" in err or "--s" in err
 
-    def test_invalid_mu(self, capsys):
+    def test_invalid_mu(self, capsys, tmp_path):
         code, _, err = run(capsys, "specfun", "--mu", "-0.6", "--s", "1")
         assert code == 2
         assert "usage" in err
+        # non-finite mu is rejected up front, not deep in the kernel
+        for argv in (("trace", "--mu", "inf"),
+                     ("scan", "--mu-grid", "inf", "--out", str(tmp_path / "o"))):
+            code, _, err = run(capsys, *argv, "--set-a", "[1,2]",
+                               "--set-b", "[0.5,1.5]")
+            assert code == 2
+            assert "usage" in err and "got inf" in err
+            assert "infs or NaNs" not in err
 
 
 class TestTraceCommand:

@@ -13,7 +13,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 from mudeform.core import (MuContext, abs2_exp_mu_imag, abs2_on_grid,
-                           even_series_result,
+                           even_coeff, even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
                            exp_mu_integral, exp_mu_on_array, exp_mu_series,
                            gamma_mu, gauss_jacobi, log_gamma_mu)
@@ -30,6 +30,9 @@ class TestMuContext:
         with pytest.raises(ValueError):
             MuContext(-0.5 + 1e-6)  # not strictly above the guard
         MuContext(-0.5 + 1.01e-6)
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=str(bad)):
+                MuContext(bad)
 
     def test_norm_const_closed_form(self):
         from scipy.special import gamma as gamma_fn
@@ -366,3 +369,38 @@ class TestAbs2:
             for s, v in zip(svals, grid):
                 ref = abs2_exp_mu_imag(float(s), ctx)
                 assert v == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+class TestEvenCoeff:
+    ORACLE_MUS = (0.0, 0.25, 0.5, 1.0, 2.0, -0.449, -0.3, 0.123, 1.777)
+
+    def test_matches_exact_oracle(self):
+        # the product-identity recurrence against the symbolic alternating
+        # sum, exactly, for every index the hot path uses in tests
+        for mu in self.ORACLE_MUS:
+            muf = Fraction(mu)
+            for j in range(31):
+                ref = (p_at_exact(2 * j).evaluate(muf)
+                       / gamma_mu_exact(2 * j).evaluate(muf))
+                assert even_coeff(j, muf) == ref, (mu, j)
+
+    def test_mu0_is_classical(self):
+        assert even_coeff(0, Fraction(0)) == 1
+        assert all(even_coeff(j, Fraction(0)) == 0 for j in range(1, 31))
+
+    def test_hot_path_never_reaches_symbolic_layer(self, monkeypatch):
+        import mudeform.exact
+        from mudeform.intervals import IntervalSet
+        from mudeform.trace import evaluate_pair
+
+        def forbidden(*args):
+            raise AssertionError("symbolic layer reached from the hot path")
+
+        monkeypatch.setattr(mudeform.exact, "p_at_exact", forbidden)
+        monkeypatch.setattr(mudeform.exact, "gamma_mu_exact", forbidden)
+        row = evaluate_pair(IntervalSet.of((1.0, 2.0)),
+                            IntervalSet.of((0.5, 1.5)), MuContext(0.377))
+        assert row.method != "failed" and row.sign_resolved
+        res = even_series_result(14.0, MuContext(-0.3))
+        assert res.escalated
+        assert math.isfinite(res.value.real)

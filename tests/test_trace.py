@@ -102,6 +102,15 @@ class TestTraceMomentSeries:
         est = trace_moment_series(IntervalSet.empty(), A12, MuContext(0.5))
         assert est.value == 0.0
 
+    def test_far_field_agrees_with_quadrature_and_semiclassics(self):
+        # sup|A| sup|B| = 48: far from the origin Tr -> |A||B|/2pi
+        A, B = IntervalSet.of((5, 8)), IntervalSet.of((4, 6))
+        for mu in (0.5, 1.0):
+            q, m = both(A, B, mu)
+            assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
+            for est in (q, m):
+                assert abs(est.value - 6.0 / (2.0 * math.pi)) < 2e-3
+
 
 class TestCrossMethodProperties:
     MU_SET = (-0.25, 0.0, 0.25, 0.5, 1.0, 2.0)
