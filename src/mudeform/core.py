@@ -1,10 +1,14 @@
 """Numeric mu-deformed special functions.
 
-Implements the deformed factorial, the deformed exponential (power series
-and, for mu > 0, its probability-measure integral representation on [-1,1]
-with Jacobi weight (1-t)^(mu-1) (1+t)^mu), and the squared modulus of the
-deformed exponential on the imaginary axis by three mutually independent
-methods.
+Implements the deformed factorial, the deformed exponential and the squared
+modulus of the deformed exponential on the imaginary axis.  The hot path is
+one closed form: in rank one exp_mu(is) is the Dunkl kernel
+j_{mu-1/2}(|s|) + i s/(2mu+1) j_{mu+1/2}(|s|), with the normalized Bessel
+function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for every mu > -1/2.  The
+independent routes stay as oracles: the power series, the rearranged
+even-power series with exact rational coefficients and, for mu > 0, the
+integral representation against the probability measure eta_mu on [-1,1]
+with Jacobi weight (1-t)^(mu-1) (1+t)^mu.
 
 Series evaluations track truncation and cancellation; when cancellation
 exceeds the escalation threshold the sum is repeated with arbitrary-
@@ -21,7 +25,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, jv
 
 from .errors import EvaluationError
 
@@ -231,31 +235,6 @@ def exp_mu_series(z: complex, ctx: MuContext, tol: float = 1e-15,
                         cancellation=max(1.0, cancellation), escalated=escalated)
 
 
-def exp_mu_on_array(z: np.ndarray, ctx: MuContext, tol: float = 1e-16,
-                    max_terms: int = 6000) -> np.ndarray:
-    """Vectorized exp_mu over an array of complex arguments (no diagnostics)."""
-    z = np.asarray(z, dtype=complex)
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    az = float(np.max(np.abs(z))) if z.size else 0.0
-    if az > 600.0:  # partial sums reach e^|z|: past float range
-        raise EvaluationError(
-            f"exp_mu series overflows double precision for |z|={az:.3g}")
-    consecutive = 0
-    for n in range(1, max_terms + 1):
-        term = term * (z / (n + 2.0 * ctx.mu * _odd(n)))
-        total += term
-        if n > az and float(np.max(np.abs(term))) <= tol * max(
-                1.0, float(np.max(np.abs(total)))):
-            consecutive += 1
-            if consecutive >= 3:
-                return total
-        else:
-            consecutive = 0
-    raise EvaluationError(
-        f"vectorized exp_mu series did not converge in {max_terms} terms")
-
-
 # --- eta_mu: Gauss-Jacobi rule ------------------------------------------------
 
 def gauss_jacobi(n: int, alpha: float, beta: float):
@@ -323,14 +302,15 @@ ETA_NODES_CAP = 1200
 def default_eta_nodes(s_max: float) -> int:
     """Node count comfortably resolving e^{ist} on [-1,1] for |s| <= s_max.
 
-    Capped; past the cap the rule is under-resolved and the error bound
-    reported by abs2_grid_error_bound becomes O(1).
+    Past ETA_NODES_CAP nodes the capped rule would be under-resolved, so this
+    raises EvaluationError there; the integral oracle then needs a rule.
     """
-    return max(48, min(int(2.2 * abs(s_max)) + 40, ETA_NODES_CAP))
-
-
-def eta_rule_resolves(s_max: float) -> bool:
-    return 2.2 * abs(s_max) + 40 <= ETA_NODES_CAP
+    n_nodes = int(2.2 * abs(s_max)) + 40
+    if n_nodes > ETA_NODES_CAP:
+        raise EvaluationError(
+            f"the default eta_mu rule (at most {ETA_NODES_CAP} nodes) does not "
+            f"resolve e^(ist) for |s| = {abs(s_max):.3g}; pass a finer rule")
+    return max(48, n_nodes)
 
 
 def exp_mu_integral(z: complex, ctx: MuContext, rule: JacobiRule | None = None) -> complex:
@@ -343,7 +323,7 @@ def exp_mu_integral(z: complex, ctx: MuContext, rule: JacobiRule | None = None) 
     return complex(np.sum(rule.weights * np.exp(complex(z) * rule.nodes)))
 
 
-# --- |exp_mu(i s)|^2 by three routes ------------------------------------------
+# --- |exp_mu(i s)|^2: three oracle routes, then the closed-form kernel -------
 
 EVEN_COEFF_TABLES = 64  # per-mu coefficient tables kept, least recent dropped
 
@@ -458,11 +438,11 @@ def abs2_exp_mu_imag(s: float, ctx: MuContext, method: str | None = None,
 
     method 'product' squares the power-series value; 'even_series' sums the
     rearranged even-power series with exact rational coefficients;
-    'integral' uses cos/sin moments of eta_mu (mu > 0 only).  With
-    method=None the best-conditioned route for the sign of mu is chosen.
+    'integral' uses cos/sin moments of eta_mu (mu > 0 only).  These are the
+    oracles; method=None evaluates the closed-form kernel of abs2_on_grid.
     """
     if method is None:
-        method = "integral" if ctx.mu > 0 else "product"
+        return float(abs2_on_grid(s, ctx))
     if method == "product":
         return _abs2_product(s, ctx, tol, prec_bits)
     if method == "even_series":
@@ -472,41 +452,59 @@ def abs2_exp_mu_imag(s: float, ctx: MuContext, method: str | None = None,
     raise ValueError(f"unknown method {method!r}")
 
 
-def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext,
-                        rule: JacobiRule | None = None) -> np.ndarray:
-    """Vectorized exp_mu(i s) over an array of real s.
+KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows
+KERNEL_ABS2_FLOOR = 1e-12  # per-point error of abs2_on_grid over max(1, value)
+_J_SERIES_TERMS = 20  # the first omitted term is below 1/20! < 5e-19
 
-    mu > 0 uses the eta_mu cos/sin moments (uniformly bounded, no
-    cancellation); mu <= 0 falls back to the vectorized power series,
-    whose float error grows like eps * e^max|s|.
+
+def _bessel_j_normalized(a: float, t: np.ndarray) -> np.ndarray:
+    """j_a(t) = Gamma(a+1) (2/t)^a J_a(t) = 0F1(; a+1; -t^2/4) for a > 0, t >= 0.
+
+    While t^2/4 < a+1 the 0F1 terms alternate and shrink, the k-th below
+    1/k!, so a short series is exact to rounding and t = 0 needs no case of
+    its own; beyond, jv of positive order is scaled in log space.
     """
+    out = np.empty_like(t)
+    near = t * t < 4.0 * (a + 1.0)
+    x = -0.25 * t[near] ** 2
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, _J_SERIES_TERMS):
+        term *= x / (k * (a + k))
+        total += term
+    out[near] = total
+    far = t[~near]
+    out[~near] = jv(a, far) * np.exp(gammaln(a + 1.0) + a * np.log(2.0 / far))
+    return out
+
+
+def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
+    """Vectorized exp_mu(i s) over an array of real s: the Dunkl kernel.
+
+    exp_mu(is) = j_{nu-1}(|s|) + i s/(2nu) j_nu(|s|) with nu = mu + 1/2, and
+    j_{nu-1} = j_nu - t^2/(4nu(nu+1)) j_{nu+1}, so only the positive orders
+    nu and nu+1 are evaluated.  Accurate to KERNEL_ABS2_FLOOR relative to
+    max(1, |value|) for every mu > -1/2 up to KERNEL_MU_MAX.
+    """
+    if ctx.mu > KERNEL_MU_MAX:
+        raise EvaluationError(
+            f"the closed-form exp_mu kernel is evaluated for mu <= "
+            f"{KERNEL_MU_MAX:g}, got {ctx.mu}")
     svals = np.asarray(svals, dtype=float)
-    if ctx.mu > 0:
-        if rule is None:
-            s_max = float(np.max(np.abs(svals))) if svals.size else 1.0
-            rule = _cached_eta_rule(ctx.mu, default_eta_nodes(s_max))
-        c = np.zeros_like(svals)
-        sn = np.zeros_like(svals)
-        for t, w in zip(rule.nodes, rule.weights):
-            c += w * np.cos(t * svals)
-            sn += w * np.sin(t * svals)
-        return c + 1j * sn
-    return exp_mu_on_array(1j * svals, ctx)
+    t = np.abs(svals)
+    nu = ctx.mu + 0.5
+    j_nu = _bessel_j_normalized(nu, t)
+    j_next = _bessel_j_normalized(nu + 1.0, t)
+    return (j_nu - t * t / (4.0 * nu * (nu + 1.0)) * j_next) \
+        + 1j * (svals / (2.0 * nu)) * j_nu
 
 
-def abs2_on_grid(svals: np.ndarray, ctx: MuContext,
-                 rule: JacobiRule | None = None) -> np.ndarray:
+def abs2_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
     """Vectorized |exp_mu(i s)|^2 over an array of real s."""
-    vals = exp_mu_imag_on_grid(svals, ctx, rule)
+    vals = exp_mu_imag_on_grid(svals, ctx)
     return vals.real ** 2 + vals.imag ** 2
 
 
-def abs2_grid_error_bound(s_max: float, ctx: MuContext) -> float:
-    """Per-point absolute error bound for abs2_on_grid."""
-    if ctx.mu > 0:
-        if not eta_rule_resolves(s_max):
-            return 1.0  # under-resolved oscillation: no accuracy claim
-        return 1e-14 * (1.0 + abs(s_max))
-    # cancellation floor of the complex series: partial sums peak near
-    # e^|s| while the result stays O(1)
-    return 30.0 * np.finfo(float).eps * math.exp(min(abs(s_max), 500.0))
+def abs2_grid_error_bound(peak: float) -> float:
+    """Per-point absolute error of abs2_on_grid where every value is <= peak."""
+    return KERNEL_ABS2_FLOOR * max(1.0, peak)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .core import (MuContext, _cached_eta_rule, abs2_grid_error_bound,
-                   default_eta_nodes, even_coeff, exp_mu_imag_on_grid)
+from .core import MuContext, abs2_grid_error_bound, abs2_on_grid, even_coeff
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
 from .measure import measure, moment_mp, weighted_panel_rule
@@ -45,13 +44,19 @@ class QuadratureSpec:
             raise ValueError("tolerances must lie in (0, 1)")
 
 
+ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
+_EPS = float(np.finfo(float).eps)  # a Python float keeps rows JSON-ready
+
+
 @dataclass
 class TraceEstimate:
     """A trace value with its error estimate and the factorized reference.
 
     deviation = value - product_measures, stored exactly as that float
     subtraction; negative deviation is the mu > 0 strictness direction,
-    positive the conjectured direction for -1/2 < mu < 0.
+    positive the conjectured direction for -1/2 < mu < 0.  error_estimate
+    includes the float rounding of value and product_measures, so a
+    deviation of a few ulps is never reported as a resolved sign.
     """
 
     value: float
@@ -63,19 +68,14 @@ class TraceEstimate:
     @classmethod
     def build(cls, value: float, error: float, method: str,
               product: float) -> "TraceEstimate":
-        return cls(value=value, error_estimate=error, method=method,
+        rounding = ROUNDING_ULPS * _EPS * (abs(value) + abs(product))
+        return cls(value=value, error_estimate=error + rounding, method=method,
                    product_measures=product, deviation=value - product)
 
     @property
     def sign_resolved(self) -> bool:
         """True when the error is below a tenth of the deviation magnitude."""
         return self.error_estimate < abs(self.deviation) / 10.0
-
-
-def _abs2_matrix(x: np.ndarray, k: np.ndarray, ctx: MuContext, rule):
-    """|exp_mu(i k x)|^2 on the node grid, as a matrix over (x, k)."""
-    vals = exp_mu_imag_on_grid(np.outer(x, k), ctx, rule)
-    return vals.real ** 2 + vals.imag ** 2
 
 
 def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
@@ -90,18 +90,15 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
     product = measure(A, ctx) * measure(B, ctx)
     if A.is_empty or B.is_empty:
         return TraceEstimate.build(0.0, 0.0, "quadrature", product)
-    s_max = A.sup_abs * B.sup_abs
-    rule = _cached_eta_rule(ctx.mu, default_eta_nodes(s_max)) if ctx.mu > 0 else None
-    floor = abs2_grid_error_bound(s_max, ctx) * product
-
     prev = None
     diff = math.inf
     for level in range(spec.max_subdivisions + 1):
         panels = 2 ** level
         x, wx = weighted_panel_rule(A, ctx, panels, spec.nodes_per_panel)
         k, wk = weighted_panel_rule(B, ctx, panels, spec.nodes_per_panel)
-        F = _abs2_matrix(x, k, ctx, rule)
+        F = abs2_on_grid(np.outer(x, k), ctx)
         value = float(wx @ F @ wk)
+        floor = abs2_grid_error_bound(float(F.max())) * product
         if prev is not None:
             diff = abs(value - prev)
             if diff <= max(spec.abs_tol, spec.rel_tol * abs(value)):

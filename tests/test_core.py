@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
-from mudeform.core import (MuContext, abs2_exp_mu_imag, abs2_on_grid,
+from mudeform.core import (MuContext, abs2_exp_mu_imag,
+                           abs2_grid_error_bound, abs2_on_grid,
                            even_coeff, even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
-                           exp_mu_integral, exp_mu_on_array, exp_mu_series,
-                           gamma_mu, gauss_jacobi, log_gamma_mu)
+                           exp_mu_imag_on_grid, exp_mu_integral,
+                           exp_mu_series, gamma_mu, gauss_jacobi,
+                           log_gamma_mu)
 from mudeform.errors import EvaluationError
 from mudeform.exact import gamma_mu_exact, p_at_exact
 
@@ -189,12 +192,15 @@ class TestExpMuSeries:
             exp_mu_series(1.0, MuContext(0.5), tol=0.0)
 
     def test_vectorized_matches_scalar(self):
-        ctx = MuContext(0.7)
-        zs = np.array([0.0, 1.0 + 2.0j, -3.0j, 2.5])
-        vec = exp_mu_on_array(zs, ctx)
-        for z, v in zip(zs, vec):
-            assert v == pytest.approx(exp_mu_series(complex(z), ctx).value,
-                                      rel=1e-13, abs=1e-13)
+        # the grid kernel on the imaginary axis, shaped input included
+        for mu in (0.7, -0.3):
+            ctx = MuContext(mu)
+            svals = np.array([[0.0, 2.0], [-3.0, 2.5]])
+            vec = exp_mu_imag_on_grid(svals, ctx)
+            assert vec.shape == svals.shape
+            for s, v in zip(svals.ravel(), vec.ravel()):
+                assert v == pytest.approx(exp_mu_series(1j * s, ctx).value,
+                                          rel=1e-13, abs=1e-13)
 
 
 class TestEtaRule:
@@ -270,6 +276,17 @@ class TestExpMuIntegral:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             exp_mu_integral(1.0, MuContext(-0.1))
+
+    def test_default_rule_refuses_past_node_cap(self):
+        # 2.2 |s| + 40 > ETA_NODES_CAP: the capped rule would alias e^(ist)
+        with pytest.raises(EvaluationError, match="resolve"):
+            exp_mu_integral(3000j, MuContext(1.0))
+        with pytest.raises(EvaluationError, match="resolve"):
+            abs2_exp_mu_imag(3000.0, MuContext(1.0), "integral")
+        # an explicit rule is the caller's choice and still runs
+        rule = eta_rule(MuContext(1.0), 48)
+        assert math.isfinite(abs2_exp_mu_imag(3000.0, MuContext(1.0),
+                                              "integral", rule=rule))
 
 
 class TestAbs2:
@@ -362,13 +379,96 @@ class TestAbs2:
             assert abs(conv) <= 1e-13 * max(scale, 1e-300) * (2 * j + 1)
 
     def test_grid_evaluator_matches_scalar(self):
-        for mu in (0.8, -0.2):
+        for mu, oracles in ((0.8, ("product", "integral")),
+                            (-0.2, ("product",))):
             ctx = MuContext(mu)
             svals = np.linspace(-4, 4, 9)
             grid = abs2_on_grid(svals, ctx)
             for s, v in zip(svals, grid):
-                ref = abs2_exp_mu_imag(float(s), ctx)
-                assert v == pytest.approx(ref, rel=1e-10, abs=1e-12)
+                for method in oracles:
+                    ref = abs2_exp_mu_imag(float(s), ctx, method)
+                    assert v == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+    def test_far_argument_against_bessel_reference(self):
+        # s = 3000 at mu = 1: exp_mu(is) = sin(s)/s + i s/3 j_{3/2}(s), whose
+        # squared modulus is about 1.11e-7; the capped eta rule gave 1.32e-3
+        s, ctx = 3000.0, MuContext(1.0)
+        with mpmath.workdps(40):
+            t = mpmath.mpf(s)
+            j32 = mpmath.gamma(2.5) * (2 / t) ** 1.5 * mpmath.besselj(1.5, t)
+            ref = float((mpmath.sin(t) / t) ** 2 + (t / 3 * j32) ** 2)
+        assert ref == pytest.approx(1.11e-7, rel=1e-2)
+        got = abs2_exp_mu_imag(s, ctx)
+        assert abs(got - ref) <= abs2_grid_error_bound(ref)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+
+def series_reference(s: float, mu: float, prec_bits: int = 400) -> complex:
+    """exp_mu(is) by its power series in 400-bit arithmetic: the partial
+    sums peak near e^|s| < 2^87 for |s| <= 60, far inside the precision."""
+    with mpmath.workprec(prec_bits):
+        z, mu_mp = mpmath.mpc(0, s), mpmath.mpf(mu)
+        total = term = mpmath.mpc(1)
+        tiny = mpmath.mpf(2) ** (10 - prec_bits)
+        n = 0
+        while n <= abs(s) or abs(term) > tiny:
+            n += 1
+            term *= z / (n + 2 * mu_mp * (n % 2))
+            total += term
+        return complex(total)
+
+
+class TestKernelAgainstOracles:
+    """The closed-form kernel against every independent route."""
+
+    EPS = 2.3e-16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=-0.45, max_value=3.0),
+           st.floats(min_value=-60.0, max_value=60.0))
+    def test_every_route_agrees(self, mu, s):
+        ctx = MuContext(mu)
+        ref = series_reference(s, mu)
+        got = complex(exp_mu_imag_on_grid(np.array(s), ctx))
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref2 = abs(ref) ** 2
+        got2 = float(abs2_on_grid(np.array(s), ctx))
+        assert abs(got2 - ref2) <= abs2_grid_error_bound(ref2)
+
+        # the float power series, escalated where it cancels
+        series = exp_mu_series(1j * s, ctx)
+        err_prod = (series.trunc_error + series.cancellation * self.EPS
+                    * max(abs(series.value), 1.0))
+        assert abs(series.value - got) <= 10.0 * err_prod + 1e-12 * max(
+            1.0, abs(got))
+        # the even series cancels like e^(2|s|): give it a 512-bit budget;
+        # its float pass overflows s^(2j) past |s| of about 36
+        if abs(s) <= 30.0:
+            even = even_series_result(s, ctx, prec_bits=512)
+            err_even = (even.trunc_error + even.cancellation * self.EPS
+                        * max(abs(even.value), 1.0))
+            assert abs(even.value.real - got2) <= 10.0 * err_even + \
+                abs2_grid_error_bound(got2)
+        if mu >= 1e-6:  # eta_rule needs the float mu - 1 to stay above -1
+            integral = exp_mu_integral(1j * s, ctx)
+            assert abs(integral - got) <= 1e-14 * (1.0 + abs(s)) + 1e-12
+
+    def test_near_zero_needs_no_special_case(self):
+        # t = 0 and subnormal t go through the series branch: no 0 * inf
+        for mu in (-0.45, 0.0, 3.0):
+            vals = exp_mu_imag_on_grid(np.array([0.0, 5e-324, -1e-300]),
+                                       MuContext(mu))
+            assert np.all(np.isfinite(vals))
+            assert np.allclose(vals, 1.0, rtol=0, atol=1e-15)
+
+    def test_mu0_is_classical(self):
+        svals = np.linspace(-50.0, 50.0, 101)
+        vals = exp_mu_imag_on_grid(svals, MuContext(0.0))
+        assert np.max(np.abs(vals - np.exp(1j * svals))) < 1e-13
+
+    def test_large_mu_fails_fast(self):
+        with pytest.raises(EvaluationError, match="mu <= 250"):
+            exp_mu_imag_on_grid(np.array([1.0]), MuContext(300.0))
 
 
 class TestEvenCoeff:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import mudeform.trace as trace_module
 from mudeform.core import MuContext
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
@@ -53,6 +54,15 @@ class TestClassicalEquality:
             q, m = both(A, B, 0.0)
             assert abs(q.deviation) < 1e-9
             assert abs(m.deviation) < 1e-9
+
+    def test_mu0_rounding_is_not_a_resolved_sign(self):
+        # far from the origin at mu = 0 the deviation is a rounding artefact
+        # of about one ulp; the reported error must cover it
+        row = evaluate_pair(IntervalSet.of((5, 8)), IntervalSet.of((4, 6)),
+                            MuContext(0.0))
+        assert row.method != "failed"
+        assert abs(row.deviation) <= row.error
+        assert not row.sign_resolved
 
 
 class TestTraceQuadrature:
@@ -105,7 +115,7 @@ class TestTraceMomentSeries:
     def test_far_field_agrees_with_quadrature_and_semiclassics(self):
         # sup|A| sup|B| = 48: far from the origin Tr -> |A||B|/2pi
         A, B = IntervalSet.of((5, 8)), IntervalSet.of((4, 6))
-        for mu in (0.5, 1.0):
+        for mu in (0.5, 1.0, -0.3, -0.45):
             q, m = both(A, B, mu)
             assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
             for est in (q, m):
@@ -174,14 +184,36 @@ class TestDeviationScan:
         assert rows[0].contains_zero
         assert rows[0].deviation < 0
 
-    def test_row_failure_recorded_scan_continues(self):
+    def test_row_failure_recorded_scan_continues(self, monkeypatch):
+        # both routes fail on the far pair: the moment series fails fast
+        # past its term cap, and the quadrature is made to fail with no best
         far = IntervalSet.of((40, 41))
+        real_quadrature = trace_module.trace_quadrature
+
+        def failing_quadrature(A, B, ctx, spec):
+            if A == far:
+                raise EvaluationError("quadrature failure injected")
+            return real_quadrature(A, B, ctx, spec)
+
+        monkeypatch.setattr(trace_module, "trace_quadrature",
+                            failing_quadrature)
         rows = deviation_scan((0.5, -0.2), ((far, far), (A12, B0515)))
         assert len(rows) == 4
         good = [r for r in rows if r.set_a == A12]
         bad = [r for r in rows if r.set_a == far]
         assert all(r.note == "" for r in good)
         assert all(not r.sign_resolved for r in bad)
+
+    def test_far_pair_resolves_semiclassically(self):
+        # sup|A| sup|B| = 1681: the moment series cannot run, the quadrature
+        # resolves Tr to about |A||B|/2pi
+        far = IntervalSet.of((40, 41))
+        for mu in (0.5, -0.2):
+            row = evaluate_pair(far, far, MuContext(mu))
+            assert row.method == "quadrature"
+            assert row.value == pytest.approx(1.0 / (2.0 * math.pi), abs=2e-3)
+            assert row.error < 1e-9
+            assert row.sign_resolved and (row.deviation < 0) == (mu > 0)
 
     def test_rejects_invalid_mu(self):
         with pytest.raises(ValueError):
