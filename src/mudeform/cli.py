@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact, operators
-from .core import (MuContext, SeriesResult, abs2_exp_mu_imag,
+from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, eta_rule_exists,
                    exp_mu_integral, exp_mu_series)
 from .errors import EvaluationError
 from .intervals import format_interval_set, parse_interval_set
@@ -165,7 +165,7 @@ def cmd_specfun(cfg: RunConfig) -> int:
         r = exp_mu_series(cfg.z, ctx, tol=cfg.tol, prec_bits=cfg.precision_bits)
         lines.append(f"exp_mu({_fmt(cfg.z)}):")
         lines.append(f"  series    {_fmt(r.value)}   [{_series_diag(r)}]")
-        if ctx.mu > 0:
+        if eta_rule_exists(ctx.mu):
             v = exp_mu_integral(cfg.z, ctx)
             lines.append(f"  integral  {_fmt(v)}")
     if cfg.s is not None:
@@ -176,7 +176,7 @@ def cmd_specfun(cfg: RunConfig) -> int:
         v = abs2_exp_mu_imag(cfg.s, ctx, "even_series", tol=cfg.tol,
                              prec_bits=cfg.precision_bits)
         lines.append(f"  even_series  {_fmt(v)}")
-        if ctx.mu > 0:
+        if eta_rule_exists(ctx.mu):
             v = abs2_exp_mu_imag(cfg.s, ctx, "integral")
             lines.append(f"  integral     {_fmt(v)}")
             lines.append(f"  modulus |exp_mu(is)| = {_fmt(math.sqrt(v))}"

@@ -12,7 +12,8 @@ with Jacobi weight (1-t)^(mu-1) (1+t)^mu.
 
 Series evaluations track truncation and cancellation; when cancellation
 exceeds the escalation threshold the sum is repeated with arbitrary-
-precision floats at four times working precision.
+precision floats at four times working precision, or more where the even
+series needs it.
 """
 
 from __future__ import annotations
@@ -273,6 +274,13 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     return nodes, weights
 
 
+def eta_rule_exists(mu: float) -> bool:
+    """True where the eta_mu rule can be built: its Jacobi parameter mu - 1
+    must exceed -1 in floating point, which fails for mu <= 0 and for
+    0 < mu below about 1e-16."""
+    return mu - 1.0 > -1.0
+
+
 def eta_rule(ctx: MuContext, n_nodes: int) -> JacobiRule:
     """Gauss rule for the probability measure eta_mu, mu > 0 only.
 
@@ -284,6 +292,10 @@ def eta_rule(ctx: MuContext, n_nodes: int) -> JacobiRule:
     if ctx.mu <= 0:
         raise ValueError(
             "the integral representation of exp_mu requires mu > 0")
+    if not eta_rule_exists(ctx.mu):
+        raise ValueError(
+            f"mu = {ctx.mu} is too small for the eta_mu rule: its Jacobi "
+            "parameter mu - 1 rounds to -1")
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     nodes, raw = gauss_jacobi(n_nodes, ctx.mu - 1.0, ctx.mu)
@@ -360,7 +372,9 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
 
     Coefficients are exact rationals (even_coeff), so the only float error
     is in the alternating outer sum; it is monitored and escalated.  Note
-    this sum cancels like e^(2|s|), twice as hard as the complex series.
+    this sum cancels like e^(2|s|), twice as hard as the complex series, so
+    the escalated pass carries at least 2 ceil(2|s|/ln 2) + 64 bits; a float
+    term that leaves float range (|s| past about 37) escalates at once.
     """
     muf = ctx.mu_fraction
     s2 = s * s
@@ -374,6 +388,8 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
         for j in range(1, 400):
             power *= s2
             term = (-1.0) ** j * float(even_coeff(j, muf)) * power
+            if not math.isfinite(term):
+                return None  # s^(2j) overflowed: only the mp pass can sum this
             total += term
             last = abs(term)
             peak = max(peak, abs(total))
@@ -385,11 +401,21 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
                 consecutive = 0
         raise EvaluationError("even series for |exp_mu(is)|^2 did not converge")
 
-    total, peak, last, j = run_float()
-    cancellation = peak / abs(total) if total != 0 else math.inf
+    result = run_float()
+    if result is None:
+        cancellation = math.inf
+    else:
+        total, peak, last, j = result
+        cancellation = peak / abs(total) if total != 0 else math.inf
     escalated = False
     if cancellation > CANCELLATION_ESCALATION:
         escalated = True
+        if 2.0 * abs(s) > _LOG_FLOAT_MAX:
+            raise EvaluationError(
+                f"even series cancellation e^(2|s|) exceeds float range at "
+                f"|s| = {abs(s):.3g}; use the closed-form kernel")
+        # the 2^(prec/2) budget below must cover the e^(2|s|) cancellation
+        prec_bits = max(prec_bits, 2 * math.ceil(2 * abs(s) / math.log(2)) + 64)
         with mpmath.workprec(prec_bits):
             s2_mp = mpmath.mpf(s) ** 2
             total_mp = mpmath.mpf(1)
@@ -411,7 +437,7 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
             else:
                 raise EvaluationError("escalated even series did not converge")
             cancellation = float(peak_mp / abs(total_mp))
-            if cancellation > 2.0 ** (prec_bits * 0.5):
+            if math.log2(cancellation) > prec_bits * 0.5:
                 raise EvaluationError(
                     "cancellation exceeds the escalated precision budget")
             total = float(total_mp)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,32 @@ class TestSpecfun:
             assert code == 2
             assert "usage" in err and "got inf" in err
             assert "infs or NaNs" not in err
+
+    def test_far_argument_even_series_is_finite(self, capsys):
+        for s in ("38", "40"):
+            code, out, _ = run(capsys, "specfun", "--mu", "1", "--s", s)
+            assert code == 0
+            assert "inf" not in out and "nan" not in out
+            even = [ln for ln in out.splitlines() if "even_series" in ln]
+            assert len(even) == 1 and math.isfinite(float(even[0].split()[1]))
+
+    def test_mu_below_eta_rule_resolution(self, capsys):
+        # 0 < mu < ~1e-16: the integral lines are left out, as for mu <= 0
+        code, out, err = run(capsys, "specfun", "--mu", "1e-17", "--s", "1",
+                             "--z", "1")
+        assert code == 0, err
+        assert "integral" not in out and "even_series  1.0" in out
+
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mudeform", "specfun", "--mu", "0",
+             "--z", "1"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "2.718281828" in proc.stdout
 
 
 class TestTraceCommand:

@@ -17,6 +17,7 @@ from mudeform.core import (MuContext, abs2_exp_mu_imag,
                            abs2_grid_error_bound, abs2_on_grid,
                            even_coeff, even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
+                           eta_rule_exists,
                            exp_mu_imag_on_grid, exp_mu_integral,
                            exp_mu_series, gamma_mu, gauss_jacobi,
                            log_gamma_mu)
@@ -236,6 +237,12 @@ class TestEtaRule:
         with pytest.raises(ValueError):
             eta_rule(MuContext(-0.2), 8)
 
+    def test_mu_below_float_resolution_is_named(self):
+        # mu - 1.0 rounds to -1 here although MuContext accepts mu
+        assert not eta_rule_exists(1e-17) and eta_rule_exists(1.2e-16)
+        with pytest.raises(ValueError, match="mu = 1e-17"):
+            eta_rule(MuContext(1e-17), 8)
+
     def test_golub_welsch_against_scipy(self):
         # independent implementation of the same rule; (-0.5,-0.5) is the
         # alpha+beta=-1 case where the generic recurrence formula is 0/0
@@ -442,13 +449,12 @@ class TestKernelAgainstOracles:
         assert abs(series.value - got) <= 10.0 * err_prod + 1e-12 * max(
             1.0, abs(got))
         # the even series cancels like e^(2|s|): give it a 512-bit budget;
-        # its float pass overflows s^(2j) past |s| of about 36
-        if abs(s) <= 30.0:
-            even = even_series_result(s, ctx, prec_bits=512)
-            err_even = (even.trunc_error + even.cancellation * self.EPS
-                        * max(abs(even.value), 1.0))
-            assert abs(even.value.real - got2) <= 10.0 * err_even + \
-                abs2_grid_error_bound(got2)
+        # past |s| of about 37 its float pass overflows and hands over
+        even = even_series_result(s, ctx, prec_bits=512)
+        err_even = (even.trunc_error + even.cancellation * self.EPS
+                    * max(abs(even.value), 1.0))
+        assert abs(even.value.real - got2) <= 10.0 * err_even + \
+            abs2_grid_error_bound(got2)
         if mu >= 1e-6:  # eta_rule needs the float mu - 1 to stay above -1
             integral = exp_mu_integral(1j * s, ctx)
             assert abs(integral - got) <= 1e-14 * (1.0 + abs(s)) + 1e-12
@@ -469,6 +475,24 @@ class TestKernelAgainstOracles:
     def test_large_mu_fails_fast(self):
         with pytest.raises(EvaluationError, match="mu <= 250"):
             exp_mu_imag_on_grid(np.array([1.0]), MuContext(300.0))
+
+
+class TestEvenSeriesFarArgument:
+    def test_hands_over_to_mp_past_float_range(self):
+        # s^(2j) overflows the float pass from |s| of about 37 on
+        for mu in (1.0, -0.3, 0.413):
+            ctx = MuContext(mu)
+            for s in (38.0, 40.0, 60.0):
+                ref = float(abs2_on_grid(np.array(s), ctx))
+                got = even_series_result(s, ctx)
+                assert got.escalated
+                assert abs(got.value.real - ref) <= 1e-12 * max(1.0, ref), \
+                    (mu, s)
+
+    def test_cancellation_past_float_range_fails_fast(self):
+        # e^(2|s|) overflows the cancellation diagnostic past |s| of 354
+        with pytest.raises(EvaluationError, match="float range"):
+            even_series_result(400.0, MuContext(0.413))
 
 
 class TestEvenCoeff:

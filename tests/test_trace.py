@@ -1,17 +1,21 @@
 """Trace evaluators, their cross-validation, and the deviation scan."""
 
 import csv
+import importlib
 import io
 import json
 import math
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mudeform.trace as trace_module
-from mudeform.core import MuContext
+from mudeform.core import MuContext, even_coeff
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
-from mudeform.measure import measure
+from mudeform.measure import measure, moment_mp
 from mudeform.trace import (DEFAULT_PAIRS, QuadratureSpec,
                             deviation_scan, evaluate_pair, rows_to_csv,
                             rows_to_json, trace_moment_series,
@@ -19,6 +23,8 @@ from mudeform.trace import (DEFAULT_PAIRS, QuadratureSpec,
 
 A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
+# the package exports a function named measure, so fetch the module itself
+measure_module = importlib.import_module("mudeform.measure")
 
 
 def both(A, B, mu, spec=QuadratureSpec()):
@@ -120,6 +126,73 @@ class TestTraceMomentSeries:
             assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
             for est in (q, m):
                 assert abs(est.value - 6.0 / (2.0 * math.pi)) < 2e-3
+
+
+def per_term_reference(A, B, ctx):
+    """The series with a moment_mp call per moment, 40 digits above the
+    evaluator's precision, summed until the terms are below 1e-30."""
+    s_max = A.sup_abs * B.sup_abs
+    with mpmath.workdps(25 + int(0.87 * 2.0 * s_max) + 10 + 40):
+        total, small, j = mpmath.mpf(0), 0, 0
+        while small < 3:
+            c = even_coeff(j, ctx.mu_fraction)
+            term = ((-1) ** j * mpmath.mpf(c.numerator) / c.denominator
+                    * moment_mp(A, ctx.mu, 2 * j) * moment_mp(B, ctx.mu, 2 * j))
+            total += term
+            small = small + 1 if (2 * j > s_max and abs(term)
+                                  <= mpmath.mpf("1e-30") * abs(total)) else 0
+            j += 1
+        return total
+
+
+@st.composite
+def bounded_pairs(draw, s_max=18.0):
+    """(A, B) of one or two intervals each with sup|A| sup|B| <= s_max."""
+    def interval_set(radius):
+        pts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4,
+                            unique=True).filter(lambda p: len(p) % 2 == 0))
+        pts = sorted(radius * p for p in pts)
+        assume(len(set(pts)) == len(pts))  # scaling may merge neighbours
+        return IntervalSet(tuple(zip(pts[::2], pts[1::2])))
+    ra = draw(st.floats(0.2, s_max / 0.2))
+    return interval_set(ra), interval_set(s_max / ra)
+
+
+class TestMomentSeriesWork:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.449, 2.0), bounded_pairs())
+    def test_error_estimate_bounds_per_term_reference(self, mu, pair):
+        A, B = pair
+        ctx = MuContext(mu)
+        est = trace_moment_series(A, B, ctx)
+        ref = per_term_reference(A, B, ctx)
+        # a value below float range rounds to a subnormal or 0 whatever the
+        # estimate; the bound covers every error beyond that rounding
+        assert abs(est.value - ref) <= est.error_estimate + abs(float(ref) - ref)
+
+    def test_no_per_term_transcendentals(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("moment_mp reached from the moment series")
+
+        calls = {"gamma": 0, "power": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(measure_module, "moment_mp", forbidden)
+        for name in calls:
+            monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
+        A = IntervalSet.of((-3.0, -2.0), (0.5, 1.5))  # four endpoints
+        B = IntervalSet.of((-1.0, 2.0))               # two: 1 and 2
+        est = trace_moment_series(A, B, MuContext(0.413))
+        assert est.value == pytest.approx(
+            trace_quadrature(A, B, MuContext(0.413)).value, rel=1e-9)
+        # one Gamma and one 2^(mu+1/2) per set, one x^(2mu+1) per endpoint;
+        # the series itself runs 26 terms here
+        assert calls == {"gamma": 2, "power": 2 + 6}
 
 
 class TestCrossMethodProperties:
