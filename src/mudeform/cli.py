@@ -199,11 +199,10 @@ def cmd_trace(cfg: RunConfig) -> int:
     A, B = _sets_from_config(cfg)
     status = 0
     print(f"mu = {_fmt(cfg.mu)}  A = {A}  B = {B}")
-    for name, run in (("quadrature", lambda: trace_quadrature(A, B, ctx)),
-                      ("moment_series", lambda: trace_moment_series(
-                          A, B, ctx, tol=cfg.tol))):
+    for name, route in (("quadrature", trace_quadrature),
+                        ("moment_series", trace_moment_series)):
         try:
-            est = run()
+            est = route(A, B, ctx)
             print(f"  {name:<14} value={_fmt(est.value)} "
                   f"error={est.error_estimate:.3e} "
                   f"product={_fmt(est.product_measures)} "
@@ -443,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="config file (key=value or JSON)")
-        p.add_argument("--tol", type=float, help="relative tolerance")
+        p.add_argument("--tol", type=float, help="specfun's relative tolerance")
         p.add_argument("--precision-bits", type=int, dest="precision_bits",
                        help="escalated working precision in bits")
         p.add_argument("--seed", type=int, help="random seed (recorded)")

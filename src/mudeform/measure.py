@@ -4,8 +4,8 @@ dm_mu(x) = norm_const |x|^(2 mu) dx.  All moments reduce to the
 antiderivative x^(2 mu + n + 1)/(2 mu + n + 1) on panels that avoid 0, with
 sign (-1)^n on reflected negative panels; the exponent is always positive
 for mu > -1/2, so no panel ever needs a principal value.  The moment
-series draws its even moments from one incremental generator per set,
-with moment_mp as its oracle.
+series in trace.py sums in closed form over the corners of these
+half-line panels; moment_mp stays as its term-by-term oracle.
 
 Panel quadrature rules are weight-aware at the origin: a panel touching 0
 uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters
@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import MuContext, gauss_jacobi
+from .errors import EvaluationError
 from .intervals import IntervalSet
 
 
@@ -48,7 +49,12 @@ def moment(A: IntervalSet, ctx: MuContext, n: int = 0) -> float:
     p = 2.0 * ctx.mu + n + 1.0
     total = 0.0
     for a, b, reflected in _positive_panels(A):
-        part = (b ** p - a ** p) / p
+        try:
+            part = (b ** p - a ** p) / p
+        except OverflowError:
+            raise EvaluationError(
+                f"moment {n} of m_mu over {A} at mu = {ctx.mu} overflows "
+                "a float") from None
         total += -part if (reflected and n % 2) else part
     return ctx.norm_const * total
 
@@ -69,38 +75,6 @@ def moment_mp(A: IntervalSet, mu, n: int):
         part = (mpmath.power(b, p) - mpmath.power(a, p)) / p
         total += -part if (reflected and n % 2) else part
     return norm * total
-
-
-MOMENT_GUARD_BITS = 32  # carried by even_moments_mp above working precision
-
-
-def even_moments_mp(A: IntervalSet, mu):
-    """Yield the even moments M_A(0), M_A(2), M_A(4), ... in mpmath.
-
-    With p = 2 mu + 2j + 1 and x^p = x^(2 mu + 1) (x^2)^j, the normalization
-    and each endpoint's x^(2 mu + 1) and x^2 are formed once per set; every
-    later moment costs one multiply per endpoint and one division by p.
-    Even orders carry no reflection sign.  The recurrence runs
-    MOMENT_GUARD_BITS above the working precision in effect at the first
-    draw, and each moment is rounded to the precision at its draw, so the
-    rounding of j multiplies does not reach the yielded value.
-    """
-    prec = mpmath.mp.prec + MOMENT_GUARD_BITS
-    with mpmath.workprec(prec):
-        mu = mpmath.mpf(mu)
-        norm = 1 / (mpmath.power(2, mu + 0.5) * mpmath.gamma(mu + 0.5))
-        p = 2 * mu + 1
-        ends = [(x, sign) for a, b, _ in _positive_panels(A)
-                for x, sign in ((b, 1), (a, -1)) if x > 0.0]
-        # norm * (+-x^p), each multiplied by its x^2 once per moment
-        powers = [sign * norm * mpmath.power(x, p) for x, sign in ends]
-        squares = [mpmath.mpf(x) ** 2 for x, _ in ends]
-    while True:
-        with mpmath.workprec(prec):
-            moment = sum(powers) / p
-            powers = [w * x2 for w, x2 in zip(powers, squares)]
-            p += 2
-        yield +moment  # unary plus rounds to the caller's precision
 
 
 @lru_cache(maxsize=256)

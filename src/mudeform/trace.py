@@ -2,9 +2,10 @@
 
 The trace equals the double integral of |exp_mu(i k x)|^2 over A x B against
 m_mu x m_mu.  Route one is tensor-product adaptive quadrature of that
-integral; route two substitutes the rearranged even-power series and
-reduces the trace to a single alternating sum over products of closed-form
-moments with exact rational coefficients.  Where both converge they must
+integral; route two substitutes the rearranged even-power series, whose
+terms are products of closed-form moments, and sums it in closed form: its
+term ratio is rational in j, so the trace is a finite corner sum of 2F3
+values over the half-line panels of A and B.  Where both converge they must
 agree within their combined error estimates; their difference from
 m_mu(A) m_mu(B) is the deviation of interest: provably negative for
 mu > 0 on sets of positive measure, conjecturally positive for
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .core import MuContext, abs2_grid_error_bound, abs2_on_grid, even_coeff
+from .core import MuContext, abs2_grid_error_bound, abs2_on_grid
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
-from .measure import even_moments_mp, measure, weighted_panel_rule
+from .measure import _positive_panels, measure, weighted_panel_rule
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,9 @@ class TraceEstimate:
     @classmethod
     def build(cls, value: float, error: float, method: str,
               product: float) -> "TraceEstimate":
-        rounding = ROUNDING_ULPS * _EPS * (abs(value) + abs(product))
+        # the ulp of 0 covers a trace that underflows to a subnormal or 0
+        rounding = ROUNDING_ULPS * (_EPS * (abs(value) + abs(product))
+                                    + math.ulp(0.0))
         return cls(value=value, error_estimate=error + rounding, method=method,
                    product_measures=product, deviation=value - product)
 
@@ -111,66 +114,55 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         f"subdivisions (last refinement change {diff:.3g})", best=best)
 
 
-MOMENT_SERIES_MAX_TERMS = 200
+SERIES_DPS = 20           # digits of the first pass of the corner sum
+SERIES_CHECK_DIGITS = 10  # the rerun that estimates its error runs higher
+SERIES_MAX_ROUNDS = 4     # both passes double their digits after each round
 
 
-def trace_moment_series(A: IntervalSet, B: IntervalSet, ctx: MuContext,
-                        tol: float = 1e-13) -> TraceEstimate:
-    """The trace as sum_j (-1)^j p_{2j,mu}(-1,1)/gamma_mu(2j) M_A(2j) M_B(2j).
+def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
+    """sum of +-F(x y) over the corners of the half-line panels of A and B,
+    at dps digits; F vanishes at the corners on an axis."""
+    with mpmath.workdps(dps):
+        mu = mpmath.mpf(mu)
+        p = 2 * mu + 1
+        norm = 1 / (mpmath.power(2, mu + 0.5) * mpmath.gamma(mu + 0.5))
+        total = mpmath.mpf(0)
+        for a, b, _ in _positive_panels(A):
+            for c, d, _ in _positive_panels(B):
+                for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
+                                   (a, c, 1)):
+                    if x > 0.0 and y > 0.0:
+                        t = mpmath.mpf(x) * y
+                        total += sign * t ** p * mpmath.hyp2f3(
+                            mu, mu + 0.5, p, mu + 1.5, mu + 1.5, -t * t)
+        return (norm / p) ** 2 * total
 
-    Coefficients are exact rationals; each set's even moments come from
-    one incremental generator, so a term costs O(1) mpmath operations and
-    no transcendental.  The alternating sum cancels like
-    e^(2 sup|A| sup|B|), so the whole sum runs in mpmath at a working
-    precision chosen from that bound.  A hard cap of 200 terms signals
-    failure rather than silently truncating.
+
+def trace_moment_series(A: IntervalSet, B: IntervalSet,
+                        ctx: MuContext) -> TraceEstimate:
+    """The series sum_j (-1)^j c_j M_A(2j) M_B(2j), in closed form.
+
+    With p = 2 mu + 1, M(2j) = norm x^(p+2j)/(p+2j) on [0, x] and
+    even_coeff's ratio, the term ratio is rational in j: over [0,a] x [0,b]
+    the series is F(ab), F(t) = norm^2 t^p / p^2 2F3(mu, mu+1/2; p, mu+3/2,
+    mu+3/2; -t^2).  The kernel is even, so a pair of half-line panels
+    [a,b] x [c,d] gives F(bd) - F(ad) - F(bc) + F(ac).  The corner sum runs
+    at SERIES_DPS digits and SERIES_CHECK_DIGITS higher, and the difference
+    is the error estimate; past double precision the corners cancel, and
+    both digit counts double, for at most SERIES_MAX_ROUNDS rounds.
     """
     product = measure(A, ctx) * measure(B, ctx)
-    if A.is_empty or B.is_empty:
-        return TraceEstimate.build(0.0, 0.0, "moment_series", product)
-    s_max = A.sup_abs * B.sup_abs
-    # the alternating terms only start decaying near j ~ s_max, so past
-    # this point the 200-term cap is guaranteed to fire; fail fast
-    if s_max > 0.75 * MOMENT_SERIES_MAX_TERMS:
-        raise EvaluationError(
-            f"moment series cannot converge within {MOMENT_SERIES_MAX_TERMS} "
-            f"terms for sup|A| sup|B| = {s_max:.3g}; use trace_quadrature")
-    muf = ctx.mu_fraction
-    # digits: working digits + cancellation growth + headroom
-    dps = 25 + int(0.87 * 2.0 * s_max) + 10
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        peak = mpmath.mpf(0)
-        consecutive = 0
-        stopped_at = None
-        floor = mpmath.mpf("1e-300")
-        moments_a = even_moments_mp(A, ctx.mu)
-        moments_b = even_moments_mp(B, ctx.mu)
-        for j in range(MOMENT_SERIES_MAX_TERMS + 1):
-            c = even_coeff(j, muf)
-            term = ((-1) ** j * mpmath.mpf(c.numerator) / c.denominator
-                    * next(moments_a) * next(moments_b))
-            total += term
-            peak = max(peak, abs(total))
-            if abs(term) <= tol * max(abs(total), floor) \
-                    and 2 * j > s_max:
-                consecutive += 1
-                if consecutive >= 3:
-                    stopped_at = j
-                    break
-            else:
-                consecutive = 0
-        value = float(total)
-        tail = float(abs(term))
-        rounding = float(peak) * 10.0 ** (5 - dps)
-        if stopped_at is None:
-            best = TraceEstimate.build(value, tail + rounding,
-                                       "moment_series", product)
-            raise EvaluationError(
-                f"moment series hit the {MOMENT_SERIES_MAX_TERMS}-term cap; "
-                "use trace_quadrature for sets this far from the origin",
-                best=best)
-    return TraceEstimate.build(value, tail + rounding, "moment_series", product)
+    for rounds in range(SERIES_MAX_ROUNDS):
+        dps = SERIES_DPS * 2 ** rounds
+        low = _corner_sum(A, B, ctx.mu, dps)
+        high = _corner_sum(A, B, ctx.mu, dps + SERIES_CHECK_DIGITS)
+        best = TraceEstimate.build(float(high), float(abs(high - low)),
+                                   "moment_series", product)
+        if abs(high - low) <= _EPS * abs(high):
+            return best
+    raise EvaluationError(
+        f"the moment-series corners cancel beyond "
+        f"{dps + SERIES_CHECK_DIGITS} digits", best=best)
 
 
 # --- scans --------------------------------------------------------------------
@@ -231,8 +223,12 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext,
                 estimates.append(err.best)
             note = (note + "; " if note else "") + str(err)
     if not estimates:
+        try:
+            product = measure(A, ctx) * measure(B, ctx)
+        except EvaluationError:
+            product = math.nan
         return ScanRow(ctx.mu, A, B, "failed", math.nan, math.inf,
-                       measure(A, ctx) * measure(B, ctx), math.nan, False,
+                       product, math.nan, False,
                        A.contains_zero or B.contains_zero, note)
     best = min(estimates, key=lambda e: e.error_estimate)
     return ScanRow(ctx.mu, A, B, best.method, best.value, best.error_estimate,

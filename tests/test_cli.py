@@ -23,6 +23,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """python -m mudeform argv, in a subprocess on this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "mudeform", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestSpecfun:
     def test_classical_exponential(self, capsys):
         code, out, _ = run(capsys, "specfun", "--mu", "0", "--z", "1")
@@ -75,13 +85,7 @@ class TestSpecfun:
         assert "integral" not in out and "even_series  1.0" in out
 
     def test_python_dash_m(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mudeform", "specfun", "--mu", "0",
-             "--z", "1"], capture_output=True, text=True, env=env, timeout=60)
+        proc = run_module("specfun", "--mu", "0", "--z", "1")
         assert proc.returncode == 0, proc.stderr
         assert "2.718281828" in proc.stdout
 
@@ -93,6 +97,24 @@ class TestTraceCommand:
         assert code == 0
         assert "quadrature" in out and "moment_series" in out
         assert "sign_resolved=true" in out
+
+    def test_far_pair_both_routes_finite(self):
+        proc = run_module("trace", "--mu", "-0.3", "--set-a", "[40,41]",
+                          "--set-b", "[40,41]")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        for name in ("quadrature", "moment_series"):
+            line, = [ln for ln in proc.stdout.splitlines()
+                     if ln.split()[0] == name]
+            value = float(line.split()[1].removeprefix("value="))
+            assert math.isfinite(value)
+
+    def test_measure_overflow_reported_per_route(self, capsys):
+        code, out, err = run(capsys, "trace", "--mu", "249",
+                             "--set-a", "[40,41]", "--set-b", "[40,41]")
+        assert code == 1
+        failed = [ln for ln in out.splitlines() if "FAILED" in ln]
+        assert len(failed) == 2
+        assert all("mu = 249.0" in ln and "[40,41]" in ln for ln in failed)
 
     def test_requires_sets(self, capsys):
         code, _, err = run(capsys, "trace", "--mu", "0.25")

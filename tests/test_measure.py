@@ -12,8 +12,7 @@ from scipy.integrate import quad
 from mudeform.core import MuContext
 from mudeform.intervals import (IntervalSet, format_interval_set,
                                 parse_interval_set)
-from mudeform.measure import (even_moments_mp, measure, moment, moment_mp,
-                              weighted_panel_rule)
+from mudeform.measure import measure, moment, moment_mp, weighted_panel_rule
 
 
 @st.composite
@@ -186,47 +185,11 @@ class TestMoment:
     def test_mp_matches_float(self):
         A = IntervalSet.of((-2, -1), (0.5, 1.5))
         for mu in (-0.25, 0.75):
-            with mpmath.workdps(30):
-                even = even_moments_mp(A, mu)
-                evens = [float(next(even)) for _ in range(4)]  # n = 0..6
             for n in (0, 2, 6):
                 with mpmath.workdps(30):
                     got = float(moment_mp(A, mu, n))
                 want = moment(A, MuContext(mu), n)
                 assert got == pytest.approx(want, rel=1e-13)
-                assert evens[n // 2] == pytest.approx(want, rel=1e-13)
-
-
-class TestEvenMoments:
-    MUS = (-0.449, -0.3, 0.0, 0.413, 1.985)
-    SETS = (
-        IntervalSet.of((0.25, 1.25), (2.0, 3.0)),   # union
-        IntervalSet.of((-3.0, -1.0)),               # reflected
-        IntervalSet.of((0.0, 2.0)),                 # touching 0
-        IntervalSet.of((-1.5, 2.5)),                # straddling 0
-        IntervalSet.of((-4.0, -3.0), (-0.5, 0.75)),  # all of these at once
-        IntervalSet.of((40.0, 41.0)),               # b^p - a^p cancels
-    )
-
-    def test_matches_moment_mp_oracle(self):
-        # the oracle runs 40 bits above the working precision, so the
-        # bound is on the generator's own error, in ulps of the caller
-        with mpmath.workdps(40):
-            for mu in self.MUS:
-                for A in self.SETS:
-                    moments = even_moments_mp(A, mu)
-                    for n in range(0, 401, 2):
-                        got = next(moments)
-                        assert +got == got  # rounded to the caller's precision
-                        with mpmath.workprec(mpmath.mp.prec + 40):
-                            ref = moment_mp(A, mu, n)
-                        assert abs(got - ref) <= 10 * mpmath.eps * abs(ref), \
-                            (mu, str(A), n)
-
-    def test_empty_set(self):
-        with mpmath.workdps(30):
-            empty = even_moments_mp(IntervalSet.empty(), 0.5)
-            assert [next(empty) for _ in range(5)] == [0] * 5
 
 
 class TestPanelRules:

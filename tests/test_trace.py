@@ -25,6 +25,7 @@ A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
 # the package exports a function named measure, so fetch the module itself
 measure_module = importlib.import_module("mudeform.measure")
+core_module = importlib.import_module("mudeform.core")
 
 
 def both(A, B, mu, spec=QuadratureSpec()):
@@ -108,11 +109,14 @@ class TestTraceQuadrature:
 
 
 class TestTraceMomentSeries:
-    def test_term_cap_signals_failure(self):
-        far = IntervalSet.of((30, 31))
-        with pytest.raises(EvaluationError) as err:
-            trace_moment_series(far, far, MuContext(0.5))
-        assert "quadrature" in str(err.value)
+    def test_far_pairs_resolve_by_both_routes(self):
+        # sup|A| sup|B| up to 10201: the closed form has no term cap
+        for lo in (30.0, 40.0, 100.0):
+            far = IntervalSet.of((lo, lo + 1.0))
+            for mu in (-0.449, -0.2, 0.0, 0.5, 2.0):
+                q, m = both(far, far, mu)
+                assert abs(q.value - m.value) <= (
+                    q.error_estimate + m.error_estimate), (lo, mu)
 
     def test_empty_set(self):
         est = trace_moment_series(IntervalSet.empty(), A12, MuContext(0.5))
@@ -129,8 +133,9 @@ class TestTraceMomentSeries:
 
 
 def per_term_reference(A, B, ctx):
-    """The series with a moment_mp call per moment, 40 digits above the
-    evaluator's precision, summed until the terms are below 1e-30."""
+    """The series term by term, with a moment_mp call per moment, at a
+    precision that covers its e^(2 sup|A| sup|B|) cancellation with 75
+    digits to spare, summed until the terms are below 1e-30."""
     s_max = A.sup_abs * B.sup_abs
     with mpmath.workdps(25 + int(0.87 * 2.0 * s_max) + 10 + 40):
         total, small, j = mpmath.mpf(0), 0, 0
@@ -166,15 +171,36 @@ class TestMomentSeriesWork:
         ctx = MuContext(mu)
         est = trace_moment_series(A, B, ctx)
         ref = per_term_reference(A, B, ctx)
-        # a value below float range rounds to a subnormal or 0 whatever the
-        # estimate; the bound covers every error beyond that rounding
-        assert abs(est.value - ref) <= est.error_estimate + abs(float(ref) - ref)
+        assert abs(est.value - ref) <= est.error_estimate
+
+    def test_error_estimate_covers_an_underflowed_trace(self):
+        # at mu = 0 the trace over [0,a] x [0,b] is ab/(2 pi), here 9.5e-392
+        A, B = IntervalSet.of((0.0, 1.8e-196)), IntervalSet.of((0.0, 3.3e-195))
+        est = trace_moment_series(A, B, MuContext(0.0))
+        with mpmath.workdps(30):
+            ref = mpmath.mpf(1.8e-196) * mpmath.mpf(3.3e-195) / (2 * mpmath.pi)
+        assert est.value == 0.0
+        assert 0 < abs(est.value - ref) <= est.error_estimate
 
     def test_no_per_term_transcendentals(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("moment_mp reached from the moment series")
+        """No term loop: one 2F3 per nonzero corner and one Gamma per pass."""
+        mu = 0.413
+        cases = [
+            # four nonzero corners of A times two of B (the corners at 0
+            # drop), in one round of two passes
+            (IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
+             IntervalSet.of((-1.0, 2.0)), 8, 2),
+            # a panel 1e-9 wide cancels its corners past 20 digits, so a
+            # second round runs
+            (IntervalSet.of((1.0, 1.0 + 1e-9)),
+             IntervalSet.of((1.0, 1.0 + 1e-9)), 4, 4),
+        ]
+        quads = [trace_quadrature(A, B, MuContext(mu)) for A, B, _, _ in cases]
 
-        calls = {"gamma": 0, "power": 0}
+        def forbidden(*args):
+            raise AssertionError("the term-by-term series reached")
+
+        calls = {"gamma": 0, "hyp2f3": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -183,16 +209,24 @@ class TestMomentSeriesWork:
             return wrapper
 
         monkeypatch.setattr(measure_module, "moment_mp", forbidden)
+        monkeypatch.setattr(core_module, "even_coeff", forbidden)
         for name in calls:
             monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
-        A = IntervalSet.of((-3.0, -2.0), (0.5, 1.5))  # four endpoints
-        B = IntervalSet.of((-1.0, 2.0))               # two: 1 and 2
-        est = trace_moment_series(A, B, MuContext(0.413))
-        assert est.value == pytest.approx(
-            trace_quadrature(A, B, MuContext(0.413)).value, rel=1e-9)
-        # one Gamma and one 2^(mu+1/2) per set, one x^(2mu+1) per endpoint;
-        # the series itself runs 26 terms here
-        assert calls == {"gamma": 2, "power": 2 + 6}
+        for (A, B, corners, passes), quad in zip(cases, quads):
+            calls.update(gamma=0, hyp2f3=0)
+            est = trace_moment_series(A, B, MuContext(mu))
+            assert est.value == pytest.approx(
+                quad.value, abs=est.error_estimate + quad.error_estimate)
+            assert calls == {"gamma": passes, "hyp2f3": corners * passes}
+
+    def test_cancellation_past_the_last_round_fails_with_best(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "SERIES_MAX_ROUNDS", 1)
+        narrow = IntervalSet.of((1.0, 1.0 + 1e-9))
+        with pytest.raises(EvaluationError) as err:
+            trace_moment_series(narrow, narrow, MuContext(0.5))
+        best = err.value.best
+        assert best is not None and best.method == "moment_series"
+        assert best.value == pytest.approx(1.9479303671449378e-19, rel=1e-3)
 
 
 class TestCrossMethodProperties:
@@ -258,18 +292,20 @@ class TestDeviationScan:
         assert rows[0].deviation < 0
 
     def test_row_failure_recorded_scan_continues(self, monkeypatch):
-        # both routes fail on the far pair: the moment series fails fast
-        # past its term cap, and the quadrature is made to fail with no best
+        # both routes are made to fail on the far pair, with no best
         far = IntervalSet.of((40, 41))
-        real_quadrature = trace_module.trace_quadrature
 
-        def failing_quadrature(A, B, ctx, spec):
-            if A == far:
-                raise EvaluationError("quadrature failure injected")
-            return real_quadrature(A, B, ctx, spec)
+        def failing_on_far(name):
+            real = getattr(trace_module, name)
 
-        monkeypatch.setattr(trace_module, "trace_quadrature",
-                            failing_quadrature)
+            def route(A, B, *args):
+                if A == far:
+                    raise EvaluationError(f"{name} failure injected")
+                return real(A, B, *args)
+            return route
+
+        for name in ("trace_quadrature", "trace_moment_series"):
+            monkeypatch.setattr(trace_module, name, failing_on_far(name))
         rows = deviation_scan((0.5, -0.2), ((far, far), (A12, B0515)))
         assert len(rows) == 4
         good = [r for r in rows if r.set_a == A12]
@@ -278,15 +314,25 @@ class TestDeviationScan:
         assert all(not r.sign_resolved for r in bad)
 
     def test_far_pair_resolves_semiclassically(self):
-        # sup|A| sup|B| = 1681: the moment series cannot run, the quadrature
-        # resolves Tr to about |A||B|/2pi
+        # sup|A| sup|B| = 1681: both routes resolve Tr to about |A||B|/2pi
         far = IntervalSet.of((40, 41))
         for mu in (0.5, -0.2):
+            q, m = both(far, far, mu)
+            assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
             row = evaluate_pair(far, far, MuContext(mu))
-            assert row.method == "quadrature"
+            assert row.method in ("quadrature", "moment_series")
             assert row.value == pytest.approx(1.0 / (2.0 * math.pi), abs=2e-3)
             assert row.error < 1e-9
             assert row.sign_resolved and (row.deviation < 0) == (mu > 0)
+
+    def test_measure_overflow_is_a_failed_row(self):
+        # at mu = 249, 41^(2 mu + 1) overflows a float
+        far = IntervalSet.of((40, 41))
+        rows = deviation_scan((249.0, 0.5), ((far, far),))
+        failed, good = rows[1], rows[0]
+        assert failed.method == "failed" and not failed.sign_resolved
+        assert "mu = 249.0" in failed.note and "[40,41]" in failed.note
+        assert good.mu == 0.5 and good.sign_resolved
 
     def test_rejects_invalid_mu(self):
         with pytest.raises(ValueError):
