@@ -442,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="config file (key=value or JSON)")
-        p.add_argument("--tol", type=float, help="specfun's relative tolerance")
-        p.add_argument("--precision-bits", type=int, dest="precision_bits",
-                       help="escalated working precision in bits")
         p.add_argument("--seed", type=int, help="random seed (recorded)")
         p.add_argument("--out", help="output path")
 
@@ -453,6 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
     p.add_argument("--z", help="complex argument, e.g. '1+2i'")
     p.add_argument("--s", type=float, help="evaluate |exp_mu(i s)|^2")
+    p.add_argument("--tol", type=float, help="series relative tolerance")
+    p.add_argument("--precision-bits", type=int, dest="precision_bits",
+                   help="escalated working precision in bits")
 
     p = sub.add_parser("trace", help="trace of E^Q(A) E^P(B) on one pair")
     common(p)

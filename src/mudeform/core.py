@@ -370,8 +370,10 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
     with diagnostics.
 
-    Coefficients are exact rationals (even_coeff), so the only float error
-    is in the alternating outer sum; it is monitored and escalated.  Note
+    The float pass rounds the exact rationals of even_coeff, so the only
+    float error is in the alternating outer sum; it is monitored and
+    escalated.  The escalated pass runs even_coeff's ratio recurrence in
+    mpmath from the exact mpf(mu), at its own precision.  Note
     this sum cancels like e^(2|s|), twice as hard as the complex series, so
     the escalated pass carries at least 2 ceil(2|s|/ln 2) + 64 bits; a float
     term that leaves float range (|s| past about 37) escalates at once.
@@ -417,15 +419,17 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
         # the 2^(prec/2) budget below must cover the e^(2|s|) cancellation
         prec_bits = max(prec_bits, 2 * math.ceil(2 * abs(s) / math.log(2)) + 64)
         with mpmath.workprec(prec_bits):
-            s2_mp = mpmath.mpf(s) ** 2
+            # even_coeff's ratio recurrence at this precision: converting
+            # its growing Fractions term by term costs far more
+            mu_mp = mpmath.mpf(ctx.mu)
+            step = -mpmath.mpf(s) ** 2
             total_mp = mpmath.mpf(1)
-            power = mpmath.mpf(1)
+            term = mpmath.mpf(1)
             peak_mp = mpmath.mpf(1)
             consecutive = 0
             for j in range(1, 2000):
-                power *= s2_mp
-                c = even_coeff(j, muf)
-                term = (-1) ** j * mpmath.mpf(c.numerator) / c.denominator * power
+                term *= step * (mu_mp + (j - 1)) / (
+                    j * (2 * mu_mp + j) * (mu_mp + (j - 0.5)))
                 total_mp += term
                 peak_mp = max(peak_mp, abs(total_mp))
                 if abs(term) <= tol * abs(total_mp) and 2 * j > abs(s):

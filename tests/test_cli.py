@@ -84,6 +84,13 @@ class TestSpecfun:
         assert code == 0, err
         assert "integral" not in out and "even_series  1.0" in out
 
+    def test_tolerance_options(self, capsys):
+        code, out, err = run(capsys, "specfun", "--tol", "1e-12",
+                             "--precision-bits", "256", "--mu", "0.5",
+                             "--s", "3")
+        assert code == 0, err
+        assert "even_series" in out
+
     def test_python_dash_m(self):
         proc = run_module("specfun", "--mu", "0", "--z", "1")
         assert proc.returncode == 0, proc.stderr
@@ -243,6 +250,20 @@ class TestCheckOperatorsCommand:
         assert payload["expected_failure_mode"] is True
         assert "demonstrated" in err
 
+    def test_degree_six_psi_negative_mu(self, capsys, tmp_path):
+        texts = []
+        for name in ("a", "b"):
+            out_file = tmp_path / f"{name}.json"
+            code, _, err = run(
+                capsys, "check-operators", "--mu", "-0.16", "--psi",
+                "(1/3x^6 - 3x^5 - 1/3x^4 - x^2 - 2) * gauss",
+                "--out", str(out_file))
+            assert code == 0, err
+            texts.append(out_file.read_bytes())
+        assert texts[0] == texts[1]
+        ints = json.loads(texts[0])["intertwining"]
+        assert ints and all(e["max_discrepancy"] < 1e-9 for e in ints)
+
     def test_custom_psi(self, capsys, tmp_path):
         out_file = tmp_path / "ops3.json"
         code, _, _ = run(capsys, "check-operators", "--psi",
@@ -291,6 +312,15 @@ class TestParserContract:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_specfun_options_rejected_elsewhere(self, capsys):
+        # --tol and --precision-bits are read only by specfun
+        for argv in (("scan", "--tol", "1e-9"),
+                     ("check-operators", "--precision-bits", "256")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            assert "usage" in capsys.readouterr().err
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

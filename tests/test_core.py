@@ -489,6 +489,35 @@ class TestEvenSeriesFarArgument:
                 assert abs(got.value.real - ref) <= 1e-12 * max(1.0, ref), \
                     (mu, s)
 
+    def test_non_dyadic_mu_matches_kernel(self):
+        ctx = MuContext(0.413)
+        for s in (60.0, 200.0):
+            ref = float(abs2_on_grid(np.array(s), ctx))
+            got = even_series_result(s, ctx)
+            assert got.escalated
+            assert abs(got.value.real - ref) <= 1e-12 * max(1.0, ref), s
+
+    def test_mp_pass_runs_its_own_recurrence(self, monkeypatch):
+        # the escalated pass must not convert even_coeff's Fractions
+        import mudeform.core as core_module
+        state = {"mp": False, "calls": 0}
+        real_coeff, real_workprec = core_module.even_coeff, mpmath.workprec
+
+        def coeff(j, mu):
+            assert not state["mp"], "even_coeff called after the hand-over"
+            state["calls"] += 1
+            return real_coeff(j, mu)
+
+        def workprec(bits):
+            state["mp"] = True
+            return real_workprec(bits)
+
+        monkeypatch.setattr(core_module, "even_coeff", coeff)
+        monkeypatch.setattr(core_module.mpmath, "workprec", workprec)
+        res = even_series_result(200.0, MuContext(0.413))
+        assert res.escalated and state["mp"]
+        assert 0 < state["calls"] < 100 < res.terms_used
+
     def test_cancellation_past_float_range_fails_fast(self):
         # e^(2|s|) overflows the cancellation diagnostic past |s| of 354
         with pytest.raises(EvaluationError, match="float range"):

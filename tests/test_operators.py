@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mudeform.core import MuContext
+import mudeform.operators as operators_module
+from mudeform.core import MuContext, exp_mu_imag_on_grid
+from mudeform.errors import EvaluationError
 from mudeform.exact import MU, MuPolynomial
 from mudeform.intervals import IntervalSet
 from mudeform.measure import weighted_panel_rule
@@ -206,6 +208,117 @@ class TestFourier:
         vals = fourier_mu_numeric(GaussPoly([]), np.array([1.0]),
                                   MuContext(0.5))
         assert vals[0] == 0
+
+
+def dense_fourier(psis, k, ctx, spec=QuadratureSpec()):
+    """The full-grid sum over the (-R, R) rule, level by level, with the
+    shared radius and the per-function stopping rule."""
+    R = max(operators_module._support_radius(p, ctx.mu, spec.abs_tol)
+            for p in psis)
+    prev = None
+    for level in range(spec.max_subdivisions + 1):
+        x, w = weighted_panel_rule(IntervalSet.of((-R, R)), ctx, 2 ** level,
+                                   spec.nodes_per_panel)
+        kernel = exp_mu_imag_on_grid(-np.outer(k, x), ctx)
+        vals = np.array([kernel @ (w * p.evaluate(x, ctx.mu)) for p in psis])
+        if prev is not None and all(
+                np.max(np.abs(v - q)) <= max(spec.abs_tol, spec.rel_tol
+                                             * np.max(np.abs(v)))
+                for v, q in zip(vals, prev)):
+            return vals
+        prev = vals
+    raise AssertionError("dense oracle did not converge")
+
+
+class TestFourierHalfGrid:
+    MUS = (-0.449, -0.16, 0.0, 0.5, 1.969)
+    K = np.array([-2.5, 0.0, 0.3, 1.7, 1.7])  # asymmetric, repeated, 0
+    MIXED = "(1+2i)x^3 - 1/2 x^2 + 3x + 1 * gauss"
+
+    def test_gaussian_self_reciprocal(self):
+        ks = np.linspace(-3, 3, 25)
+        for mu in self.MUS:
+            vals = fourier_mu_numeric(G, ks, MuContext(mu))
+            assert vals.shape == ks.shape
+            assert np.max(np.abs(vals - np.exp(-ks ** 2 / 2))) < 1e-12, mu
+
+    def test_odd_eigenfunction(self):
+        # P g = i x g and F P = k F give F(x g) = -i k e^(-k^2/2)
+        ks = np.linspace(-3, 3, 25)
+        for mu in self.MUS:
+            vals = fourier_mu_numeric(XG, ks, MuContext(mu))
+            expect = -1j * ks * np.exp(-ks ** 2 / 2)
+            assert np.max(np.abs(vals - expect)) < 1e-12, mu
+
+    def test_matches_dense_full_grid_sum(self):
+        psi = parse_gauss_poly(self.MIXED)
+        for mu in self.MUS:
+            ctx = MuContext(mu)
+            for psis in ([psi], [apply_P(psi), psi]):
+                ref = dense_fourier(psis, self.K, ctx)
+                got = fourier_mu_numeric(psis, self.K, ctx)
+                assert got.shape == (len(psis), self.K.size)
+                for g, r in zip(got, ref):
+                    assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+            single = fourier_mu_numeric(psi, self.K, ctx)
+            assert single.shape == self.K.shape
+            assert single[3] == single[4]
+
+    def test_sequence_with_zero_function(self):
+        ctx = MuContext(0.5)
+        vals = fourier_mu_numeric([GaussPoly([]), G], self.K, ctx)
+        assert np.all(vals[0] == 0)
+        assert np.max(np.abs(vals[1] - np.exp(-self.K ** 2 / 2))) < 1e-12
+        assert fourier_mu_numeric([GaussPoly([])], self.K, ctx).shape == (
+            1, self.K.size)
+
+
+class TestFourierWork:
+    DEG6 = parse_gauss_poly("(1/3x^6 - 3x^5 - 1/3x^4 - x^2 - 2) * gauss")
+
+    def test_one_kernel_call_per_level_on_half_grid(self, monkeypatch):
+        rules, kernel_args, entries = [], [], []
+        real_rule = operators_module.weighted_panel_rule
+        real_kernel = operators_module.exp_mu_imag_on_grid
+        real_fourier = operators_module.fourier_mu_numeric
+
+        def rule(*args):
+            out = real_rule(*args)
+            rules.append(out[0])
+            return out
+
+        def kernel(svals, ctx):
+            kernel_args.append(np.array(svals))
+            return real_kernel(svals, ctx)
+
+        def fourier(psis, *args, **kwargs):
+            entries.append(psis)
+            return real_fourier(psis, *args, **kwargs)
+
+        monkeypatch.setattr(operators_module, "weighted_panel_rule", rule)
+        monkeypatch.setattr(operators_module, "exp_mu_imag_on_grid", kernel)
+        monkeypatch.setattr(operators_module, "fourier_mu_numeric", fourier)
+        ks = np.linspace(-3, 3, 25)
+        rep = intertwining_check(self.DEG6, ks, MuContext(-0.16))
+        assert rep.max_discrepancy < 1e-9
+        assert len(entries) == 1 and len(entries[0]) == 2
+        assert len(kernel_args) == len(rules) >= 2
+        for x, svals in zip(rules, kernel_args):
+            assert np.all(x > 0)
+            assert svals.shape == (13, x.size)
+            assert np.array_equal(svals, np.outer(np.unique(np.abs(ks)), x))
+
+    def test_failure_best_has_result_shape(self):
+        spec = QuadratureSpec(max_subdivisions=1, rel_tol=1e-15,
+                              abs_tol=1e-15)
+        ks = np.linspace(-3, 3, 25)
+        ctx = MuContext(0.5)
+        with pytest.raises(EvaluationError) as single:
+            fourier_mu_numeric(self.DEG6, ks, ctx, spec)
+        assert single.value.best.shape == ks.shape
+        with pytest.raises(EvaluationError) as pair:
+            fourier_mu_numeric([apply_P(self.DEG6), self.DEG6], ks, ctx, spec)
+        assert pair.value.best.shape == (2, ks.size)
 
 
 class TestIntertwining:
