@@ -8,19 +8,17 @@ the deformed position and momentum operators, an exact symbolic realization
 of those operators on Gaussian polynomials, and a CLI tying it together.
 """
 
-from .core import (JacobiRule, MuContext, SeriesResult, abs2_exp_mu_imag,
-                   binomial_poly, deformed_binomial, eta_rule,
-                   even_series_result, exp_mu_integral, exp_mu_series,
-                   gamma_mu, gauss_jacobi, log_gamma_mu)
+from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, binomial_poly,
+                   deformed_binomial, eta_rule, even_series_result,
+                   exp_mu_integral, exp_mu_series, gamma_mu)
 from .errors import EvaluationError
 from .exact import (IdentityCheck, IdentityReport, MuPolynomial,
-                    MuRationalFunction, binom_mu_exact, eval_rational,
                     gamma_mu_exact, p_at_exact, verify_closed_forms,
                     verify_odd_vanishing)
 from .intervals import IntervalSet, format_interval_set, parse_interval_set
 from .measure import measure, moment
-from .operators import (CPoly, EomReport, GaussPoly, IntertwiningReport,
-                        apply_H, apply_J, apply_P, apply_Q, ccr_residual,
+from .operators import (EomReport, GaussPoly, IntertwiningReport, apply_H,
+                        apply_J, apply_P, apply_Q, ccr_residual,
                         eom_residuals, fourier_mu_numeric, intertwining_check,
                         parse_gauss_poly)
 from .trace import (QuadratureSpec, ScanRow, TraceEstimate, deviation_scan,
@@ -30,18 +28,16 @@ from .trace import (QuadratureSpec, ScanRow, TraceEstimate, deviation_scan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CPoly", "EomReport", "EvaluationError", "GaussPoly", "IdentityCheck",
-    "IdentityReport", "IntertwiningReport", "IntervalSet", "JacobiRule",
-    "MuContext", "MuPolynomial", "MuRationalFunction", "QuadratureSpec",
-    "ScanRow", "SeriesResult", "TraceEstimate", "abs2_exp_mu_imag",
-    "apply_H", "apply_J", "apply_P", "apply_Q", "binom_mu_exact",
-    "binomial_poly", "ccr_residual", "deformed_binomial", "deviation_scan",
-    "eom_residuals", "eta_rule", "eval_rational", "evaluate_pair",
-    "even_series_result",
-    "exp_mu_integral", "exp_mu_series", "format_interval_set",
-    "fourier_mu_numeric", "gamma_mu", "gamma_mu_exact", "gauss_jacobi",
-    "intertwining_check", "log_gamma_mu", "measure", "moment",
-    "p_at_exact", "parse_gauss_poly", "parse_interval_set", "rows_to_csv",
-    "rows_to_json", "trace_moment_series", "trace_quadrature",
-    "verify_closed_forms", "verify_odd_vanishing",
+    "EomReport", "EvaluationError", "GaussPoly", "IdentityCheck",
+    "IdentityReport", "IntertwiningReport", "IntervalSet", "MuContext",
+    "MuPolynomial", "QuadratureSpec", "ScanRow", "SeriesResult",
+    "TraceEstimate", "abs2_exp_mu_imag", "apply_H", "apply_J", "apply_P",
+    "apply_Q", "binomial_poly", "ccr_residual", "deformed_binomial",
+    "deviation_scan", "eom_residuals", "eta_rule", "evaluate_pair",
+    "even_series_result", "exp_mu_integral", "exp_mu_series",
+    "format_interval_set", "fourier_mu_numeric", "gamma_mu", "gamma_mu_exact",
+    "intertwining_check", "measure", "moment", "p_at_exact",
+    "parse_gauss_poly", "parse_interval_set", "rows_to_csv", "rows_to_json",
+    "trace_moment_series", "trace_quadrature", "verify_closed_forms",
+    "verify_odd_vanishing",
 ]

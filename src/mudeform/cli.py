@@ -35,6 +35,11 @@ from .trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec, ScanRow,
 
 SCHEMA_VERSION = 1
 
+# smallest accepted work budget per command: verify-identities needs at
+# least one index of each kind, check-operators may stop at basis degree 0
+_MIN_BUDGETS = {"verify-identities": {"k_max": 1, "n_max": 1},
+                "check-operators": {"n_max": 0}}
+
 
 @dataclass
 class RunConfig:
@@ -64,6 +69,11 @@ class RunConfig:
         mus = (() if self.mu is None else (self.mu,)) + (self.mu_grid or ())
         for mu in mus:
             MuContext(mu)  # raises ValueError naming a bad mu
+        for name, low in _MIN_BUDGETS.get(self.command, {}).items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{self.command} needs {name} >= {low}, "
+                                 f"got {value}")
 
     def echo(self) -> dict:
         out = {}

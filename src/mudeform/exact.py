@@ -16,11 +16,20 @@ times a product of distinct factors (mu + i + 1/2), i = 0, 1, ..., which is
 what makes exact summation of deformed binomials cheap: common denominators
 are short products of known linear factors, and reduction is trial division
 by those factors instead of a general polynomial gcd.
+
+The expansion runs on integers.  Since (mu + i + 1/2) = (2 mu + 2 i + 1)/2,
+each summand is a rational scalar over a power of two times the product of
+two contiguous ranges of the odd factors (2 mu + 2 i + 1).  Those range
+products are built once per sum and shared by its terms, and terms with equal
+ranges are merged before they are expanded.  Products of MuPolynomials and
+their evaluation at a Fraction likewise clear denominators and work on the
+integer numerators.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -87,12 +96,10 @@ class MuPolynomial:
     def __mul__(self, other: "MuPolynomial") -> "MuPolynomial":
         if self.is_zero or other.is_zero:
             return MuPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return MuPolynomial(out)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        den = da * db
+        return MuPolynomial([Fraction(c, den) for c in _convolve(a, b)])
 
     def scale(self, q) -> "MuPolynomial":
         q = Fraction(q)
@@ -105,11 +112,22 @@ class MuPolynomial:
         return MuPolynomial((Fraction(0),) + self.coeffs)
 
     def evaluate(self, mu):
-        """Horner evaluation; exact when mu is a Fraction."""
-        acc = Fraction(0) if isinstance(mu, Fraction) else type(mu)(0)
-        for c in reversed(self.coeffs):
-            acc = acc * mu + c
-        return acc
+        """Horner evaluation; exact when mu is a Fraction, where it runs on
+        integers: P(p/q) = (sum_i n_i p^i q^(d-i)) / (L q^d), c_i = n_i/L."""
+        if not isinstance(mu, Fraction):
+            acc = type(mu)(0)
+            for c in reversed(self.coeffs):
+                acc = acc * mu + c
+            return acc
+        if self.is_zero:
+            return Fraction(0)
+        nums, den = _cleared(self.coeffs)
+        p, q = mu.numerator, mu.denominator
+        acc, q_pow = nums[-1], 1
+        for n in reversed(nums[:-1]):
+            q_pow *= q
+            acc = acc * p + n * q_pow
+        return Fraction(acc, den * q_pow)
 
     def divide_linear(self, c: Fraction):
         """Synthetic division by the monic factor (mu + c).
@@ -148,6 +166,22 @@ class MuPolynomial:
 
 ONE = MuPolynomial.const(1)
 MU = MuPolynomial((0, 1))
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the lcm L of the denominators: c_i = n_i / L."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _prod(factors) -> MuPolynomial:
@@ -269,16 +303,42 @@ def _binom_factored(k: int, j: int):
 def _factored_sum(terms) -> MuRationalFunction:
     """Exact sum of (scalar, num_range, den_range) triples.
 
-    The common denominator is the longest factor prefix among the terms;
-    each numerator is expanded, summed, and the result reduced by trial
-    division against the known linear factors.
+    The common denominator is the longest factor prefix among the terms,
+    [0, d_max).  With (mu + i + 1/2) = (2 mu + 2 i + 1)/2, each term is
+    scalar / 2^m times an integer polynomial R(n_lo, n_hi) R(d_hi, d_max),
+    where R(a, b) = prod_{i=a}^{b-1} (2 mu + 2 i + 1) is built from
+    R(a+1, b) by one linear step and kept for the call.  Terms with the same
+    ranges are merged before expanding, the integer sum runs over one common
+    denominator, and the result is reduced by trial division against the
+    known linear factors.
     """
     d_max = max((t[2][1] for t in terms), default=0)
-    total = MuPolynomial()
-    for scalar, (n_lo, n_hi), (d_lo, d_hi) in terms:
-        factors = [_half_factor(i) for i in range(n_lo, n_hi)]
-        factors += [_half_factor(i) for i in range(d_hi, d_max)]
-        total = total + _prod(factors).scale(scalar)
+    merged: dict[tuple[int, int, int], Fraction] = {}
+    for scalar, (n_lo, n_hi), (_, d_hi) in terms:
+        key = (n_lo, n_hi, d_hi)
+        merged[key] = merged.get(key, 0) + scalar
+    weights = {(n_lo, n_hi, d_hi): w / 2 ** (n_hi - n_lo + d_max - d_hi)
+               for (n_lo, n_hi, d_hi), w in merged.items() if w}
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    products: dict[tuple[int, int], list[int]] = {}
+
+    def range_product(a: int, b: int) -> list[int]:
+        top = a
+        while top < b and (top, b) not in products:
+            top += 1
+        poly = products.get((top, b), [1])
+        for i in range(top - 1, a - 1, -1):
+            poly = products[i, b] = _convolve(poly, [2 * i + 1, 2])
+        return poly
+
+    acc: list[int] = []
+    for (n_lo, n_hi, d_hi), w in weights.items():
+        term = _convolve(range_product(n_lo, n_hi), range_product(d_hi, d_max))
+        scale = w.numerator * (common // w.denominator)
+        acc += [0] * (len(term) - len(acc))
+        for i, c in enumerate(term):
+            acc[i] += scale * c
+    total = MuPolynomial([Fraction(c, common) for c in acc])
     remaining = []
     for i in range(d_max):
         c = i + HALF
@@ -289,8 +349,12 @@ def _factored_sum(terms) -> MuRationalFunction:
             pass  # zero numerator: every factor cancels
         else:
             remaining.append(i)
-    den = _prod(_half_factor(i) for i in remaining)
-    return MuRationalFunction(total, den)
+    den = [1]
+    for i in remaining:
+        den = _convolve(den, [2 * i + 1, 2])
+    scale = 2 ** len(remaining)
+    return MuRationalFunction(total,
+                              MuPolynomial([Fraction(c, scale) for c in den]))
 
 
 def binom_mu_exact(k: int, j: int) -> MuRationalFunction:

@@ -225,6 +225,24 @@ class TestVerifyIdentitiesCommand:
         assert code == 0
         assert json.loads(out)["all_passed"] is True
 
+    def test_empty_budget_rejected(self, capsys, tmp_path):
+        for flag in ("--k-max", "--n-max"):
+            code, out, err = run(capsys, "verify-identities", flag, "0")
+            assert code == 2 and out == ""
+            assert "usage" in err and "got 0" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k_max = -3\n")
+        code, _, err = run(capsys, "verify-identities", "--config", str(cfg))
+        assert code == 2
+        assert "usage" in err and "k_max >= 1, got -3" in err
+
+    def test_large_budget(self):
+        proc = run_module("verify-identities", "--k-max", "121",
+                          "--n-max", "30")
+        assert proc.returncode == 0, proc.stderr
+        assert "151/151 passed" in proc.stderr
+        assert json.loads(proc.stdout)["all_passed"] is True
+
 
 class TestCheckOperatorsCommand:
     def test_default_passes(self, capsys, tmp_path):
@@ -263,6 +281,20 @@ class TestCheckOperatorsCommand:
         assert texts[0] == texts[1]
         ints = json.loads(texts[0])["intertwining"]
         assert ints and all(e["max_discrepancy"] < 1e-9 for e in ints)
+
+    def test_negative_basis_degree_rejected(self, capsys, tmp_path):
+        # n_max = -1 would check no basis function and pass vacuously
+        for extra in ((), ("--kappa", "2")):
+            out_file = tmp_path / "ops.json"
+            code, _, err = run(capsys, "check-operators", "--n-max", "-1",
+                               *extra, "--out", str(out_file))
+            assert code == 2
+            assert "usage" in err and "n_max >= 0, got -1" in err
+            assert not out_file.exists()
+        code, _, _ = run(capsys, "check-operators", "--n-max", "0",
+                         "--out", str(out_file))
+        assert code == 0
+        assert len(json.loads(out_file.read_text())["ccr"]) == 1
 
     def test_custom_psi(self, capsys, tmp_path):
         out_file = tmp_path / "ops3.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudeform import exact
 from mudeform.core import MuContext, deformed_binomial
 from mudeform.exact import (MuPolynomial, MuRationalFunction, binom_mu_exact,
                             eval_rational, gamma_mu_exact, p_2n_sum_closed,
@@ -17,6 +18,66 @@ Q = Fraction
 
 def rational(num, den=(1,)):
     return MuRationalFunction(MuPolynomial(num), MuPolynomial(den))
+
+
+def fraction_product(a, b):
+    """Reference product: Fraction convolution, one term at a time."""
+    if not a or not b:
+        return ()
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return MuPolynomial(out).coeffs
+
+
+def horner(coeffs, mu):
+    """Reference evaluation: plain Horner in the arithmetic of mu."""
+    acc = type(mu)(0)
+    for c in reversed(coeffs):
+        acc = acc * mu + c
+    return acc
+
+
+def poly_divmod(a, b):
+    """Long division of Fraction coefficient tuples (index = power)."""
+    rem, quot = list(a), [Q(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = q
+        for i, c in enumerate(b):
+            rem[i + shift] -= q * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def reduced(f):
+    """f in lowest terms by a Euclidean gcd, denominator monic."""
+    a, b = f.num.coeffs, f.den.coeffs
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    num = poly_divmod(f.num.coeffs, a)[0]
+    den = poly_divmod(f.den.coeffs, a)[0]
+    return MuRationalFunction(MuPolynomial(num), MuPolynomial(den))
+
+
+def naive_p_at(k):
+    """Alternating sum of deformed binomials by general rational addition."""
+    total = rational(())
+    for j in range(k + 1):
+        b = binom_mu_exact(k, j)
+        total = total + (b if j % 2 == 0 else MuRationalFunction(-b.num, b.den))
+    return total
+
+
+# rationals with numerators and denominators far beyond a machine word
+big_fractions = st.builds(Q, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**40))
+coefficients = st.lists(st.one_of(big_fractions, st.fractions(max_denominator=50),
+                                  st.just(Q(0))), max_size=9)
 
 
 class TestMuPolynomial:
@@ -38,6 +99,21 @@ class TestMuPolynomial:
         p = MuPolynomial((1, 0, 3))
         assert p.evaluate(Q(2)) == 13
         assert p.evaluate(0.5) == pytest.approx(1.75)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficients, coefficients, big_fractions)
+    def test_integer_kernels_match_fraction_reference(self, a, b, mu):
+        p, q = MuPolynomial(a), MuPolynomial(b)
+        assert (p * q).coeffs == fraction_product(p.coeffs, q.coeffs)
+        assert (q * p).coeffs == fraction_product(p.coeffs, q.coeffs)
+        for point in (mu, -mu, Q(0), Q(1, 3)):
+            value = p.evaluate(point)
+            assert isinstance(value, Fraction)
+            assert value == horner(p.coeffs, point)
+        # the float path is the plain Horner loop, to the last bit (repr
+        # also matches the inf and nan that huge draws can overflow to)
+        x = float(mu)
+        assert repr(p.evaluate(x)) == repr(horner(p.coeffs, x))
 
     def test_divide_linear_exact(self):
         # (mu + 1/2)(mu + 3) = mu^2 + 7/2 mu + 3/2
@@ -165,6 +241,24 @@ class TestPAtExact:
     def test_k4(self):
         assert p_at_exact(4) == rational((0, 8), (1, 2))
 
+    def test_expansion_matches_general_rational_sum(self):
+        # independent oracle: the plain alternating sum with MuRationalFunction
+        # addition, reduced by a Euclidean gcd instead of trial division
+        for k in range(25):
+            naive = naive_p_at(k)
+            assert naive.cross_equal(p_at_exact(k)), k
+            assert reduced(naive).to_dict() == p_at_exact(k).to_dict(), k
+
+    def test_expansion_multiplies_no_fraction_polynomials(self, monkeypatch):
+        expected = p_at_exact(48).to_dict()
+        p_at_exact.cache_clear()
+
+        def refuse(self, other):
+            raise AssertionError("Fraction polynomial product in the expansion")
+
+        monkeypatch.setattr(exact.MuPolynomial, "__mul__", refuse)
+        assert p_at_exact(48).to_dict() == expected
+
     def test_even_k_at_mu_zero(self):
         # the classical alternating binomial sum vanishes for even k >= 2
         assert eval_rational(p_at_exact(0), Q(0)) == 1
@@ -202,6 +296,11 @@ class TestClosedForms:
         # results are labelled per n (per-n evidence, not a general proof)
         assert all(c.n is not None for c in rep.checks)
         assert all(c.sampled_equal for c in rep.checks)
+
+    def test_larger_budgets(self):
+        assert verify_closed_forms(20).all_passed
+        rep = verify_odd_vanishing(81)
+        assert rep.all_passed and len(rep.checks) == 41
 
     def test_report_json_schema(self):
         import json
