@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exact, operators
 from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, eta_rule_exists,
-                   exp_mu_integral, exp_mu_series)
+                   even_series_result, exp_mu_integral, exp_mu_series)
 from .errors import EvaluationError
 from .intervals import format_interval_set, parse_interval_set
 from .trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec, ScanRow,
@@ -134,15 +134,20 @@ _CONVERTERS = {
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and explicit flags (highest wins)."""
+    """Merge defaults, config file, and explicit flags (highest wins).
+
+    A config key must name one of the command's own flags: what the command
+    would reject as a flag it rejects as a key.
+    """
     merged: dict = {"command": args.command}
     if getattr(args, "config", None):
         merged["config"] = args.config
         for key, value in _load_config_file(args.config).items():
-            if key in _CONVERTERS:
+            if key in _CONVERTERS and key in vars(args):
                 merged[key] = _CONVERTERS[key](value)
             elif key != "command":
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(
+                    f"unknown config key {key!r} for {args.command}")
     for key, conv in _CONVERTERS.items():
         value = getattr(args, key, None)
         if value is not None:
@@ -158,6 +163,7 @@ def _fmt(x) -> str:
 
 def _series_diag(r: SeriesResult) -> str:
     return (f"terms={r.terms_used} trunc_error={r.trunc_error:.3e} "
+            f"rounding_error={r.rounding_error:.3e} "
             f"cancellation={r.cancellation:.3e}"
             + (" (escalated precision)" if r.escalated else ""))
 
@@ -183,9 +189,9 @@ def cmd_specfun(cfg: RunConfig) -> int:
         r = exp_mu_series(1j * cfg.s, ctx, tol=cfg.tol,
                           prec_bits=cfg.precision_bits)
         lines.append(f"  product      {_fmt(abs(r.value) ** 2)}   [{_series_diag(r)}]")
-        v = abs2_exp_mu_imag(cfg.s, ctx, "even_series", tol=cfg.tol,
-                             prec_bits=cfg.precision_bits)
-        lines.append(f"  even_series  {_fmt(v)}")
+        r = even_series_result(cfg.s, ctx, tol=cfg.tol,
+                               prec_bits=cfg.precision_bits)
+        lines.append(f"  even_series  {_fmt(r.value.real)}   [{_series_diag(r)}]")
         if eta_rule_exists(ctx.mu):
             v = abs2_exp_mu_imag(cfg.s, ctx, "integral")
             lines.append(f"  integral     {_fmt(v)}")

@@ -6,14 +6,17 @@ one closed form: in rank one exp_mu(is) is the Dunkl kernel
 j_{mu-1/2}(|s|) + i s/(2mu+1) j_{mu+1/2}(|s|), with the normalized Bessel
 function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for every mu > -1/2.  The
 independent routes stay as oracles: the power series, the rearranged
-even-power series with exact rational coefficients and, for mu > 0, the
-integral representation against the probability measure eta_mu on [-1,1]
-with Jacobi weight (1-t)^(mu-1) (1+t)^mu.
+even-power series and, for mu > 0, the integral representation against the
+probability measure eta_mu on [-1,1] with Jacobi weight
+(1-t)^(mu-1) (1+t)^mu.  even_coeff gives the even series' coefficients
+exactly, as the oracle of the ratio that series runs on.
 
-Series evaluations track truncation and cancellation; when cancellation
-exceeds the escalation threshold the sum is repeated with arbitrary-
-precision floats at four times working precision, or more where the even
-series needs it.
+Both series run on one engine, _sum_series, which sums
+t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
+floats first; when the cancellation exceeds the escalation threshold it
+sums again in mpmath at four times working precision, or more where the
+even series needs it.  Every result carries a truncation bound and a
+rounding bound whose sum bounds its true error.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ LOG_SPACE_THRESHOLD = 150      # gamma_mu switches to log-space beyond this n
 CANCELLATION_ESCALATION = 1e8  # re-evaluate in extended precision past this
 ESCALATED_PREC_BITS = 4 * 53   # "4x working precision"
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -54,24 +58,23 @@ class MuContext:
         log_nc = -(self.mu + 0.5) * math.log(2.0) - gammaln(self.mu + 0.5)
         object.__setattr__(self, "norm_const", math.exp(log_nc))
 
-    @property
-    def mu_fraction(self) -> Fraction:
-        """Exact binary rational mu, for even_coeff and the exact oracle."""
-        return Fraction(self.mu)
-
 
 @dataclass
 class SeriesResult:
     """A truncated power-series value with its error diagnostics.
 
-    cancellation is the largest intermediate partial-sum magnitude divided
-    by the result magnitude (>= 1); values much above 1 mean the final
-    digits were produced by cancellation of large terms.
+    trunc_error bounds the discarded tail and rounding_error the arithmetic
+    error of the summed terms and of the final rounding to a float, so
+    |value - exact| <= trunc_error + rounding_error.  cancellation is the
+    largest intermediate partial-sum magnitude divided by the result
+    magnitude (>= 1); values much above 1 mean the final digits were
+    produced by cancellation of large terms.
     """
 
     value: complex
     terms_used: int
     trunc_error: float
+    rounding_error: float
     cancellation: float
     escalated: bool = False
 
@@ -144,64 +147,70 @@ def binomial_poly(k: int, x: complex, y: complex, ctx: MuContext) -> complex:
     return total
 
 
-# --- deformed exponential: power series --------------------------------------
+# --- the series engine and the power series ----------------------------------
 
-def _series_sum_float(z: complex, mu: float, tol: float, max_terms: int):
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    peak = 1.0
+def _sum_series(ratio, n_min: float, tol: float, max_terms: int):
+    """Sum t_0 = 1, t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.
+
+    Stops once three consecutive terms are below tol relative to the partial
+    sum and n > n_min.  Returns the sum, the number of terms, the largest
+    partial-sum magnitude, sum |t_n| and the truncation bound
+    |t_n| r / (1 - r), r the larger of the next two |ratio|: every later
+    ratio is that small while |ratio| falls along each parity.
+    """
+    total = term = peak = abs_sum = 1
     consecutive = 0
-    az = abs(z)
-    n = 0
     for n in range(1, max_terms + 1):
-        term *= z / (n + 2.0 * mu * _odd(n))
+        term *= ratio(n)
         total += term
         peak = max(peak, abs(total))
-        if abs(term) <= tol * abs(total) and n > az:
+        abs_sum += abs(term)
+        if abs(term) <= tol * abs(total) and n > n_min:
             consecutive += 1
-            if consecutive >= 3:
+            if consecutive == 3:
                 break
         else:
             consecutive = 0
     else:
+        raise EvaluationError(f"series did not converge in {max_terms} terms")
+    r = max(abs(ratio(n + 1)), abs(ratio(n + 2)))
+    if not term:  # a zero ratio ended the series exactly (even series, mu = 0)
+        tail = 0
+    else:
+        tail = abs(term) * r / (1 - r) if r < 1 else math.inf
+    return total, n + 1, peak, abs_sum, tail
+
+
+def _series_result(ratio_in, n_min: float, tol: float, max_terms: int,
+                   prec_bits: int) -> SeriesResult:
+    """Run _sum_series on ratio_in(float arithmetic); past the escalation
+    threshold, rerun it on ratio_in(mpmath.mpmathify) at prec_bits.
+
+    The rounding bound is terms * u * sum |t_n| with u the pass's unit
+    roundoff, plus 2 eps |value| for rounding an mpmath sum to a float.
+    A sum whose rounding bound reaches its magnitude has no correct digit:
+    that raises EvaluationError carrying it.
+    """
+    total, terms, peak, abs_sum, tail = _sum_series(
+        ratio_in(lambda x: x), n_min, tol, max_terms)
+    cancellation = peak / abs(total) if total else math.inf
+    unit = _EPS / 2  # float unit roundoff
+    escalated = cancellation > CANCELLATION_ESCALATION
+    if escalated:
+        with mpmath.workprec(prec_bits):
+            total, terms, peak, abs_sum, tail = _sum_series(
+                ratio_in(mpmath.mpmathify), n_min, tol, max_terms)
+            cancellation = float(peak / abs(total)) if total else math.inf
+        unit = 2.0 ** -prec_bits
+    value = complex(total)
+    rounding = terms * unit * float(abs_sum) + 2 * _EPS * abs(value)
+    if rounding >= abs(value):
         raise EvaluationError(
-            f"exp_mu series did not converge in {max_terms} terms for |z|={az:.3g}")
-    return total, term, n, peak
-
-
-def _series_sum_mp(z: complex, mu: float, tol: float, max_terms: int, prec_bits: int):
-    with mpmath.workprec(prec_bits):
-        zz = mpmath.mpc(z)
-        mu_mp = mpmath.mpf(mu)
-        total = mpmath.mpc(1)
-        term = mpmath.mpc(1)
-        peak = mpmath.mpf(1)
-        consecutive = 0
-        az = abs(z)
-        stop_tol = mpmath.mpf(tol)
-        for n in range(1, max_terms + 1):
-            term *= zz / (n + 2 * mu_mp * _odd(n))
-            total += term
-            peak = max(peak, abs(total))
-            if abs(term) <= stop_tol * abs(total) and n > az:
-                consecutive += 1
-                if consecutive >= 3:
-                    break
-            else:
-                consecutive = 0
-        else:
-            raise EvaluationError(
-                f"escalated exp_mu series did not converge in {max_terms} terms")
-        return complex(total), float(abs(term)), n, float(peak / abs(total))
-
-
-def _geometric_tail(last_term: float, az: float, n: int, mu: float) -> float:
-    # Later denominators are at least n+1+min(0, 2 mu); the stopping rule
-    # guarantees n > |z| so the ratio is below one.
-    r = az / (n + 1 + min(0.0, 2.0 * mu))
-    if r >= 1.0:
-        return math.inf
-    return last_term * r / (1.0 - r)
+            f"cancellation {cancellation:.3g} leaves no correct digit at "
+            f"{prec_bits} bits; raise prec_bits", best=value)
+    return SeriesResult(value=value, terms_used=terms, trunc_error=float(tail),
+                        rounding_error=rounding,
+                        cancellation=max(1.0, cancellation), escalated=escalated)
 
 
 def exp_mu_series(z: complex, ctx: MuContext, tol: float = 1e-15,
@@ -217,23 +226,12 @@ def exp_mu_series(z: complex, ctx: MuContext, tol: float = 1e-15,
     if tol <= 0:
         raise ValueError("tol must be > 0")
     z = complex(z)
-    total, term, n, peak = _series_sum_float(z, ctx.mu, tol, max_terms)
-    cancellation = peak / abs(total) if total != 0 else math.inf
-    escalated = False
-    if cancellation > CANCELLATION_ESCALATION:
-        value, last, n, cancellation = _series_sum_mp(
-            z, ctx.mu, tol, max_terms, prec_bits)
-        total = value
-        term = last
-        escalated = True
-        budget = 2.0 ** (prec_bits * 0.5)
-        if cancellation > budget:
-            raise EvaluationError(
-                "cancellation exceeds the escalated precision budget; "
-                "raise prec_bits", best=total)
-    trunc = _geometric_tail(abs(term), abs(z), n, ctx.mu)
-    return SeriesResult(value=total, terms_used=n + 1, trunc_error=trunc,
-                        cancellation=max(1.0, cancellation), escalated=escalated)
+
+    def ratio_in(num):
+        zz, two_mu = num(z), 2 * num(ctx.mu)
+        return lambda n: zz / (n + two_mu * _odd(n))
+
+    return _series_result(ratio_in, abs(z), tol, max_terms, prec_bits)
 
 
 # --- eta_mu: Gauss-Jacobi rule ------------------------------------------------
@@ -350,7 +348,9 @@ def even_coeff(j: int, mu: Fraction) -> Fraction:
 
     The paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
     with gamma_mu(2j) = 4^j j! (mu+1/2)_j, give c_i / c_{i-1} =
-    (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.
+    (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.  The
+    even series runs on this ratio in floats or mpmath; these exact values
+    are its oracle, checked against the symbolic layer.
     """
     table = _even_coeff_table(mu)
     while len(table) <= j:
@@ -360,95 +360,30 @@ def even_coeff(j: int, mu: Fraction) -> Fraction:
     return table[j]
 
 
-def _abs2_product(s: float, ctx: MuContext, tol: float, prec_bits: int) -> float:
-    r = exp_mu_series(1j * s, ctx, tol=tol, prec_bits=prec_bits)
-    return abs(r.value) ** 2
-
-
 def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
                        prec_bits: int = ESCALATED_PREC_BITS) -> SeriesResult:
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
     with diagnostics.
 
-    The float pass rounds the exact rationals of even_coeff, so the only
-    float error is in the alternating outer sum; it is monitored and
-    escalated.  The escalated pass runs even_coeff's ratio recurrence in
-    mpmath from the exact mpf(mu), at its own precision.  Note
-    this sum cancels like e^(2|s|), twice as hard as the complex series, so
-    the escalated pass carries at least 2 ceil(2|s|/ln 2) + 64 bits; a float
-    term that leaves float range (|s| past about 37) escalates at once.
+    Both passes of the series engine run even_coeff's ratio
+    -s^2 (mu+j-1) / (j (2mu+j) (mu+j-1/2)) in their own arithmetic, from
+    the float mu; even_coeff itself stays the exact oracle.  This sum
+    cancels like e^(2|s|), twice as hard as the complex series, so the
+    escalated pass carries at least 2 ceil(2|s|/ln 2) + 64 bits, and past
+    |s| of about 354 that cancellation leaves float range: it fails fast.
     """
-    muf = ctx.mu_fraction
-    s2 = s * s
+    if 2.0 * abs(s) > _LOG_FLOAT_MAX:
+        raise EvaluationError(
+            f"even series cancellation e^(2|s|) exceeds float range at "
+            f"|s| = {abs(s):.3g}; use the closed-form kernel")
+    prec_bits = max(prec_bits, 2 * math.ceil(2 * abs(s) / math.log(2)) + 64)
 
-    def run_float():
-        total = 1.0
-        power = 1.0
-        peak = 1.0
-        last = 0.0
-        consecutive = 0
-        for j in range(1, 400):
-            power *= s2
-            term = (-1.0) ** j * float(even_coeff(j, muf)) * power
-            if not math.isfinite(term):
-                return None  # s^(2j) overflowed: only the mp pass can sum this
-            total += term
-            last = abs(term)
-            peak = max(peak, abs(total))
-            if last <= tol * max(abs(total), 1e-300) and 2 * j > abs(s):
-                consecutive += 1
-                if consecutive >= 3:
-                    return total, peak, last, j
-            else:
-                consecutive = 0
-        raise EvaluationError("even series for |exp_mu(is)|^2 did not converge")
+    def ratio_in(num):
+        mu, step = num(ctx.mu), -num(s) ** 2
+        return lambda j: step * (mu + (j - 1)) / (
+            j * (2 * mu + j) * (mu + (j - 0.5)))
 
-    result = run_float()
-    if result is None:
-        cancellation = math.inf
-    else:
-        total, peak, last, j = result
-        cancellation = peak / abs(total) if total != 0 else math.inf
-    escalated = False
-    if cancellation > CANCELLATION_ESCALATION:
-        escalated = True
-        if 2.0 * abs(s) > _LOG_FLOAT_MAX:
-            raise EvaluationError(
-                f"even series cancellation e^(2|s|) exceeds float range at "
-                f"|s| = {abs(s):.3g}; use the closed-form kernel")
-        # the 2^(prec/2) budget below must cover the e^(2|s|) cancellation
-        prec_bits = max(prec_bits, 2 * math.ceil(2 * abs(s) / math.log(2)) + 64)
-        with mpmath.workprec(prec_bits):
-            # even_coeff's ratio recurrence at this precision: converting
-            # its growing Fractions term by term costs far more
-            mu_mp = mpmath.mpf(ctx.mu)
-            step = -mpmath.mpf(s) ** 2
-            total_mp = mpmath.mpf(1)
-            term = mpmath.mpf(1)
-            peak_mp = mpmath.mpf(1)
-            consecutive = 0
-            for j in range(1, 2000):
-                term *= step * (mu_mp + (j - 1)) / (
-                    j * (2 * mu_mp + j) * (mu_mp + (j - 0.5)))
-                total_mp += term
-                peak_mp = max(peak_mp, abs(total_mp))
-                if abs(term) <= tol * abs(total_mp) and 2 * j > abs(s):
-                    consecutive += 1
-                    if consecutive >= 3:
-                        break
-                else:
-                    consecutive = 0
-            else:
-                raise EvaluationError("escalated even series did not converge")
-            cancellation = float(peak_mp / abs(total_mp))
-            if math.log2(cancellation) > prec_bits * 0.5:
-                raise EvaluationError(
-                    "cancellation exceeds the escalated precision budget")
-            total = float(total_mp)
-            last = float(abs(term))
-    return SeriesResult(value=complex(total), terms_used=j + 1,
-                        trunc_error=last, cancellation=max(1.0, cancellation),
-                        escalated=escalated)
+    return _series_result(ratio_in, abs(s) / 2, tol, 2000, prec_bits)
 
 
 def _abs2_integral(s: float, ctx: MuContext, rule: JacobiRule | None) -> float:
@@ -467,14 +402,14 @@ def abs2_exp_mu_imag(s: float, ctx: MuContext, method: str | None = None,
     """|exp_mu(i s)|^2 by the requested method.
 
     method 'product' squares the power-series value; 'even_series' sums the
-    rearranged even-power series with exact rational coefficients;
-    'integral' uses cos/sin moments of eta_mu (mu > 0 only).  These are the
+    rearranged even-power series; 'integral' uses cos/sin moments of eta_mu (mu > 0 only).  These are the
     oracles; method=None evaluates the closed-form kernel of abs2_on_grid.
     """
     if method is None:
         return float(abs2_on_grid(s, ctx))
     if method == "product":
-        return _abs2_product(s, ctx, tol, prec_bits)
+        r = exp_mu_series(1j * s, ctx, tol=tol, prec_bits=prec_bits)
+        return abs(r.value) ** 2
     if method == "even_series":
         return even_series_result(s, ctx, tol, prec_bits).value.real
     if method == "integral":

@@ -77,6 +77,13 @@ class TestSpecfun:
             even = [ln for ln in out.splitlines() if "even_series" in ln]
             assert len(even) == 1 and math.isfinite(float(even[0].split()[1]))
 
+    def test_both_series_report_diagnostics(self, capsys):
+        code, out, _ = run(capsys, "specfun", "--mu", "-0.45", "--s", "12")
+        assert code == 0
+        for name in ("product", "even_series"):
+            line, = [ln for ln in out.splitlines() if ln.split()[0] == name]
+            assert "trunc_error=" in line and "rounding_error=" in line
+
     def test_mu_below_eta_rule_resolution(self, capsys):
         # 0 < mu < ~1e-16: the integral lines are left out, as for mu <= 0
         code, out, err = run(capsys, "specfun", "--mu", "1e-17", "--s", "1",
@@ -331,6 +338,16 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "specfun", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+    def test_key_without_flag_rejected(self, capsys, tmp_path):
+        # a key the command has no flag for exits 2, as the flag would
+        cfg = tmp_path / "run.cfg"
+        for command, key, value in (("check-operators", "k_max", "0"),
+                                    ("verify-identities", "tol", "1e-9")):
+            cfg.write_text(f"{key} = {value}\n")
+            code, out, err = run(capsys, command, "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert "usage" in err and repr(key) in err
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

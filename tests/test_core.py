@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
@@ -410,19 +410,84 @@ class TestAbs2:
         assert got == pytest.approx(ref, rel=1e-9)
 
 
+def series_reference_mp(s: float, mu: float) -> mpmath.mpc:
+    """exp_mu(is) by its power series at the current mpmath precision; at
+    400 bits the partial sums peak near e^|s| < 2^87 for |s| <= 60, far
+    inside the precision."""
+    z, mu_mp = mpmath.mpc(0, s), mpmath.mpf(mu)
+    total = term = mpmath.mpc(1)
+    tiny = mpmath.mpf(2) ** (10 - mpmath.mp.prec)
+    n = 0
+    while n <= abs(s) or abs(term) > tiny:
+        n += 1
+        term *= z / (n + 2 * mu_mp * (n % 2))
+        total += term
+    return total
+
+
 def series_reference(s: float, mu: float, prec_bits: int = 400) -> complex:
-    """exp_mu(is) by its power series in 400-bit arithmetic: the partial
-    sums peak near e^|s| < 2^87 for |s| <= 60, far inside the precision."""
     with mpmath.workprec(prec_bits):
-        z, mu_mp = mpmath.mpc(0, s), mpmath.mpf(mu)
-        total = term = mpmath.mpc(1)
-        tiny = mpmath.mpf(2) ** (10 - prec_bits)
-        n = 0
-        while n <= abs(s) or abs(term) > tiny:
-            n += 1
-            term *= z / (n + 2 * mu_mp * (n % 2))
-            total += term
-        return complex(total)
+        return complex(series_reference_mp(s, mu))
+
+
+class TestSeriesEngine:
+    """Both series run on one engine whose error bars bound the true error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=-0.45, max_value=3.0),
+           st.floats(min_value=-60.0, max_value=60.0))
+    @example(-0.45, 9.0)   # the even series once reported 1.5e-16, true 2.0e-8
+    @example(-0.45, 12.0)  # even series: 1.0e-15 reported, true 4.3e-6
+    @example(-0.3, 9.0)    # even series: true error 2.8e-10
+    @example(-0.25, 20.0)  # power series: 4e-17 reported, true 6.7e-9
+    def test_reported_error_bounds_true_error(self, mu, s):
+        ctx = MuContext(mu)
+        series = exp_mu_series(1j * s, ctx)
+        even = even_series_result(s, ctx)
+        with mpmath.workprec(400):
+            ref = series_reference_mp(s, mu)
+            assert abs(series.value - ref) <= (series.trunc_error
+                                               + series.rounding_error)
+            assert abs(even.value.real - abs(ref) ** 2) <= (
+                even.trunc_error + even.rounding_error)
+
+    def test_precision_left_is_reported_or_fails_fast(self):
+        # at the default 212 bits the e^|s| cancellation leaves digits at
+        # s = 100, reported by the rounding bound, and none at s = 200
+        ctx = MuContext(0.5)
+        for s, prec_bits in ((100.0, 212), (200.0, 512)):
+            r = exp_mu_series(1j * s, ctx, prec_bits=prec_bits)
+            got = complex(exp_mu_imag_on_grid(np.array(s), ctx))
+            assert abs(r.value - got) <= (r.trunc_error + r.rounding_error
+                                          + 1e-12)
+        with pytest.raises(EvaluationError, match="no correct digit") as err:
+            exp_mu_series(200j, ctx)
+        assert err.value.best is not None
+
+    def test_zero_term_ends_even_series_exactly(self):
+        # at mu = 0 every c_j past j = 0 vanishes: no tail, whatever the
+        # next ratios are (above 1 at s = 10 where the loop stops)
+        for s in (0.5, 10.0, 60.0):
+            r = even_series_result(s, MuContext(0.0))
+            assert r.value == 1.0 and r.trunc_error == 0.0
+
+    def test_one_engine_call_per_pass(self, monkeypatch):
+        import mudeform.core as core_module
+        calls = []
+        real = core_module._sum_series
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core_module, "_sum_series", counted)
+        for run, passes in (
+                (lambda: exp_mu_series(1 + 1j, MuContext(0.5)), 1),
+                (lambda: exp_mu_series(40j, MuContext(-0.25)), 2),
+                (lambda: even_series_result(14.0, MuContext(-0.3)), 2)):
+            calls.clear()
+            assert run().escalated == (passes == 2)
+            assert len(calls) == passes
 
 
 class TestKernelAgainstOracles:
@@ -448,8 +513,7 @@ class TestKernelAgainstOracles:
                     * max(abs(series.value), 1.0))
         assert abs(series.value - got) <= 10.0 * err_prod + 1e-12 * max(
             1.0, abs(got))
-        # the even series cancels like e^(2|s|): give it a 512-bit budget;
-        # past |s| of about 37 its float pass overflows and hands over
+        # the even series cancels like e^(2|s|): give it a 512-bit budget
         even = even_series_result(s, ctx, prec_bits=512)
         err_even = (even.trunc_error + even.cancellation * self.EPS
                     * max(abs(even.value), 1.0))
@@ -479,7 +543,7 @@ class TestKernelAgainstOracles:
 
 class TestEvenSeriesFarArgument:
     def test_hands_over_to_mp_past_float_range(self):
-        # s^(2j) overflows the float pass from |s| of about 37 on
+        # from |s| of about 37 on the cancellation e^(2|s|) passes 1e32
         for mu in (1.0, -0.3, 0.413):
             ctx = MuContext(mu)
             for s in (38.0, 40.0, 60.0):
@@ -498,7 +562,7 @@ class TestEvenSeriesFarArgument:
             assert abs(got.value.real - ref) <= 1e-12 * max(1.0, ref), s
 
     def test_mp_pass_runs_its_own_recurrence(self, monkeypatch):
-        # the escalated pass must not convert even_coeff's Fractions
+        # neither pass converts even_coeff's Fractions
         import mudeform.core as core_module
         state = {"mp": False, "calls": 0}
         real_coeff, real_workprec = core_module.even_coeff, mpmath.workprec
@@ -516,7 +580,7 @@ class TestEvenSeriesFarArgument:
         monkeypatch.setattr(core_module.mpmath, "workprec", workprec)
         res = even_series_result(200.0, MuContext(0.413))
         assert res.escalated and state["mp"]
-        assert 0 < state["calls"] < 100 < res.terms_used
+        assert state["calls"] == 0 and res.terms_used > 100
 
     def test_cancellation_past_float_range_fails_fast(self):
         # e^(2|s|) overflows the cancellation diagnostic past |s| of 354

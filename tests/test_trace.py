@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -140,7 +141,7 @@ def per_term_reference(A, B, ctx):
     with mpmath.workdps(25 + int(0.87 * 2.0 * s_max) + 10 + 40):
         total, small, j = mpmath.mpf(0), 0, 0
         while small < 3:
-            c = even_coeff(j, ctx.mu_fraction)
+            c = even_coeff(j, Fraction(ctx.mu))
             term = ((-1) ** j * mpmath.mpf(c.numerator) / c.denominator
                     * moment_mp(A, ctx.mu, 2 * j) * moment_mp(B, ctx.mu, 2 * j))
             total += term
