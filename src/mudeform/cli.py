@@ -161,9 +161,10 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _series_diag(r: SeriesResult) -> str:
-    return (f"terms={r.terms_used} trunc_error={r.trunc_error:.3e} "
-            f"rounding_error={r.rounding_error:.3e} "
+def _series_diag(r: SeriesResult, scale: float = 1.0) -> str:
+    """r's diagnostics, with both error bars multiplied by scale."""
+    return (f"terms={r.terms_used} trunc_error={scale * r.trunc_error:.3e} "
+            f"rounding_error={scale * r.rounding_error:.3e} "
             f"cancellation={r.cancellation:.3e}"
             + (" (escalated precision)" if r.escalated else ""))
 
@@ -188,7 +189,10 @@ def cmd_specfun(cfg: RunConfig) -> int:
         lines.append(f"|exp_mu(i*{_fmt(cfg.s)})|^2:")
         r = exp_mu_series(1j * cfg.s, ctx, tol=cfg.tol,
                           prec_bits=cfg.precision_bits)
-        lines.append(f"  product      {_fmt(abs(r.value) ** 2)}   [{_series_diag(r)}]")
+        # ||E|^2 - |E*|^2| <= (|E| + |E*|) d <= (2|E| + d) d, d = |E - E*|
+        scale = 2 * abs(r.value) + r.trunc_error + r.rounding_error
+        lines.append(f"  product      {_fmt(abs(r.value) ** 2)}   "
+                     f"[{_series_diag(r, scale)}]")
         r = even_series_result(cfg.s, ctx, tol=cfg.tol,
                                prec_bits=cfg.precision_bits)
         lines.append(f"  even_series  {_fmt(r.value.real)}   [{_series_diag(r)}]")

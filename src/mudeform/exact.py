@@ -40,13 +40,21 @@ HALF = Fraction(1, 2)
 class MuPolynomial:
     """Dense polynomial in mu with Fraction coefficients (index = power)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integers")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._integers = None
+
+    def _integer_form(self) -> tuple[list[int], int]:
+        """The integer numerators over their lcm, c_i = n_i / L, cleared
+        once per polynomial."""
+        if self._integers is None:
+            self._integers = _cleared(self.coeffs)
+        return self._integers
 
     @classmethod
     def const(cls, c) -> "MuPolynomial":
@@ -96,8 +104,8 @@ class MuPolynomial:
     def __mul__(self, other: "MuPolynomial") -> "MuPolynomial":
         if self.is_zero or other.is_zero:
             return MuPolynomial()
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
+        a, da = self._integer_form()
+        b, db = other._integer_form()
         den = da * db
         return MuPolynomial([Fraction(c, den) for c in _convolve(a, b)])
 
@@ -121,7 +129,7 @@ class MuPolynomial:
             return acc
         if self.is_zero:
             return Fraction(0)
-        nums, den = _cleared(self.coeffs)
+        nums, den = self._integer_form()
         p, q = mu.numerator, mu.denominator
         acc, q_pow = nums[-1], 1
         for n in reversed(nums[:-1]):

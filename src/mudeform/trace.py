@@ -6,7 +6,10 @@ integral; route two substitutes the rearranged even-power series, whose
 terms are products of closed-form moments, and sums it in closed form: its
 term ratio is rational in j, so the trace is a finite corner sum of 2F3
 values over the half-line panels of A and B.  Where both converge they must
-agree within their combined error estimates; their difference from
+agree within their combined error estimates.  A scan row comes from the
+closed form alone; the quadrature runs only where the closed form fails,
+and otherwise stays the independent cross-check (the trace command, the
+tests and the acceptance suite run both).  The trace's difference from
 m_mu(A) m_mu(B) is the deviation of interest: provably negative for
 mu > 0 on sets of positive measure, conjecturally positive for
 -1/2 < mu < 0, and zero in the classical case mu = 0.
@@ -211,18 +214,30 @@ class ScanRow:
 
 def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext,
                   spec: QuadratureSpec = QuadratureSpec()) -> ScanRow:
-    """Run both evaluators on one (A, B); keep the smaller-error result."""
-    estimates = []
-    note = ""
-    for run in (lambda: trace_quadrature(A, B, ctx, spec),
-                lambda: trace_moment_series(A, B, ctx)):
+    """The scan row of one (A, B): the moment series, or its fallback.
+
+    A converged series has an error estimate of a few eps |value|, far
+    below the kernel floor 1e-12 max(1, peak) m(A) m(B) of every quadrature
+    estimate, so its estimate is the row.  Only when the series raises does
+    the quadrature run; the row then keeps the smaller-error estimate of the
+    two (the series' best included, the quadrature's first on a tie), and
+    the note carries the message of each route that failed.
+    """
+    estimates, notes = [], []
+    try:
+        estimates.append(trace_moment_series(A, B, ctx))
+    except EvaluationError as series_err:
         try:
-            estimates.append(run())
+            estimates.append(trace_quadrature(A, B, ctx, spec))
         except EvaluationError as err:
-            if err.best is not None:
-                estimates.append(err.best)
-            note = (note + "; " if note else "") + str(err)
-    if not estimates:
+            estimates.append(err.best)
+            notes.append(str(err))
+        estimates.append(series_err.best)
+        notes.append(str(series_err))
+    best = min((e for e in estimates if e is not None),
+               key=lambda e: e.error_estimate, default=None)
+    note = "; ".join(notes)
+    if best is None:
         try:
             product = measure(A, ctx) * measure(B, ctx)
         except EvaluationError:
@@ -230,7 +245,6 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         return ScanRow(ctx.mu, A, B, "failed", math.nan, math.inf,
                        product, math.nan, False,
                        A.contains_zero or B.contains_zero, note)
-    best = min(estimates, key=lambda e: e.error_estimate)
     return ScanRow(ctx.mu, A, B, best.method, best.value, best.error_estimate,
                    best.product_measures, best.deviation, best.sign_resolved,
                    A.contains_zero or B.contains_zero, note)

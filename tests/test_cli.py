@@ -8,9 +8,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import mpmath
 import pytest
+from test_core import series_reference_mp
 
 from mudeform.cli import main, write_deviation_plot
+from mudeform.core import MuContext, exp_mu_series
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
 
@@ -83,6 +86,22 @@ class TestSpecfun:
         for name in ("product", "even_series"):
             line, = [ln for ln in out.splitlines() if ln.split()[0] == name]
             assert "trunc_error=" in line and "rounding_error=" in line
+
+    def test_product_bars_bound_the_squared_modulus(self, capsys):
+        # the bars of |exp_mu(is)|^2, not those of exp_mu(is) itself
+        code, out, _ = run(capsys, "specfun", "--mu", "-0.45", "--s", "12")
+        assert code == 0
+        line, = [ln for ln in out.splitlines() if ln.split()[0] == "product"]
+        fields = dict(f.split("=") for f in line.strip(" ]").split("[")[1].split())
+        bars = float(fields["trunc_error"]) + float(fields["rounding_error"])
+        with mpmath.workprec(400):
+            ref = abs(series_reference_mp(12.0, -0.45)) ** 2
+            gap = abs(float(line.split()[1]) - ref)
+        assert gap <= bars
+        # the bars of exp_mu(12i), d, propagated to its square
+        r = exp_mu_series(12j, MuContext(-0.45), tol=1e-12)  # specfun's tol
+        d = r.trunc_error + r.rounding_error
+        assert bars == pytest.approx((2 * abs(r.value) + d) * d, rel=1e-3)
 
     def test_mu_below_eta_rule_resolution(self, capsys):
         # 0 < mu < ~1e-16: the integral lines are left out, as for mu <= 0

@@ -115,6 +115,23 @@ class TestMuPolynomial:
         x = float(mu)
         assert repr(p.evaluate(x)) == repr(horner(p.coeffs, x))
 
+    def test_denominators_cleared_once(self, monkeypatch):
+        calls = []
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return real(coeffs)
+
+        real = exact._cleared
+        monkeypatch.setattr(exact, "_cleared", counted)
+        p = MuPolynomial((Q(1, 3), Q(-2, 5), Q(7, 6), Q(1, 4)))
+        points = [Q(i, 7) for i in range(p.degree + 1)]
+        assert [p.evaluate(x) for x in points] == [horner(p.coeffs, x)
+                                                   for x in points]
+        assert len(calls) == 1
+        assert (p * p).degree == 2 * p.degree
+        assert len(calls) == 1
+
     def test_divide_linear_exact(self):
         # (mu + 1/2)(mu + 3) = mu^2 + 7/2 mu + 3/2
         p = MuPolynomial.mu_plus(Q(1, 2)) * MuPolynomial.mu_plus(3)

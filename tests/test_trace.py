@@ -1,6 +1,7 @@
 """Trace evaluators, their cross-validation, and the deviation scan."""
 
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mudeform.trace as trace_module
@@ -17,8 +18,8 @@ from mudeform.core import MuContext, even_coeff
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
 from mudeform.measure import measure, moment_mp
-from mudeform.trace import (DEFAULT_PAIRS, QuadratureSpec,
-                            deviation_scan, evaluate_pair, rows_to_csv,
+from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec,
+                            ScanRow, deviation_scan, evaluate_pair, rows_to_csv,
                             rows_to_json, trace_moment_series,
                             trace_quadrature)
 
@@ -340,9 +341,108 @@ class TestDeviationScan:
             deviation_scan((-0.6,), DEFAULT_PAIRS[:1])
 
     def test_evaluate_pair_prefers_smaller_error(self):
-        row = evaluate_pair(A12, B0515, MuContext(0.5))
-        assert row.method in ("quadrature", "moment_series")
-        assert row.error >= 0
+        # a converged series' error is a few eps of its value, below the
+        # quadrature's kernel floor, so its estimate is the row
+        far = IntervalSet.of((40, 41))
+        for mu in (-0.45, 0.0, 0.5, 2.0):
+            for A, B in DEFAULT_PAIRS + ((far, far),):
+                q, m = both(A, B, mu)
+                assert m.product_measures > 0
+                assert m.error_estimate < q.error_estimate, (mu, A, B)
+                row = evaluate_pair(A, B, MuContext(mu))
+                assert (row.method, row.value, row.error) == (
+                    "moment_series", m.value, m.error_estimate)
+
+
+def both_routes_row(A, B, ctx, spec=QuadratureSpec()):
+    """The scan row by the rule that ran both routes on every row: the
+    smaller error wins, the quadrature (run first) on a tie."""
+    estimates, notes = [], []
+    for run in (lambda: trace_quadrature(A, B, ctx, spec),
+                lambda: trace_moment_series(A, B, ctx)):
+        try:
+            estimates.append(run())
+        except EvaluationError as err:
+            if err.best is not None:
+                estimates.append(err.best)
+            notes.append(str(err))
+    best = min(estimates, key=lambda e: e.error_estimate)
+    return ScanRow(ctx.mu, A, B, best.method, best.value, best.error_estimate,
+                   best.product_measures, best.deviation, best.sign_resolved,
+                   A.contains_zero or B.contains_zero, "; ".join(notes))
+
+
+def same_row(row, ref):
+    """Equal rows, up to what the series-first rule drops: where the series
+    converged, a failed quadrature's message in the note; and where a trace
+    and a product are both 0.0 (a tie at 4 ulp(0) that the quadrature won
+    by running first), the route named."""
+    if row.method == "moment_series" and not row.note:
+        ref = dataclasses.replace(ref, note="")
+    if ref.value == 0.0 and ref.product == 0.0:
+        ref = dataclasses.replace(ref, method=row.method)
+    return row == ref
+
+
+class TestSeriesFirstPolicy:
+    """Scan rows come from the moment series; the quadrature is its
+    fallback only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.449, 2.5), bounded_pairs())
+    @example(0.5, (IntervalSet.empty(), A12))
+    @example(0.413, (IntervalSet.of((1.0, 1.0 + 1e-9)),
+                     IntervalSet.of((1.0, 1.0 + 1e-9))))
+    @example(-0.2, (IntervalSet.of((-2.0, -1.0), (-0.5, 1.5)),
+                    IntervalSet.of((-1.0, 2.0))))
+    @example(-0.2, (IntervalSet.of((40, 41)), IntervalSet.of((40, 41))))
+    @example(60.0, (IntervalSet.of((0, 1e-3)), IntervalSet.of((0, 1e-3))))
+    @example(0.449, (IntervalSet.of((0.0, 1.0)),  # the quadrature fails
+                     IntervalSet.of((-18.0, -2.1457672128e-06))))
+    def test_rows_match_the_both_routes_rule(self, mu, pair):
+        # five levels keep a quadrature that fails cheap; the series-first
+        # rule must hold for every spec
+        A, B = pair
+        ctx, spec = MuContext(mu), QuadratureSpec(max_subdivisions=5)
+        row = evaluate_pair(A, B, ctx, spec)
+        assert row.method == "moment_series"
+        assert same_row(row, both_routes_row(A, B, ctx, spec))
+
+    def test_default_scan_runs_no_quadrature(self, monkeypatch):
+        ref = [both_routes_row(A, B, MuContext(mu))
+               for mu in DEFAULT_MU_GRID for A, B in DEFAULT_PAIRS]
+        ref.sort(key=lambda r: (r.mu, str(r.set_a), str(r.set_b)))
+
+        def forbidden(*args):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(trace_module, "trace_quadrature", forbidden)
+        rows = deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
+        assert len(rows) == 60
+        assert all(same_row(r, s) for r, s in zip(rows, ref))
+
+    def test_quadrature_runs_once_where_the_series_fails(self, monkeypatch):
+        failing = DEFAULT_PAIRS[2]
+        real_series = trace_module.trace_moment_series
+        real_quadrature = trace_module.trace_quadrature
+        calls = []
+
+        def series(A, B, ctx):
+            if (A, B) == failing:
+                raise EvaluationError("series failure injected")
+            return real_series(A, B, ctx)
+
+        def quadrature(A, B, ctx, spec):
+            calls.append((A, B))
+            return real_quadrature(A, B, ctx, spec)
+
+        monkeypatch.setattr(trace_module, "trace_moment_series", series)
+        monkeypatch.setattr(trace_module, "trace_quadrature", quadrature)
+        rows = deviation_scan((0.5,), DEFAULT_PAIRS)
+        assert calls == [failing]
+        row, = [r for r in rows if (r.set_a, r.set_b) == failing]
+        assert row.method == "quadrature" and row.sign_resolved
+        assert row.note == "series failure injected"
 
 
 class TestSerialization:
