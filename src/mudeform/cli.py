@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -454,7 +455,10 @@ def write_deviation_plot(rows: list[ScanRow], path: str) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    is, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="mudeform",
         description="mu-deformed quantum mechanics toolkit")

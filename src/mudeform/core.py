@@ -4,7 +4,10 @@ Implements the deformed factorial, the deformed exponential and the squared
 modulus of the deformed exponential on the imaginary axis.  The hot path is
 one closed form: in rank one exp_mu(is) is the Dunkl kernel
 j_{mu-1/2}(|s|) + i s/(2mu+1) j_{mu+1/2}(|s|), with the normalized Bessel
-function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for every mu > -1/2.  The
+function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for every mu > -1/2;
+_bessel_pair evaluates j_a and j_(a+1) together in numpy alone (a 0F1
+series, Miller's backward recurrence or Hankel's expansion, by regime).
+Every Gauss rule comes from one Golub-Welsch routine, gauss_jacobi.  The
 independent routes stay as oracles: the power series, the rearranged
 even-power series and, for mu > 0, the integral representation against the
 probability measure eta_mu on [-1,1] with Jacobi weight
@@ -28,8 +31,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln, jv
 
 from .errors import EvaluationError
 
@@ -55,8 +56,13 @@ class MuContext:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > MU_MIN):
             raise ValueError(f"need finite mu > -1/2 + 1e-6, got {self.mu}")
-        log_nc = -(self.mu + 0.5) * math.log(2.0) - gammaln(self.mu + 0.5)
-        object.__setattr__(self, "norm_const", math.exp(log_nc))
+        # at 113 bits, then rounded once to nearest: within 1 ulp wherever
+        # the constant is a normal float
+        with mpmath.workprec(113):
+            nu = mpmath.mpf(self.mu) + 0.5
+            value = mpmath.power(2, -nu) * mpmath.rgamma(nu)
+        with mpmath.workprec(53):
+            object.__setattr__(self, "norm_const", float(+value))
 
 
 @dataclass
@@ -242,7 +248,8 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     Golub-Welsch: eigen-decompose the symmetric tridiagonal matrix built
     from the three-term recurrence of the (monic) Jacobi polynomials; the
     weights come from the first eigenvector components scaled by the total
-    weight mass 2^(alpha+beta+1) B(alpha+1, beta+1).
+    weight mass 2^(alpha+beta+1) B(alpha+1, beta+1).  alpha = beta = 0 is
+    Gauss-Legendre.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -263,11 +270,10 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
         num = 4.0 * i * (i + alpha) * (i + beta) * (i + ab)
         s = 2.0 * i + ab
         off[1:] = np.sqrt(num / (s ** 2 * (s ** 2 - 1.0)))
-    if n == 1:
-        nodes, vecs = np.array([diag[0]]), np.array([[1.0]])
-    else:
-        nodes, vecs = eigh_tridiagonal(diag, off)
-    mass = math.exp((ab + 1.0) * math.log(2.0) + betaln(alpha + 1.0, beta + 1.0))
+    # eigh reads the lower triangle only
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mass = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                    + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
     weights = mass * vecs[0, :] ** 2
     return nodes, weights
 
@@ -420,27 +426,122 @@ def abs2_exp_mu_imag(s: float, ctx: MuContext, method: str | None = None,
 KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows
 KERNEL_ABS2_FLOOR = 1e-12  # per-point error of abs2_on_grid over max(1, value)
 _J_SERIES_TERMS = 20  # the first omitted term is below 1/20! < 5e-19
+_HANKEL_TERMS = 15  # at t >= 40 and order <= 2 the first omitted term is < 2e-18
+_MILLER_SHIFT = 600  # Miller values past 2^600 are scaled back by 2^-600
 
 
-def _bessel_j_normalized(a: float, t: np.ndarray) -> np.ndarray:
-    """j_a(t) = Gamma(a+1) (2/t)^a J_a(t) = 0F1(; a+1; -t^2/4) for a > 0, t >= 0.
-
-    While t^2/4 < a+1 the 0F1 terms alternate and shrink, the k-th below
-    1/k!, so a short series is exact to rounding and t = 0 needs no case of
-    its own; beyond, jv of positive order is scaled in log space.
-    """
-    out = np.empty_like(t)
-    near = t * t < 4.0 * (a + 1.0)
-    x = -0.25 * t[near] ** 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+def _pair_series(a: float, t: np.ndarray):
+    # 0F1(; a+1; -t^2/4) and 0F1(; a+2; -t^2/4): while t^2/4 < a+1 the
+    # terms alternate and shrink, the k-th below 1/k!
+    x = -0.25 * t * t
+    term0, term1 = np.ones_like(x), np.ones_like(x)
+    j0, j1 = np.ones_like(x), np.ones_like(x)
     for k in range(1, _J_SERIES_TERMS):
-        term *= x / (k * (a + k))
-        total += term
-    out[near] = total
-    far = t[~near]
-    out[~near] = jv(a, far) * np.exp(gammaln(a + 1.0) + a * np.log(2.0 / far))
-    return out
+        term0 *= x / (k * (a + k))
+        term1 *= x / (k * (a + 1.0 + k))
+        j0 += term0
+        j1 += term1
+    return j0, j1
+
+
+def _pair_miller(a: float, t: np.ndarray):
+    # f_k proportional to J_(v0+k): f = 1 at k = n, f_(n+1) = 0, then
+    # f_(k-1) = (2(v0+k)/t) f_k - f_(k+1) down to k = 0, normalized by the
+    # Neumann sum (t/2)^v0 = sum_i h_i J_(v0+2i), h_i = (v0+2i) Gamma(v0+i)/i!.
+    # Then j_a = Gamma(a+1) (2/t)^m f_m / sum_i h_i f_(2i).  Growth past
+    # 2^600 is divided out in exact powers of two and counted in shifts.
+    m = math.ceil(a) - 1
+    v0 = a - m
+    t_max = float(t.max())
+    n = math.ceil(max(t_max, a) + 30.0 + 6.0 * t_max ** (1.0 / 3.0) - v0)
+    g = math.gamma(v0 + 1.0)  # Gamma(v0+i)/i! for i >= 1
+    h = [g]
+    for i in range(1, n // 2 + 1):
+        if i > 1:
+            g *= (v0 + i - 1) / i
+        h.append((v0 + 2 * i) * g)
+    inv_t = 2.0 / t
+    f_next, f = np.zeros_like(t), np.ones_like(t)
+    total = np.zeros_like(t)
+    shifts = np.zeros(t.shape, dtype=int)
+    for k in range(n, -1, -1):
+        if k % 2 == 0:
+            total += h[k // 2] * f
+        if k == m + 1:
+            f_a1, shifts_a1 = f, shifts.copy()
+        elif k == m:
+            f_a, shifts_a = f, shifts.copy()
+        if k == 0:
+            break
+        f_next, f = f, (v0 + k) * inv_t * f - f_next
+        big = np.abs(f) > 2.0 ** _MILLER_SHIFT
+        if big.any():
+            shift = np.where(big, -_MILLER_SHIFT, 0)
+            f, f_next = np.ldexp(f, shift), np.ldexp(f_next, shift)
+            total = np.ldexp(total, shift)
+            shifts -= shift
+    scale = np.exp(math.lgamma(a + 1.0) + m * np.log(inv_t))
+    return (scale * np.ldexp(f_a / total, shifts_a - shifts),
+            scale * (a + 1.0) * inv_t
+            * np.ldexp(f_a1 / total, shifts_a1 - shifts))
+
+
+def _pair_hankel(a: float, t: np.ndarray):
+    # Hankel's expansion J_v = sqrt(2/(pi t)) (P cos w - Q sin w),
+    # w = t - (v/2 + 1/4) pi, at v0 and v0 + 1, with cos w and
+    # sin w from cos t and sin t of the exact t; forward recurrence, stable
+    # while the order stays below t, climbs to a and a + 1
+    m = math.ceil(a) - 1
+    v0 = a - m
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    amp = np.sqrt(2.0 / (math.pi * t))
+    pair = []
+    for v in (v0, v0 + 1.0):
+        term = np.ones_like(t)
+        p, q = np.ones_like(t), np.zeros_like(t)
+        for k in range(1, _HANKEL_TERMS):
+            term = term * ((4.0 * v * v - (2 * k - 1) ** 2) / (8.0 * k)) / t
+            signed = -term if (k // 2) % 2 else term
+            if k % 2:
+                q += signed
+            else:
+                p += signed
+        phi = (0.5 * v + 0.25) * math.pi
+        cos_w = cos_t * math.cos(phi) + sin_t * math.sin(phi)
+        sin_w = sin_t * math.cos(phi) - cos_t * math.sin(phi)
+        pair.append(amp * (p * cos_w - q * sin_w))
+    j_a, j_a1 = pair
+    for k in range(m):
+        j_a, j_a1 = j_a1, 2.0 * (v0 + 1.0 + k) / t * j_a1 - j_a
+    log_2t = np.log(2.0 / t)
+    scale = np.exp(math.lgamma(a + 1.0) + a * log_2t)
+    return scale * j_a, scale * ((a + 1.0) * 2.0 / t) * j_a1
+
+
+def _bessel_pair(a: float, t: np.ndarray):
+    """j_a(t) and j_(a+1)(t), j_a(t) = Gamma(a+1) (2/t)^a J_a(t) =
+    0F1(; a+1; -t^2/4), for 0 < a <= 251.5 and t >= 0.
+
+    Three regimes, each giving both orders in one sweep:
+    - t^2 < 4(a+1): the 0F1 series, so t = 0 needs no case of its own;
+    - t < max(40, a+2): Miller's backward recurrence from order
+      max(t, a) + 30 + 6 t^(1/3) down to v0 = a - ceil(a) + 1 in (0, 1],
+      normalized by a Neumann-type sum (Watson, A Treatise on the Theory
+      of Bessel Functions);
+    - beyond: Hankel's expansion (DLMF 10.17) at v0 and v0 + 1, then
+      forward recurrence.
+    The Gamma and power factors are applied in log space, so every a up
+    to 251.5 stays in float range.
+    """
+    j0, j1 = np.empty_like(t), np.empty_like(t)
+    small = t * t < 4.0 * (a + 1.0)
+    large = t >= max(40.0, a + 2.0)
+    for region, pair in ((small, _pair_series),
+                         (~(small | large), _pair_miller),
+                         (large, _pair_hankel)):
+        if region.any():
+            j0[region], j1[region] = pair(a, t[region])
+    return j0, j1
 
 
 def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
@@ -448,8 +549,9 @@ def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
 
     exp_mu(is) = j_{nu-1}(|s|) + i s/(2nu) j_nu(|s|) with nu = mu + 1/2, and
     j_{nu-1} = j_nu - t^2/(4nu(nu+1)) j_{nu+1}, so only the positive orders
-    nu and nu+1 are evaluated.  Accurate to KERNEL_ABS2_FLOOR relative to
-    max(1, |value|) for every mu > -1/2 up to KERNEL_MU_MAX.
+    nu and nu+1 are evaluated, in one _bessel_pair sweep.  Accurate to
+    KERNEL_ABS2_FLOOR relative to max(1, |value|) for every mu > -1/2 up
+    to KERNEL_MU_MAX.
     """
     if ctx.mu > KERNEL_MU_MAX:
         raise EvaluationError(
@@ -458,8 +560,7 @@ def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
     svals = np.asarray(svals, dtype=float)
     t = np.abs(svals)
     nu = ctx.mu + 0.5
-    j_nu = _bessel_j_normalized(nu, t)
-    j_next = _bessel_j_normalized(nu + 1.0, t)
+    j_nu, j_next = _bessel_pair(nu, t)
     return (j_nu - t * t / (4.0 * nu * (nu + 1.0)) * j_next) \
         + 1j * (svals / (2.0 * nu)) * j_nu
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import roots_legendre
 
 from .core import MuContext, gauss_jacobi
 from .errors import EvaluationError
@@ -79,8 +78,7 @@ def moment_mp(A: IntervalSet, mu, n: int):
 
 @lru_cache(maxsize=256)
 def _legendre(n: int):
-    x, w = roots_legendre(n)
-    return x, w
+    return gauss_jacobi(n, 0.0, 0.0)
 
 
 @lru_cache(maxsize=256)

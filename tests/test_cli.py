@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import mpmath
 import pytest
 from test_core import series_reference_mp
 
-from mudeform.cli import main, write_deviation_plot
+from mudeform.cli import RunConfig, main, write_deviation_plot
 from mudeform.core import MuContext, exp_mu_series
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
@@ -26,14 +27,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """python -m mudeform argv, in a subprocess on this checkout's src."""
+def checkout_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(*argv):
+    """python -m mudeform argv, in a subprocess on this checkout's src."""
     return subprocess.run([sys.executable, "-m", "mudeform", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=60)
 
 
 class TestSpecfun:
@@ -393,3 +400,57 @@ class TestParserContract:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_parser_built_once_and_reused(self, monkeypatch):
+        from mudeform import cli
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        for name in ("scan", "check-operators"):
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                lambda cfg: seen.append(cfg) or 0)
+        assert main(["scan", "--mu-grid", "0.5,1", "--set-a", "[0,1]",
+                     "--set-b", "[1,2]"]) == 0
+        assert main(["check-operators", "--mu", "0.25", "--psi", "gauss",
+                     "--n-max", "3"]) == 0
+        assert main(["check-operators"]) == 0
+        scan, ops, ops_default = seen
+        assert (scan.command, scan.mu_grid, scan.set_a, scan.set_b) == (
+            "scan", (0.5, 1.0), "[0,1]", "[1,2]")
+        assert scan.mu is None and scan.n_max is None
+        assert (ops.command, ops.mu, ops.psi, ops.n_max) == (
+            "check-operators", 0.25, ("gauss",), 3)
+        assert ops.mu_grid is None and ops.set_a is None
+        # nothing carries over from the previous call on the shared parser
+        assert (ops_default.mu, ops_default.n_max) == (None, None)
+        assert ops_default.psi == RunConfig(command="check-operators").psi
+
+
+class TestScipyFree:
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # every command the CLI offers, with scipy unimportable; the trace
+        # command runs its quadrature cross-check, so the kernel, the
+        # Legendre and the origin rules run, and specfun builds eta_mu
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            import mudeform
+            import mudeform.cli
+
+            def scipy_loaded():
+                return sorted(name for name, mod in sys.modules.items()
+                              if name.split(".")[0] == "scipy" and mod)
+
+            assert not scipy_loaded(), scipy_loaded()
+            for argv in (["scan"],
+                         ["trace", "--mu", "-0.3", "--set-a", "[1.5,6]",
+                          "--set-b", "[-0.75,3]"],
+                         ["check-operators"], ["verify-identities"],
+                         ["specfun", "--mu", "0.5", "--s", "3"]):
+                code = mudeform.cli.main(argv)
+                assert code == 0, (argv, code)
+            assert not scipy_loaded(), scipy_loaded()
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env=checkout_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -50,6 +50,18 @@ class TestMuContext:
         assert MuContext(0.0).norm_const == pytest.approx(
             1.0 / math.sqrt(2 * math.pi), rel=1e-15)
 
+    def test_norm_const_within_one_ulp(self):
+        # the log form exp(-(mu+1/2) ln 2 - lgamma(mu+1/2)) was 1.9e-15
+        # off at mu = 10 and 6.2e-14 at mu = 100; 141.7 is near the last
+        # mu whose constant is a normal float
+        for mu in (-0.499, -0.3, 0.0, 0.37, 1.0, 2.5, 10.0, 60.0, 100.0,
+                   141.7):
+            got = MuContext(mu).norm_const
+            with mpmath.workdps(40):
+                nu = mpmath.mpf(mu) + 0.5
+                ref = 1 / (mpmath.power(2, nu) * mpmath.gamma(nu))
+                assert abs(got - ref) <= math.ulp(float(ref)), mu
+
 
 class TestGammaMu:
     def test_base_case(self):
@@ -539,6 +551,39 @@ class TestKernelAgainstOracles:
     def test_large_mu_fails_fast(self):
         with pytest.raises(EvaluationError, match="mu <= 250"):
             exp_mu_imag_on_grid(np.array([1.0]), MuContext(300.0))
+
+
+class TestBesselPair:
+    """_bessel_pair in all three regimes against 40-digit 0F1."""
+
+    @pytest.mark.parametrize(
+        "a", (1e-6, 1e-3, 0.5, 1.0, 3.0, 20.5, 120.0, 250.5, 251.5))
+    def test_against_hyp0f1(self, a):
+        import mudeform.core as core_module
+        # the series hands over to Miller at 2 sqrt(a+1) and Miller to
+        # Hankel at max(40, a+2); integer a has v0 = 1
+        edge = 2.0 * math.sqrt(a + 1.0)
+        t = np.array(sorted({
+            0.0, 1e-3, 0.5 * edge, math.nextafter(edge, 0.0), edge,
+            1.01 * edge, math.nextafter(40.0, 0.0), 40.0, 40.5,
+            math.nextafter(a + 2.0, 0.0), a + 2.0, a + 2.5, 2.0 * a + 50.0,
+            1e3, 12345.6, 1e5, 1e6}))
+        j0, j1 = core_module._bessel_pair(a, t)
+        with mpmath.workdps(40):
+            for ti, got0, got1 in zip(t, j0, j1):
+                x = -mpmath.mpf(ti) ** 2 / 4
+                for got, b in ((got0, mpmath.mpf(a) + 1),
+                               (got1, mpmath.mpf(a) + 2)):
+                    assert abs(got - mpmath.hyp0f1(b, x)) <= 1e-13, (b, ti)
+
+    def test_one_sweep_per_kernel_call(self, monkeypatch):
+        import mudeform.core as core_module
+        calls = []
+        real = core_module._bessel_pair
+        monkeypatch.setattr(core_module, "_bessel_pair",
+                            lambda a, t: calls.append(a) or real(a, t))
+        exp_mu_imag_on_grid(np.linspace(0.0, 300.0, 50), MuContext(0.3))
+        assert calls == [0.8]
 
 
 class TestEvenSeriesFarArgument:
