@@ -289,10 +289,6 @@ def _gamma_factored(n: int) -> tuple[Fraction, int]:
     return _GAMMA_FACTORED[n]
 
 
-def _half_factor(i: int) -> MuPolynomial:
-    return MuPolynomial.mu_plus(i + HALF)
-
-
 def _binom_factored(k: int, j: int):
     """Deformed binomial gamma(k)/(gamma(j)gamma(k-j)) in factored form.
 
@@ -365,16 +361,6 @@ def _factored_sum(terms) -> MuRationalFunction:
                               MuPolynomial([Fraction(c, scale) for c in den]))
 
 
-def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
-    """The mu-deformed binomial coefficient, exactly in lowest terms."""
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got k={k}, j={j}")
-    scalar, num_range, den_range = _binom_factored(k, j)
-    num = _prod(_half_factor(i) for i in range(*num_range)).scale(scalar)
-    den = _prod(_half_factor(i) for i in range(*den_range))
-    return MuRationalFunction(num, den)
-
-
 @lru_cache(maxsize=None)
 def p_at_exact(k: int) -> MuRationalFunction:
     """The k-th deformed binomial polynomial at (-1, 1), exactly.
@@ -392,11 +378,6 @@ def p_at_exact(k: int) -> MuRationalFunction:
             scalar = -scalar
         terms.append((scalar, num_range, den_range))
     return _factored_sum(terms)
-
-
-def eval_rational(f: MuRationalFunction, mu: Fraction) -> Fraction:
-    """Exact evaluation of a rational function at rational mu."""
-    return f.evaluate(Fraction(mu))
 
 
 # --- the closed-form families stated for p_{k,mu}(-1,1) ---------------------

@@ -46,16 +46,6 @@ class IntervalSet:
         """True iff 0 lies in the set (endpoints included: closed intervals)."""
         return any(lo <= 0.0 <= hi for lo, hi in self.intervals)
 
-    @property
-    def sup_abs(self) -> float:
-        """sup |x| over the set; 0 for the empty set."""
-        return max((max(abs(lo), abs(hi)) for lo, hi in self.intervals),
-                   default=0.0)
-
-    @property
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def reflected(self) -> "IntervalSet":
         """The set -A."""
         return IntervalSet(tuple((-hi, -lo) for lo, hi in self.intervals))

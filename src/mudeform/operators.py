@@ -1,25 +1,32 @@
-"""Exact symbolic position/momentum/parity operators on Gaussian polynomials.
+"""Exact position/momentum/parity operators on Gaussian polynomials.
 
-The function class is psi(x) = p(x) exp(-x^2/2) where p has complex
-coefficients whose real and imaginary parts are exact polynomials in mu.
-The class is closed under
+The function class is psi(x) = p(x) exp(-x^2/2), where each coefficient of
+p is a complex polynomial in mu with rational coefficients.  It is closed
+under
 
-    Q psi = x psi
-    J psi = psi(-x)
-    P psi = (1/i) (psi' + kappa mu (psi - J psi)/x)
-    H     = (Q^2 + P^2)/2
+    Q psi = x psi,   J psi = psi(-x),   H = (Q^2 + P^2)/2,
+    P psi = (1/i) (psi' + kappa mu (psi - J psi)/x).
 
-and every operation here is exact: the division by x in P is exact because
-psi - J psi keeps only odd powers.  kappa = 1 is the reflection-term
-coefficient that makes i[P,Q] = I + 2 mu J hold identically; kappa is
-exposed so the variant with a doubled reflection term can be exercised and
-shown to break the commutation relation on odd functions.
+kappa = 1 makes i[P,Q] = I + 2 mu J hold identically; kappa is exposed so
+that a doubled reflection term can be shown to break it on odd functions.
+
+A GaussPoly holds p on integers: x^n mu^j has the coefficient
+(num[n, j, 0] + i num[n, j, 1]) / den, with Python ints in a numpy object
+array over one integer den.  Every operator is exact integer arithmetic on
+that array, the same for every mu: Q shifts the x index up, J negates the
+odd rows, the derivative (p' - x p) has row n = (n+1) c[n+1] - c[n-1], the
+reflection term shifts the odd rows down in x and up in mu, times 2 kappa
+(psi - J psi keeps only odd powers, so dividing by x is exact), and 1/i
+swaps re and im.  Equality and the coefficient views read the canonical
+form, trimmed and in lowest terms; CPoly is one coefficient as two
+MuPolynomials.
 
 The numeric layer evaluates these functions on grids and implements the
 deformed Fourier transform by weight-aware adaptive quadrature.  It takes
 one function or a sequence of them; a sequence shares one radius and one
 kernel matrix per refinement level, and each level evaluates the kernel
-on |k| times the positive half of the mirror-symmetric rule only.
+on |k| times the positive half of the mirror-symmetric rule only.  Each
+call rounds the coefficients at mu once, from their exact values.
 """
 
 from __future__ import annotations
@@ -30,100 +37,123 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .core import MuContext, exp_mu_imag_on_grid
 from .errors import EvaluationError
-from .exact import MU, MuPolynomial
+from .exact import MuPolynomial
 from .intervals import IntervalSet
 from .measure import weighted_panel_rule
 from .trace import QuadratureSpec
 
 
+@dataclass(frozen=True)
 class CPoly:
-    """Complex number whose real and imaginary parts are MuPolynomials."""
+    """One coefficient re + i im of a GaussPoly, as two MuPolynomials."""
 
-    __slots__ = ("re", "im")
+    re: MuPolynomial = MuPolynomial()
+    im: MuPolynomial = MuPolynomial()
 
-    ZERO: "CPoly"
-
-    def __init__(self, re=None, im=None):
-        def lift(v):
-            if v is None:
-                return MuPolynomial()
-            if isinstance(v, MuPolynomial):
-                return v
-            return MuPolynomial.const(v)
-        self.re = lift(re)
-        self.im = lift(im)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re.is_zero and self.im.is_zero
-
-    def __eq__(self, other):
-        return isinstance(other, CPoly) and self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        return CPoly(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return CPoly(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(-self.re, -self.im)
-
-    def __mul__(self, other: "CPoly") -> "CPoly":
-        return CPoly(self.re * other.re - self.im * other.im,
-                     self.re * other.im + self.im * other.re)
-
-    def scale(self, q) -> "CPoly":
-        return CPoly(self.re.scale(q), self.im.scale(q))
-
-    def scale_complex(self, re, im) -> "CPoly":
-        """Multiply by the constant re + i*im (exact rationals)."""
-        return CPoly(self.re.scale(re) - self.im.scale(im),
-                     self.re.scale(im) + self.im.scale(re))
-
-    def times_i(self) -> "CPoly":
-        return CPoly(-self.im, self.re)
-
-    def times_minus_i(self) -> "CPoly":
-        return CPoly(self.im, -self.re)
-
-    def times_poly(self, p: MuPolynomial) -> "CPoly":
-        return CPoly(self.re * p, self.im * p)
+    def __post_init__(self):
+        for part in ("re", "im"):
+            value = getattr(self, part)
+            if not isinstance(value, MuPolynomial):
+                object.__setattr__(self, part, MuPolynomial.const(value))
 
     def evaluate(self, mu: float) -> complex:
         return complex(float(self.re.evaluate(Fraction(mu))),
                        float(self.im.evaluate(Fraction(mu))))
 
-    def __repr__(self):
-        return f"CPoly({self.re!r}, {self.im!r})"
-
 
 CPoly.ZERO = CPoly()
 
 
-class GaussPoly:
-    """psi(x) = (sum_n c_n x^n) exp(-x^2/2), coefficients exact CPoly."""
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols, 2), dtype=object)
 
-    __slots__ = ("coeffs",)
+
+def _shifted(num: np.ndarray, rows: int = 0, cols: int = 0) -> np.ndarray:
+    """num times x^rows mu^cols: zeros padded below both indices."""
+    out = _zeros(num.shape[0] + rows, num.shape[1] + cols)
+    out[rows:, cols:] = num
+    return out
+
+
+def _times(num: np.ndarray, a: int, b: int) -> np.ndarray:
+    """num times the complex integer a + i b."""
+    swapped = num[..., ::-1] * np.array([-b, b], dtype=object)
+    return swapped + a * num if a else swapped
+
+
+def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Trim the zero rows and columns at the top and divide out the gcd of
+    den and every numerator, so equal functions get equal arrays."""
+    nonzero = num != 0
+    rows = np.flatnonzero(nonzero.any(axis=(1, 2)))
+    if not rows.size:
+        return _zeros(0, 0), 1
+    cols = np.flatnonzero(nonzero.any(axis=(0, 2)))
+    num = num[:rows[-1] + 1, :cols[-1] + 1]
+    g = math.gcd(den, *num.flat)
+    return num // g, den // g
+
+
+def _exact_value(row: np.ndarray, den: int, mu: Fraction) -> complex:
+    """One coefficient sum_j (a_j + i b_j) mu^j / den at mu = p/q, by Horner
+    on integers, (sum_j a_j p^j q^(m-1-j)) / (den q^(m-1)), rounded once."""
+    p, q = mu.numerator, mu.denominator
+    (re, im), *rest = reversed(row.tolist())
+    q_pow = 1
+    for a, b in rest:
+        q_pow *= q
+        re, im = re * p + a * q_pow, im * p + b * q_pow
+    return complex(re / (den * q_pow), im / (den * q_pow))
+
+
+def _on_grid(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(sum_n values[n] x^n) exp(-x^2/2), by Horner."""
+    acc = np.zeros(x.shape, dtype=complex)
+    for c in values[::-1]:
+        acc = acc * x + c
+    return acc * np.exp(-0.5 * x * x)
+
+
+class GaussPoly:
+    """psi(x) = (sum_n c_n x^n) exp(-x^2/2), with the exact coefficients
+    c_n = sum_j (num[n, j, 0] + i num[n, j, 1]) mu^j / den.
+
+    The operators leave num as they build it, with zero rows or columns at
+    the top and a factor common to den; equality, the degree, the
+    coefficients and their values read the canonical form."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        """From CPoly coefficients, lowest power of x first."""
+        coeffs = list(coeffs)
+        cells = {(n, j, s): q for n, c in enumerate(coeffs)
+                 for s, part in enumerate((c.re, c.im))
+                 for j, q in enumerate(part.coeffs)}
+        self.den = math.lcm(1, *(q.denominator for q in cells.values()))
+        self.num = _zeros(len(coeffs), 1 + max((j for _, j, _ in cells),
+                                               default=-1))
+        for cell, q in cells.items():
+            self.num[cell] = q.numerator * (self.den // q.denominator)
+
+    @classmethod
+    def _of(cls, num: np.ndarray, den: int = 1) -> "GaussPoly":
+        psi = cls.__new__(cls)
+        psi.num, psi.den = num, den
+        return psi
 
     @classmethod
     def basis(cls, n: int) -> "GaussPoly":
         """x^n exp(-x^2/2)."""
-        return cls([CPoly.ZERO] * n + [CPoly(1)])
+        num = _zeros(n + 1, 1)
+        num[n, 0, 0] = 1
+        return cls._of(num)
 
     @classmethod
     def gaussian(cls) -> "GaussPoly":
@@ -131,41 +161,57 @@ class GaussPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(_canonical(self.num, self.den)[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self.num != 0).any()
+
+    @property
+    def coeffs(self) -> tuple[CPoly, ...]:
+        num, den = _canonical(self.num, self.den)
+        return tuple(CPoly(*(MuPolynomial([Fraction(v, den) for v in part])
+                             for part in row.T.tolist())) for row in num)
 
     def coeff(self, n: int) -> CPoly:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return CPoly.ZERO
+        coeffs = self.coeffs
+        return coeffs[n] if 0 <= n < len(coeffs) else CPoly.ZERO
 
     def __eq__(self, other):
-        return isinstance(other, GaussPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, GaussPoly):
+            return False
+        (a, da), (b, db) = (_canonical(p.num, p.den) for p in (self, other))
+        return da == db and a.tolist() == b.tolist()
 
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return GaussPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+    def __add__(self, other: "GaussPoly", sign: int = 1) -> "GaussPoly":
+        den = math.lcm(self.den, other.den)
+        a, b = self.num, other.num
+        out = _zeros(max(len(a), len(b)), max(a.shape[1], b.shape[1]))
+        out[:len(a), :a.shape[1]] = a * (den // self.den)
+        out[:len(b), :b.shape[1]] += b * (sign * (den // other.den))
+        return GaussPoly._of(out, den)
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return GaussPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self.__add__(other, -1)
 
     def scale_complex(self, re, im) -> "GaussPoly":
-        return GaussPoly([c.scale_complex(re, im) for c in self.coeffs])
+        """Multiply by the constant re + i*im (exact rationals)."""
+        re, im = Fraction(re), Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        return GaussPoly._of(_times(self.num, int(re * den), int(im * den)),
+                             self.den * den)
+
+    def values_at(self, mu) -> np.ndarray:
+        """The coefficients at mu as complex floats, each exact at
+        Fraction(mu) and rounded once."""
+        num, den = _canonical(self.num, self.den)
+        mu = Fraction(mu)
+        return np.array([_exact_value(row, den, mu) for row in num],
+                        dtype=complex)
 
     def evaluate(self, x: np.ndarray, mu: float) -> np.ndarray:
         """psi on a grid, coefficients specialized at mu."""
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape, dtype=complex)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.evaluate(mu)
-        return acc * np.exp(-0.5 * x * x)
-
-    def max_coeff_magnitude(self, mu: float) -> float:
-        return max((abs(c.evaluate(mu)) for c in self.coeffs), default=0.0)
+        return _on_grid(self.values_at(mu), np.asarray(x, dtype=float))
 
     def __repr__(self):
         return f"GaussPoly({list(self.coeffs)!r})"
@@ -173,49 +219,36 @@ class GaussPoly:
 
 def apply_Q(psi: GaussPoly) -> GaussPoly:
     """Multiplication by x: shift all coefficients up one degree."""
-    if psi.is_zero:
-        return psi
-    return GaussPoly((CPoly.ZERO,) + psi.coeffs)
+    return GaussPoly._of(_shifted(psi.num, rows=1), psi.den)
 
 
 def apply_J(psi: GaussPoly) -> GaussPoly:
     """Parity: c_n -> (-1)^n c_n (the Gaussian factor is even)."""
-    return GaussPoly([c if n % 2 == 0 else -c
-                      for n, c in enumerate(psi.coeffs)])
-
-
-def _derivative(psi: GaussPoly) -> GaussPoly:
-    # (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2}
-    d = psi.degree
-    out = []
-    for n in range(d + 2):
-        term = CPoly.ZERO
-        if n + 1 <= d:
-            term = term + psi.coeff(n + 1).scale(n + 1)
-        if n >= 1:
-            term = term - psi.coeff(n - 1)
-        out.append(term)
-    return GaussPoly(out)
+    num = psi.num.copy()
+    num[1::2] *= -1
+    return GaussPoly._of(num, psi.den)
 
 
 def apply_P(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
     """(1/i)(psi' + kappa mu (psi - J psi)/x).
 
-    The reflection difference has only odd powers, so dividing by x is an
-    exact one-degree shift down.  kappa defaults to the value consistent
-    with i[P,Q] = I + 2 mu J.
+    (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2} has row n (n+1) c[n+1] - c[n-1].
+    The reflection difference keeps the odd rows, doubled, so dividing by x
+    is an exact shift down one row: row n gains 2 kappa mu c[n+1] for odd
+    n+1.  kappa defaults to the value consistent with i[P,Q] = I + 2 mu J.
     """
     kappa = Fraction(kappa)
-    deriv = _derivative(psi)
-    refl = []
-    for n in range(max(psi.degree, 0)):
-        c = psi.coeff(n + 1)
-        if (n + 1) % 2:  # odd powers survive psi - J psi, doubled
-            refl.append(c.scale(2 * kappa).times_poly(MU))
-        else:
-            refl.append(CPoly.ZERO)
-    total = deriv + GaussPoly(refl)
-    return GaussPoly([c.times_minus_i() for c in total.coeffs])
+    c = psi.num
+    rows, cols = c.shape[:2]
+    if not rows:
+        return psi
+    scaled = c * kappa.denominator if kappa.denominator > 1 else c
+    out = _zeros(rows + 1, cols + 1)
+    out[:rows - 1, :cols] = (np.arange(1, rows, dtype=object)[:, None, None]
+                             * scaled[1:])
+    out[1:, :cols] -= scaled
+    out[:rows - 1:2, 1:] += c[1::2] * (2 * kappa.numerator)
+    return GaussPoly._of(_times(out, 0, -1), psi.den * kappa.denominator)
 
 
 def apply_H(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
@@ -229,45 +262,29 @@ def ccr_residual(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
     """i(P(Q psi) - Q(P psi)) - psi - 2 mu J psi; identically zero iff the
     deformed canonical commutation relation holds on psi."""
     comm = apply_P(apply_Q(psi), kappa) - apply_Q(apply_P(psi, kappa))
-    i_comm = GaussPoly([c.times_i() for c in comm.coeffs])
-    two_mu_j = GaussPoly([c.times_poly(MU).scale(2)
-                          for c in apply_J(psi).coeffs])
-    return i_comm - psi - two_mu_j
+    j_psi = apply_J(psi)
+    two_mu_j = GaussPoly._of(2 * _shifted(j_psi.num, cols=1), j_psi.den)
+    return comm.scale_complex(0, 1) - psi - two_mu_j
 
 
 def _fit_constant(target: GaussPoly, reference: GaussPoly):
     """The unique complex constant c with target = c * reference, or None.
 
-    Solves coefficient-wise: c = (a b~)/(b b~) must reduce to a mu-free
-    rational constant, the same for every coefficient index.
+    The first nonzero entry r of reference and the entry t of target at the
+    same place fix the candidate c = t/r = t conj(r)/|r|^2, a complex
+    rational; target == c * reference is then checked on the whole array.
     """
-    candidate = None
-    for n in range(max(target.degree, reference.degree) + 1):
-        a, b = target.coeff(n), reference.coeff(n)
-        if b.is_zero:
-            if not a.is_zero:
-                return None
-            continue
-        den = b.re * b.re + b.im * b.im
-        n_re = a.re * b.re + a.im * b.im
-        n_im = a.im * b.re - a.re * b.im
-
-        def as_const(num):
-            if num.is_zero:
-                return Fraction(0)
-            if num.degree != den.degree:
-                return None
-            q = num.lead / den.lead
-            return q if num == den.scale(q) else None
-
-        c_re, c_im = as_const(n_re), as_const(n_im)
-        if c_re is None or c_im is None:
-            return None
-        if candidate is None:
-            candidate = (c_re, c_im)
-        elif candidate != (c_re, c_im):
-            return None
-    return candidate
+    hits = np.argwhere((reference.num != 0).any(axis=2))
+    if not len(hits):
+        return None
+    n, j = hits[0]
+    ra, rb = reference.num[n, j]
+    t = target.num
+    ta, tb = t[n, j] if n < t.shape[0] and j < t.shape[1] else (0, 0)
+    norm = (ra * ra + rb * rb) * target.den
+    c = (Fraction((ta * ra + tb * rb) * reference.den, norm),
+         Fraction((tb * ra - ta * rb) * reference.den, norm))
+    return c if reference.scale_complex(*c) == target else None
 
 
 @dataclass
@@ -292,17 +309,13 @@ class EomReport:
         return self.residual_q.is_zero and self.residual_p.is_zero
 
     def fitted_as_complex(self):
-        out = []
-        for c in (self.fitted_c1, self.fitted_c2):
-            out.append(None if c is None else complex(float(c[0]), float(c[1])))
-        return tuple(out)
+        return tuple(None if c is None else complex(float(c[0]), float(c[1]))
+                     for c in (self.fitted_c1, self.fitted_c2))
 
 
 def _as_pair(c) -> tuple[Fraction, Fraction]:
-    if isinstance(c, tuple):
-        return Fraction(c[0]), Fraction(c[1])
-    c = complex(c)
-    return Fraction(c.real), Fraction(c.imag)
+    re, im = c if isinstance(c, tuple) else (complex(c).real, complex(c).imag)
+    return Fraction(re), Fraction(im)
 
 
 def eom_residuals(psi: GaussPoly, c1=1, c2=-1, kappa=Fraction(1)) -> EomReport:
@@ -325,11 +338,12 @@ def eom_residuals(psi: GaussPoly, c1=1, c2=-1, kappa=Fraction(1)) -> EomReport:
 
 # --- numeric deformed Fourier transform ---------------------------------------
 
-def _support_radius(psi: GaussPoly, mu: float, abs_tol: float) -> float:
+def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
     """R with (max coeff) (1+R)^deg e^{-R^2/2} (1+R) max(1, R^{2 mu}) below
-    a tenth of abs_tol: beyond R the Gaussian envelope is negligible."""
-    cmax = max(psi.max_coeff_magnitude(mu), 1e-300)
-    deg = max(psi.degree, 0)
+    a tenth of abs_tol, for the coefficients values at mu of a nonzero psi:
+    beyond R the Gaussian envelope is negligible."""
+    cmax = max(max(map(abs, values.tolist())), 1e-300)
+    deg = len(values) - 1
     R = 2.0
     while R < 40.0:
         envelope = (cmax * (1.0 + R) ** deg * math.exp(-0.5 * R * R)
@@ -348,7 +362,8 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
     psi is one GaussPoly (result of shape k.shape) or a sequence of them
     (result of shape (n, len(k))); a sequence shares one radius R, the
     largest of the Gaussian envelope bounds, and one kernel matrix per
-    refinement level.  The measure and the panel rule on [-R, R] are
+    refinement level.  Each function's coefficients are rounded at mu once
+    per call.  The measure and the panel rule on [-R, R] are
     mirror-symmetric and exp_mu(-ikx) = C(|kx|) - i S(kx) with C even and
     S odd, so each level evaluates the kernel once, on unique(|k|) times
     the nodes x > 0 of the rule on (0, R):
@@ -365,8 +380,8 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
     if k.size == 0 or all(p.is_zero for p in psis):
         return np.zeros(k.shape if single else (len(psis), k.size),
                         dtype=complex)
-    R = max(_support_radius(p, ctx.mu, spec.abs_tol)
-            for p in psis if not p.is_zero)
+    values = [p.values_at(ctx.mu) for p in psis]
+    R = max(_support_radius(v, ctx.mu, spec.abs_tol) for v in values if v.size)
     domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
     ak, inv = np.unique(np.abs(k), return_inverse=True)
     odd_factor = -1j * np.sign(k)
@@ -376,7 +391,7 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
         x, w = weighted_panel_rule(domain, ctx, 2 ** level,
                                    spec.nodes_per_panel)
         mirrored = np.concatenate((x, -x))
-        both = np.array([p.evaluate(mirrored, ctx.mu) for p in psis])
+        both = np.array([_on_grid(v, mirrored) for v in values])
         plus, minus = both[:, :x.size], both[:, x.size:]
         kernel = exp_mu_imag_on_grid(np.outer(ak, x), ctx)
         even = (w * (plus + minus)) @ kernel.real.T
@@ -434,32 +449,24 @@ def intertwining_check(psi: GaussPoly, k_points, ctx: MuContext,
 _GAUSS_TAIL = re.compile(r"\*?\s*gauss\s*$", re.IGNORECASE)
 
 
-def _frac_atom(text: str) -> Fraction:
-    """A signed rational atom: "2", "-1/3", "0.5", "" / "+" / "-" for ±1."""
-    if text in ("", "+"):
-        return Fraction(1)
-    if text == "-":
-        return Fraction(-1)
-    return Fraction(text)
-
-
-def _parse_complex(text: str) -> CPoly:
-    """Sum of real and imaginary atoms: "1+2i", "-1/2-i", "3", "2i"."""
+def _parse_complex(text: str) -> tuple[Fraction, Fraction]:
+    """Sum of real and imaginary atoms: "1+2i", "-1/2-i", "3", "2i"; an
+    atom "", "+" or "-" is a unit."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty coefficient")
-    out = CPoly.ZERO
+    re_im = [Fraction(0), Fraction(0)]
     start = 0
     for idx in range(1, len(text) + 1):
-        at_end = idx == len(text)
-        if at_end or (text[idx] in "+-" and text[idx - 1] not in "+-/."):
+        if idx == len(text) or (text[idx] in "+-"
+                                and text[idx - 1] not in "+-/."):
             atom = text[start:idx]
-            if atom.endswith("i"):
-                out = out + CPoly(0, _frac_atom(atom[:-1]))
-            else:
-                out = out + CPoly(_frac_atom(atom), 0)
+            imaginary = atom.endswith("i")
+            atom = atom[:-1] if imaginary else atom
+            re_im[imaginary] += Fraction(atom + "1" if atom in ("", "+", "-")
+                                         else atom)
             start = idx
-    return out
+    return re_im[0], re_im[1]
 
 
 def _parse_term(raw: str):
@@ -477,15 +484,13 @@ def _parse_term(raw: str):
             raise ValueError(f"cannot parse monomial {raw!r}")
     else:
         cpart, power = t, 0
-    if cpart in ("", "+", "-"):
-        if power == 0 and cpart == "":
+    if not cpart:
+        if not power:
             raise ValueError(f"empty term {raw!r}")
-        coef = CPoly(_frac_atom(cpart), 0)
+        cpart = "+"
     elif cpart.startswith("(") and cpart.endswith(")"):
-        coef = _parse_complex(cpart[1:-1])
-    else:
-        coef = _parse_complex(cpart)
-    return power, coef
+        cpart = cpart[1:-1]
+    return power, _parse_complex(cpart)
 
 
 def parse_gauss_poly(text: str) -> GaussPoly:
@@ -500,16 +505,9 @@ def parse_gauss_poly(text: str) -> GaussPoly:
         raise ValueError(
             f"gauss-poly literal must end with '* gauss': {text!r}")
     body = stripped.strip() or "1"  # bare "gauss" is the unit Gaussian
-    if body.startswith("(") and body.endswith(")"):
-        # strip outer grouping parens iff they match each other
-        depth = 0
-        for idx, ch in enumerate(body):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and idx < len(body) - 1:
-                break
-        else:
-            body = body[1:-1]
+    depths = list(accumulate((ch == "(") - (ch == ")") for ch in body))
+    if body[0] == "(" and body[-1] == ")" and 0 not in depths[:-1]:
+        body = body[1:-1]  # the outer parens match each other
     if not body.strip():
         raise ValueError(f"empty polynomial in {text!r}")
     terms = []
@@ -525,11 +523,12 @@ def parse_gauss_poly(text: str) -> GaussPoly:
                 start = idx
     terms.append(body[start:])
 
-    coeffs: dict[int, CPoly] = {}
+    coeffs: dict[int, list[Fraction]] = {}
     for raw in terms:
         if not raw.strip():
             raise ValueError(f"cannot parse {text!r}")
-        power, coef = _parse_term(raw)
-        coeffs[power] = coeffs.get(power, CPoly.ZERO) + coef
+        power, parts = _parse_term(raw)
+        acc = coeffs.setdefault(power, [0, 0])
+        acc[:] = acc[0] + parts[0], acc[1] + parts[1]
     top = max(coeffs)
-    return GaussPoly([coeffs.get(n, CPoly.ZERO) for n in range(top + 1)])
+    return GaussPoly([CPoly(*coeffs.get(n, (0, 0))) for n in range(top + 1)])

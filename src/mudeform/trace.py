@@ -91,7 +91,10 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
     Panels are refined dyadically until two successive levels agree within
     the spec tolerances; the refinement difference plus a per-point
     integrand error floor forms the error estimate.  Non-convergence
-    raises EvaluationError carrying the best estimate.
+    raises EvaluationError carrying the best estimate.  So does a
+    convergence too slow to finish: once two changes are known, with
+    r = change / previous change < 1, a change that r^(levels left) would
+    still leave above the tolerance fails at once.
     """
     product = measure(A, ctx) * measure(B, ctx)
     if A.is_empty or B.is_empty:
@@ -106,10 +109,19 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         value = float(wx @ F @ wk)
         floor = abs2_grid_error_bound(float(F.max())) * product
         if prev is not None:
-            diff = abs(value - prev)
-            if diff <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            last, diff = diff, abs(value - prev)
+            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            if diff <= tol:
                 return TraceEstimate.build(
                     value, diff + floor, "quadrature", product)
+            ratio, left = diff / last, spec.max_subdivisions - level
+            if left and ratio < 1 and diff * ratio ** left > tol:
+                raise EvaluationError(
+                    f"trace quadrature converges too slowly: the refinement "
+                    f"change {diff:.3g} is {ratio:.3g} times the one before, "
+                    f"so the {left} levels left would end near "
+                    f"{diff * ratio ** left:.3g}", best=TraceEstimate.build(
+                        value, diff + floor, "quadrature", product))
         prev = value
     best = TraceEstimate.build(prev, diff + floor, "quadrature", product)
     raise EvaluationError(

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from mudeform import exact
 from mudeform.core import MuContext, deformed_binomial
-from mudeform.exact import (MuPolynomial, MuRationalFunction, binom_mu_exact,
-                            eval_rational, gamma_mu_exact, p_2n_sum_closed,
-                            p_4n_closed, p_4n_minus_2_closed, p_at_exact,
-                            verify_closed_forms, verify_odd_vanishing)
+from mudeform.exact import (MuPolynomial, MuRationalFunction, gamma_mu_exact,
+                            p_2n_sum_closed, p_4n_closed, p_4n_minus_2_closed,
+                            p_at_exact, verify_closed_forms,
+                            verify_odd_vanishing)
+
+from helpers import binom_mu_exact, eval_rational
 
 Q = Fraction
 

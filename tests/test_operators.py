@@ -1,12 +1,16 @@
 """Exact operator algebra on Gaussian polynomials and the numeric transform."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mudeform.operators as operators_module
+from mudeform.cli import main
 from mudeform.core import MuContext, exp_mu_imag_on_grid
 from mudeform.errors import EvaluationError
 from mudeform.exact import MU, MuPolynomial
@@ -27,7 +31,7 @@ def basis(n):
 
 
 def times_mu_poly(psi):
-    return GaussPoly([c.times_poly(MU) for c in psi.coeffs])
+    return GaussPoly([CPoly(c.re * MU, c.im * MU) for c in psi.coeffs])
 
 
 class TestBasicOperators:
@@ -85,15 +89,15 @@ class TestParityRelations:
     def test_JQ_anticommutes(self):
         for n in range(9):
             psi = basis(n)
-            assert apply_J(apply_Q(psi)) == GaussPoly(
-                [-c for c in apply_Q(apply_J(psi)).coeffs])
+            assert apply_J(apply_Q(psi)) == apply_Q(
+                apply_J(psi)).scale_complex(-1, 0)
 
     def test_JP_anticommutes(self):
         for n in range(9):
             psi = basis(n)
             lhs = apply_J(apply_P(psi))
             rhs = apply_P(apply_J(psi))
-            assert lhs == GaussPoly([-c for c in rhs.coeffs])
+            assert lhs == rhs.scale_complex(-1, 0)
 
     def test_JH_commutes(self):
         for n in range(9):
@@ -128,6 +132,124 @@ class TestCCR:
             residual = ccr_residual(XG, kappa)
             for c in residual.coeffs:
                 assert c.evaluate(0.0) == 0
+
+
+class TestCCRThroughBasis80:
+    def test_flags_and_kappa_two_residual(self):
+        for n in range(81):
+            psi = basis(n)
+            assert ccr_residual(psi, 1).is_zero, n
+            residual = ccr_residual(psi, 2)
+            assert not residual.is_zero, n
+            assert residual == times_mu_poly(apply_J(psi)).scale_complex(2, 0)
+
+
+FRACS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def poly_at(coeffs, y):
+    return sum(c * y ** n for n, c in enumerate(coeffs))
+
+
+def derivative(coeffs):
+    return [n * c for n, c in enumerate(coeffs)][1:]
+
+
+def L_at(p, y, km):
+    """p'(y) - y p(y) + km (p(y) - p(-y))/y: P = -i L on real p, km = kappa mu."""
+    return (poly_at(derivative(p), y) - y * poly_at(p, y)
+            + km * (poly_at(p, y) - poly_at(p, -y)) / y)
+
+
+def L_squared_at(p, x, km):
+    """L(L p) at x, from (Lp)'(y) = p''(y) - p(y) - y p'(y)
+    + km ((p'(y) + p'(-y))/y - (p(y) - p(-y))/y^2)."""
+    d1, d2 = derivative(p), derivative(derivative(p))
+
+    def Lp_prime(y):
+        return (poly_at(d2, y) - poly_at(p, y) - y * poly_at(d1, y)
+                + km * ((poly_at(d1, y) + poly_at(d1, -y)) / y
+                        - (poly_at(p, y) - poly_at(p, -y)) / (y * y)))
+
+    return (Lp_prime(x) - x * L_at(p, x, km)
+            + km * (L_at(p, x, km) - L_at(p, -x, km)) / x)
+
+
+def factor_at(phi, x, mu):
+    """The polynomial factor of phi at (x, mu), exactly, as (re, im)."""
+    cs = phi.coeffs
+    return (poly_at([c.re.evaluate(mu) for c in cs], x),
+            poly_at([c.im.evaluate(mu) for c in cs], x))
+
+
+class TestOperatorOracle:
+    """apply_Q/J/P/H against the defining formulas at a rational point.
+
+    With psi = (u + i v) e^(-x^2/2) for real u, v, P = -i L, where
+    L p = p' - x p + kappa mu (p(x) - p(-x))/x is real, so P psi has the
+    factor (L v, -L u) and H = (x^2 - L^2)/2 acts on u and v alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(FRACS, FRACS), min_size=1, max_size=9),
+           st.fractions(min_value=-3, max_value=3,
+                        max_denominator=5).filter(lambda q: q != 0),
+           st.fractions(min_value=Fraction(-5, 12), max_value=3,
+                        max_denominator=12),
+           st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]))
+    def test_matches_defining_formulas(self, pairs, x, mu, kappa):
+        psi = GaussPoly([CPoly(a, b) for a, b in pairs])
+        u, v = [a for a, _ in pairs], [b for _, b in pairs]
+        km = kappa * mu
+        assert factor_at(apply_Q(psi), x, mu) == (x * poly_at(u, x),
+                                                   x * poly_at(v, x))
+        assert factor_at(apply_J(psi), x, mu) == (poly_at(u, -x),
+                                                   poly_at(v, -x))
+        assert factor_at(apply_P(psi, kappa), x, mu) == (L_at(v, x, km),
+                                                          -L_at(u, x, km))
+        assert factor_at(apply_H(psi, kappa), x, mu) == tuple(
+            (x * x * poly_at(p, x) - L_squared_at(p, x, km)) / 2
+            for p in (u, v))
+
+
+class TestCheckOperatorsExactFields:
+    """ccr and equations_of_motion of check-operators, as recorded from the
+    Fraction-based implementation this integer layer replaced."""
+
+    DEG6 = "(1/3x^6 - 3x^5 - 1/3x^4 - x^2 - 2) * gauss"
+    FITTED = {"fitted_c1": "0.0-1.0j", "fitted_c2": "0.0+1.0j",
+              "printed_form_residual_zero": False}
+
+    @pytest.mark.parametrize("argv, ccr_zero, psis", [
+        ((), True, ("gauss", "x * gauss")),
+        (("--kappa", "2"), False, ("gauss", "x * gauss")),
+        (("--psi", DEG6), True, (DEG6,)),
+    ], ids=["defaults", "kappa2", "degree6"])
+    def test_recorded_output(self, tmp_path, argv, ccr_zero, psis):
+        out = tmp_path / "operators.json"
+        assert main(["check-operators", *argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["ccr"] == [{"basis": n, "residual_zero": ccr_zero}
+                                  for n in range(11)]
+        assert payload["ccr_all_zero"] is ccr_zero
+        assert payload["equations_of_motion"] == [dict(self.FITTED, psi=p)
+                                                  for p in psis]
+
+
+class TestFitConstant:
+    fit = staticmethod(operators_module._fit_constant)
+
+    def test_proportional_pairs(self):
+        ref = apply_H(parse_gauss_poly("(1+2i)x^3 - 1/2 x + 2 * gauss"))
+        c = (Fraction(-3, 7), Fraction(5, 2))
+        assert self.fit(ref.scale_complex(*c), ref) == c
+        assert self.fit(GaussPoly([]), ref) == (0, 0)
+
+    def test_non_proportional_pairs(self):
+        assert self.fit(basis(1) + basis(3), basis(1)) is None
+        assert self.fit(basis(1).scale_complex(0, 1) + basis(3),
+                        basis(1) + basis(3)) is None
+        assert self.fit(times_mu_poly(basis(2)), basis(2)) is None
+        assert self.fit(basis(2), GaussPoly([])) is None
 
 
 class TestHamiltonian:
@@ -213,7 +335,8 @@ class TestFourier:
 def dense_fourier(psis, k, ctx, spec=QuadratureSpec()):
     """The full-grid sum over the (-R, R) rule, level by level, with the
     shared radius and the per-function stopping rule."""
-    R = max(operators_module._support_radius(p, ctx.mu, spec.abs_tol)
+    R = max(operators_module._support_radius(p.values_at(ctx.mu), ctx.mu,
+                                             spec.abs_tol)
             for p in psis)
     prev = None
     for level in range(spec.max_subdivisions + 1):
@@ -307,6 +430,31 @@ class TestFourierWork:
             assert np.all(x > 0)
             assert svals.shape == (13, x.size)
             assert np.array_equal(svals, np.outer(np.unique(np.abs(ks)), x))
+
+    def test_coefficients_evaluated_once_per_call(self, monkeypatch):
+        calls, levels, counts = [], [], []
+        real_value = operators_module._exact_value
+        real_rule = operators_module.weighted_panel_rule
+
+        def value(*args):
+            calls.append(args)
+            return real_value(*args)
+
+        def rule(*args):
+            levels.append(args)
+            return real_rule(*args)
+
+        monkeypatch.setattr(operators_module, "_exact_value", value)
+        monkeypatch.setattr(operators_module, "weighted_panel_rule", rule)
+        psis = [apply_P(self.DEG6), self.DEG6]
+        ks = np.linspace(-3, 3, 25)
+        for spec in (QuadratureSpec(), QuadratureSpec(nodes_per_panel=6)):
+            calls.clear()
+            levels.clear()
+            fourier_mu_numeric(psis, ks, MuContext(-0.16), spec)
+            assert len(calls) == 8 + 7  # degrees 7 and 6
+            counts.append(len(levels))
+        assert counts[0] < counts[1]
 
     def test_failure_best_has_result_shape(self):
         spec = QuadratureSpec(max_subdivisions=1, rel_tol=1e-15,

@@ -23,6 +23,8 @@ from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec,
                             rows_to_json, trace_moment_series,
                             trace_quadrature)
 
+from helpers import sup_abs
+
 A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
 # the package exports a function named measure, so fetch the module itself
@@ -110,6 +112,29 @@ class TestTraceQuadrature:
         assert best.value == pytest.approx(0.19387043407447682, rel=1e-2)
 
 
+    def test_slow_convergence_fails_fast(self, monkeypatch):
+        # the |x|^(2mu) panel that ends just short of 0 makes the refinement
+        # changes shrink by a fixed ratio per level, too slowly to converge
+        A = IntervalSet.of((0.0, 1.0))
+        B = IntervalSet.of((-18.0, -2.1457672128e-06))
+        grids = []
+        real = trace_module.abs2_on_grid
+
+        def counted(s, ctx):
+            grids.append(s.shape)
+            return real(s, ctx)
+
+        monkeypatch.setattr(trace_module, "abs2_on_grid", counted)
+        for mu, levels in ((0.449, 4), (-0.45, 3), (-0.2, 3)):
+            grids.clear()
+            with pytest.raises(EvaluationError,
+                               match="converges too slowly") as err:
+                trace_quadrature(A, B, MuContext(mu))
+            assert len(grids) == levels, mu
+            best = err.value.best
+            assert math.isfinite(best.value) and best.error_estimate > 0
+
+
 class TestTraceMomentSeries:
     def test_far_pairs_resolve_by_both_routes(self):
         # sup|A| sup|B| up to 10201: the closed form has no term cap
@@ -138,7 +163,7 @@ def per_term_reference(A, B, ctx):
     """The series term by term, with a moment_mp call per moment, at a
     precision that covers its e^(2 sup|A| sup|B|) cancellation with 75
     digits to spare, summed until the terms are below 1e-30."""
-    s_max = A.sup_abs * B.sup_abs
+    s_max = sup_abs(A) * sup_abs(B)
     with mpmath.workdps(25 + int(0.87 * 2.0 * s_max) + 10 + 40):
         total, small, j = mpmath.mpf(0), 0, 0
         while small < 3:
