@@ -21,23 +21,22 @@ from .operators import (EomReport, GaussPoly, IntertwiningReport, apply_H,
                         apply_J, apply_P, apply_Q, ccr_residual,
                         eom_residuals, fourier_mu_numeric, intertwining_check,
                         parse_gauss_poly)
-from .trace import (QuadratureSpec, ScanRow, TraceEstimate, deviation_scan,
-                    evaluate_pair, rows_to_csv, rows_to_json,
-                    trace_moment_series, trace_quadrature)
+from .trace import (ScanRow, TraceEstimate, deviation_scan, evaluate_pair,
+                    rows_to_csv, rows_to_json, trace_moment_series,
+                    trace_quadrature)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EomReport", "EvaluationError", "GaussPoly", "IdentityCheck",
     "IdentityReport", "IntertwiningReport", "IntervalSet", "MuContext",
-    "MuPolynomial", "QuadratureSpec", "ScanRow", "SeriesResult",
-    "TraceEstimate", "abs2_exp_mu_imag", "apply_H", "apply_J", "apply_P",
-    "apply_Q", "binomial_poly", "ccr_residual", "deformed_binomial",
-    "deviation_scan", "eom_residuals", "eta_rule", "evaluate_pair",
-    "even_series_result", "exp_mu_integral", "exp_mu_series",
-    "format_interval_set", "fourier_mu_numeric", "gamma_mu", "gamma_mu_exact",
-    "intertwining_check", "measure", "moment", "p_at_exact",
-    "parse_gauss_poly", "parse_interval_set", "rows_to_csv", "rows_to_json",
-    "trace_moment_series", "trace_quadrature", "verify_closed_forms",
-    "verify_odd_vanishing",
+    "MuPolynomial", "ScanRow", "SeriesResult", "TraceEstimate",
+    "abs2_exp_mu_imag", "apply_H", "apply_J", "apply_P", "apply_Q",
+    "binomial_poly", "ccr_residual", "deformed_binomial", "deviation_scan",
+    "eom_residuals", "eta_rule", "evaluate_pair", "even_series_result",
+    "exp_mu_integral", "exp_mu_series", "format_interval_set",
+    "fourier_mu_numeric", "gamma_mu", "gamma_mu_exact", "intertwining_check",
+    "measure", "moment", "p_at_exact", "parse_gauss_poly",
+    "parse_interval_set", "rows_to_csv", "rows_to_json", "trace_moment_series",
+    "trace_quadrature", "verify_closed_forms", "verify_odd_vanishing",
 ]

@@ -30,9 +30,9 @@ from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, eta_rule_exists,
                    even_series_result, exp_mu_integral, exp_mu_series)
 from .errors import EvaluationError
 from .intervals import format_interval_set, parse_interval_set
-from .trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec, ScanRow,
-                    deviation_scan, rows_to_csv, rows_to_json,
-                    trace_moment_series, trace_quadrature)
+from .trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, ScanRow, deviation_scan,
+                    rows_to_csv, rows_to_json, trace_moment_series,
+                    trace_quadrature)
 
 SCHEMA_VERSION = 1
 
@@ -259,8 +259,7 @@ def cmd_scan(cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     pairs = ((A, B),) if A is not None else DEFAULT_PAIRS
-    spec = QuadratureSpec()
-    rows = deviation_scan(grid, pairs, spec)
+    rows = deviation_scan(grid, pairs)
     _write_scan_outputs(rows, cfg)
     print(f"{'mu':>8} {'A':>16} {'B':>16} {'deviation':>24} resolved")
     for r in rows:

@@ -88,6 +88,14 @@ def _origin_rule(mu: float, n: int):
     return gauss_jacobi(n, 0.0, 2.0 * mu)
 
 
+# the fixed settings of both adaptive quadratures on these panel rules,
+# trace.trace_quadrature and operators.fourier_mu_numeric
+QUAD_NODES = 12
+QUAD_LEVELS = 8
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-12
+
+
 def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval: int,
                         nodes_per_panel: int):
     """Nodes and weights integrating f against dm_mu over A.

@@ -45,8 +45,8 @@ from .core import MuContext, exp_mu_imag_on_grid
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
-from .measure import weighted_panel_rule
-from .trace import QuadratureSpec
+from .measure import (QUAD_ABS_TOL, QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL,
+                      weighted_panel_rule)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class GaussPoly:
                         dtype=complex)
 
     def evaluate(self, x: np.ndarray, mu: float) -> np.ndarray:
-        """psi on a grid, coefficients specialized at mu."""
+        """psi on a grid, its coefficients evaluated at mu."""
         return _on_grid(self.values_at(mu), np.asarray(x, dtype=float))
 
     def __repr__(self):
@@ -355,8 +355,7 @@ def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
 
 
 def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
-                       ctx: MuContext,
-                       spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+                       ctx: MuContext) -> np.ndarray:
     """F_mu psi (k) = integral of exp_mu(-i k x) psi(x) dm_mu(x).
 
     psi is one GaussPoly (result of shape k.shape) or a sequence of them
@@ -370,9 +369,9 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
 
         F(k) = C @ (w (psi(x) + psi(-x))) - i sign(k) S @ (w (psi(x) - psi(-x)))
 
-    which is the full-grid sum exactly, for any k.  Refinement stops when
-    successive levels agree within the spec tolerances at every requested
-    k, for every function.
+    which is the full-grid sum exactly, for any k.  Panels of QUAD_NODES
+    nodes are refined, at most QUAD_LEVELS times, until successive levels
+    agree within max(QUAD_ABS_TOL, QUAD_REL_TOL max|F|) at every k, per F.
     """
     single = isinstance(psi, GaussPoly)
     psis = [psi] if single else list(psi)
@@ -381,15 +380,14 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
         return np.zeros(k.shape if single else (len(psis), k.size),
                         dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
-    R = max(_support_radius(v, ctx.mu, spec.abs_tol) for v in values if v.size)
+    R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
     domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
     ak, inv = np.unique(np.abs(k), return_inverse=True)
     odd_factor = -1j * np.sign(k)
     prev = None
     diff = math.inf
-    for level in range(spec.max_subdivisions + 1):
-        x, w = weighted_panel_rule(domain, ctx, 2 ** level,
-                                   spec.nodes_per_panel)
+    for level in range(QUAD_LEVELS + 1):
+        x, w = weighted_panel_rule(domain, ctx, 2 ** level, QUAD_NODES)
         mirrored = np.concatenate((x, -x))
         both = np.array([_on_grid(v, mirrored) for v in values])
         plus, minus = both[:, :x.size], both[:, x.size:]
@@ -401,7 +399,7 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
             change = np.max(np.abs(vals - prev), axis=1)
             diff = float(np.max(change))
             if np.all(change <= np.maximum(
-                    spec.abs_tol, spec.rel_tol * np.max(np.abs(vals), axis=1))):
+                    QUAD_ABS_TOL, QUAD_REL_TOL * np.max(np.abs(vals), axis=1))):
                 return vals[0] if single else vals
         prev = vals
     raise EvaluationError(
@@ -432,12 +430,10 @@ class IntertwiningReport:
 
 
 def intertwining_check(psi: GaussPoly, k_points, ctx: MuContext,
-                       spec: QuadratureSpec = QuadratureSpec(),
                        kappa=Fraction(1)) -> IntertwiningReport:
     """Check F_mu P_mu = Q_mu F_mu pointwise on k_points."""
     k = np.asarray(list(k_points), dtype=float)
-    lhs, transformed = fourier_mu_numeric([apply_P(psi, kappa), psi], k,
-                                          ctx, spec)
+    lhs, transformed = fourier_mu_numeric([apply_P(psi, kappa), psi], k, ctx)
     rhs = k * transformed
     gap = float(np.max(np.abs(lhs - rhs))) if k.size else 0.0
     return IntertwiningReport(k_points=k, lhs=lhs, rhs=rhs,

@@ -7,12 +7,13 @@ terms are products of closed-form moments, and sums it in closed form: its
 term ratio is rational in j, so the trace is a finite corner sum of 2F3
 values over the half-line panels of A and B.  Where both converge they must
 agree within their combined error estimates.  A scan row comes from the
-closed form alone; the quadrature runs only where the closed form fails,
-and otherwise stays the independent cross-check (the trace command, the
-tests and the acceptance suite run both).  The trace's difference from
-m_mu(A) m_mu(B) is the deviation of interest: provably negative for
-mu > 0 on sets of positive measure, conjecturally positive for
--1/2 < mu < 0, and zero in the classical case mu = 0.
+closed form alone, its best estimate included where it fails.  The
+quadrature runs at the fixed settings measure.QUAD_* and is only the
+independent cross-check: the trace command, the tests and the acceptance
+suite run both.  The trace's difference from m_mu(A) m_mu(B) is the
+deviation of interest: provably negative for mu > 0 on sets of positive
+measure, conjecturally positive for -1/2 < mu < 0, and zero in the
+classical case mu = 0.
 """
 
 from __future__ import annotations
@@ -29,23 +30,8 @@ import numpy as np
 from .core import MuContext, abs2_grid_error_bound, abs2_on_grid
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
-from .measure import _positive_panels, measure, weighted_panel_rule
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive tensor-product quadrature."""
-
-    nodes_per_panel: int = 12
-    max_subdivisions: int = 8
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 1 or self.max_subdivisions < 1:
-            raise ValueError("nodes_per_panel and max_subdivisions must be >= 1")
-        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
+from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _positive_panels,
+                      measure, weighted_panel_rule)
 
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
@@ -84,15 +70,18 @@ class TraceEstimate:
         return self.error_estimate < abs(self.deviation) / 10.0
 
 
-def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
-                     spec: QuadratureSpec = QuadratureSpec()) -> TraceEstimate:
+def trace_quadrature(A: IntervalSet, B: IntervalSet,
+                     ctx: MuContext) -> TraceEstimate:
     """Tensor-product adaptive quadrature of the trace double integral.
 
-    Panels are refined dyadically until two successive levels agree within
-    the spec tolerances; the refinement difference plus a per-point
-    integrand error floor forms the error estimate.  Non-convergence
-    raises EvaluationError carrying the best estimate.  So does a
-    convergence too slow to finish: once two changes are known, with
+    Panels of QUAD_NODES nodes are refined dyadically, for at most
+    QUAD_LEVELS levels, until two successive levels agree within
+    QUAD_REL_TOL |value|, a relative tolerance alone because the integrand
+    and the weights are nonnegative (an absolute one would pass a tiny
+    trace at its first refinement); the refinement difference plus a
+    per-point integrand error floor forms the error estimate.
+    Non-convergence raises EvaluationError carrying the best estimate.  So
+    does a convergence too slow to finish: once two changes are known, with
     r = change / previous change < 1, a change that r^(levels left) would
     still leave above the tolerance fails at once.
     """
@@ -101,20 +90,20 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         return TraceEstimate.build(0.0, 0.0, "quadrature", product)
     prev = None
     diff = math.inf
-    for level in range(spec.max_subdivisions + 1):
+    for level in range(QUAD_LEVELS + 1):
         panels = 2 ** level
-        x, wx = weighted_panel_rule(A, ctx, panels, spec.nodes_per_panel)
-        k, wk = weighted_panel_rule(B, ctx, panels, spec.nodes_per_panel)
+        x, wx = weighted_panel_rule(A, ctx, panels, QUAD_NODES)
+        k, wk = weighted_panel_rule(B, ctx, panels, QUAD_NODES)
         F = abs2_on_grid(np.outer(x, k), ctx)
         value = float(wx @ F @ wk)
         floor = abs2_grid_error_bound(float(F.max())) * product
         if prev is not None:
             last, diff = diff, abs(value - prev)
-            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            tol = QUAD_REL_TOL * value
             if diff <= tol:
                 return TraceEstimate.build(
                     value, diff + floor, "quadrature", product)
-            ratio, left = diff / last, spec.max_subdivisions - level
+            ratio, left = diff / last, QUAD_LEVELS - level
             if left and ratio < 1 and diff * ratio ** left > tol:
                 raise EvaluationError(
                     f"trace quadrature converges too slowly: the refinement "
@@ -125,7 +114,7 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet, ctx: MuContext,
         prev = value
     best = TraceEstimate.build(prev, diff + floor, "quadrature", product)
     raise EvaluationError(
-        f"trace quadrature did not converge within {spec.max_subdivisions} "
+        f"trace quadrature did not converge within {QUAD_LEVELS} "
         f"subdivisions (last refinement change {diff:.3g})", best=best)
 
 
@@ -224,46 +213,28 @@ class ScanRow:
         }
 
 
-def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext,
-                  spec: QuadratureSpec = QuadratureSpec()) -> ScanRow:
-    """The scan row of one (A, B): the moment series, or its fallback.
+def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
+    """The scan row of one (A, B), from the moment series alone.
 
-    A converged series has an error estimate of a few eps |value|, far
-    below the kernel floor 1e-12 max(1, peak) m(A) m(B) of every quadrature
-    estimate, so its estimate is the row.  Only when the series raises does
-    the quadrature run; the row then keeps the smaller-error estimate of the
-    two (the series' best included, the quadrature's first on a tie), and
-    the note carries the message of each route that failed.
+    Where the series raises, the row keeps its best estimate and the note
+    its message.  A series error with no best comes from m(A) or m(B)
+    overflowing a float, so that row is failed, with no product either.
     """
-    estimates, notes = [], []
+    zero = A.contains_zero or B.contains_zero
     try:
-        estimates.append(trace_moment_series(A, B, ctx))
-    except EvaluationError as series_err:
-        try:
-            estimates.append(trace_quadrature(A, B, ctx, spec))
-        except EvaluationError as err:
-            estimates.append(err.best)
-            notes.append(str(err))
-        estimates.append(series_err.best)
-        notes.append(str(series_err))
-    best = min((e for e in estimates if e is not None),
-               key=lambda e: e.error_estimate, default=None)
-    note = "; ".join(notes)
-    if best is None:
-        try:
-            product = measure(A, ctx) * measure(B, ctx)
-        except EvaluationError:
-            product = math.nan
-        return ScanRow(ctx.mu, A, B, "failed", math.nan, math.inf,
-                       product, math.nan, False,
-                       A.contains_zero or B.contains_zero, note)
-    return ScanRow(ctx.mu, A, B, best.method, best.value, best.error_estimate,
-                   best.product_measures, best.deviation, best.sign_resolved,
-                   A.contains_zero or B.contains_zero, note)
+        est, note = trace_moment_series(A, B, ctx), ""
+    except EvaluationError as err:
+        est, note = err.best, str(err)
+    if est is None:
+        return ScanRow(ctx.mu, A, B, "failed", math.nan, math.inf, math.nan,
+                       math.nan, False, zero, note)
+    return ScanRow(ctx.mu, A, B, est.method, est.value, est.error_estimate,
+                   est.product_measures, est.deviation, est.sign_resolved,
+                   zero, note)
 
 
-def deviation_scan(mu_grid=DEFAULT_MU_GRID, pairs=DEFAULT_PAIRS,
-                   spec: QuadratureSpec = QuadratureSpec()) -> list[ScanRow]:
+def deviation_scan(mu_grid=DEFAULT_MU_GRID,
+                   pairs=DEFAULT_PAIRS) -> list[ScanRow]:
     """Deviation table over a mu grid and interval pairs.
 
     Row order is canonical (sorted by mu, then by the textual form of the
@@ -274,7 +245,7 @@ def deviation_scan(mu_grid=DEFAULT_MU_GRID, pairs=DEFAULT_PAIRS,
     for mu in mu_grid:
         ctx = MuContext(mu)  # validates mu > -1/2
         for A, B in pairs:
-            rows.append(evaluate_pair(A, B, ctx, spec))
+            rows.append(evaluate_pair(A, B, ctx))
     rows.sort(key=lambda r: (r.mu, format_interval_set(r.set_a),
                              format_interval_set(r.set_b)))
     return rows

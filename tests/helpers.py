@@ -1,5 +1,6 @@
 """Definitions that only the tests use: the direct deformed binomial, exact
-rational evaluation, and two sizes of an interval set."""
+rational evaluation, two sizes of an interval set, and an override of the
+quadrature settings."""
 
 from fractions import Fraction
 
@@ -32,3 +33,10 @@ def sup_abs(s: IntervalSet) -> float:
 
 def total_length(s: IntervalSet) -> float:
     return sum(hi - lo for lo, hi in s.intervals)
+
+
+def set_quadrature(monkeypatch, module, **settings):
+    """Override the measure.QUAD_* settings as module reads them, e.g.
+    set_quadrature(monkeypatch, trace_module, QUAD_LEVELS=5)."""
+    for name, value in settings.items():
+        monkeypatch.setattr(module, name, value)

@@ -7,18 +7,23 @@ import subprocess
 import sys
 import textwrap
 import xml.etree.ElementTree as ET
+from itertools import zip_longest
 from pathlib import Path
 
 import mpmath
 import pytest
 from test_core import series_reference_mp
 
+import mudeform.trace as trace_module
 from mudeform.cli import RunConfig, main, write_deviation_plot
 from mudeform.core import MuContext, exp_mu_series
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+# the default `mudeform scan --out default_scan.csv`, frozen: a change to
+# any number in it must replace the file and say why
+GOLDEN_SCAN = Path(__file__).parent / "data" / "default_scan.csv"
 
 
 def run(capsys, *argv):
@@ -182,6 +187,25 @@ class TestScanCommand:
         assert len(payload["rows"]) == 3
         assert svg.read_text().lstrip().startswith("<?xml")
 
+    def test_default_scan_matches_golden_file(self, capsys, tmp_path,
+                                              monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a scan row ran the quadrature")
+
+        monkeypatch.setattr(trace_module, "trace_quadrature", forbidden)
+        out_file = tmp_path / "default_scan.csv"
+        code, _, _ = run(capsys, "scan", "--out", str(out_file))
+        assert code == 0
+        got, want = out_file.read_bytes(), GOLDEN_SCAN.read_bytes()
+        if got != want:
+            lines = zip_longest(got.decode().splitlines(True),
+                                want.decode().splitlines(True),
+                                fillvalue="<end of file>")
+            n, (g, w) = next((n, pair) for n, pair in enumerate(lines, 1)
+                             if pair[0] != pair[1])
+            pytest.fail(f"the default scan differs from {GOLDEN_SCAN.name} "
+                        f"first at line {n}:\n got  {g!r}\n want {w!r}")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["scan", "--mu-grid", "0,0.5", "--set-a", "[1,2]",
                 "--set-b", "[0.5,1.5]", "--seed", "7"]
@@ -202,8 +226,8 @@ class TestScanCommand:
         B = IntervalSet.of((0.5, 1.5))
         single = deviation_scan((0.0,), ((A, B),))
         assert abs(single[0].deviation) < 1e-9
-        failed = [ScanRow(-0.25, A, B, "failed", math.nan, math.inf, 0.5,
-                          math.nan, False, False, "both evaluators failed")]
+        failed = [ScanRow(-0.25, A, B, "failed", math.nan, math.inf, math.nan,
+                          math.nan, False, False, "moment 0 overflows")]
         for name, rows in (("single", single), ("failed", failed)):
             svg = tmp_path / f"{name}.svg"
             write_deviation_plot(rows, str(svg))

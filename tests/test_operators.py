@@ -20,7 +20,8 @@ from mudeform.operators import (CPoly, GaussPoly, apply_H, apply_J, apply_P,
                                 apply_Q, ccr_residual, eom_residuals,
                                 fourier_mu_numeric, intertwining_check,
                                 parse_gauss_poly)
-from mudeform.trace import QuadratureSpec
+
+from helpers import set_quadrature
 
 G = GaussPoly.gaussian()
 XG = GaussPoly.basis(1)
@@ -332,20 +333,21 @@ class TestFourier:
         assert vals[0] == 0
 
 
-def dense_fourier(psis, k, ctx, spec=QuadratureSpec()):
+def dense_fourier(psis, k, ctx):
     """The full-grid sum over the (-R, R) rule, level by level, with the
-    shared radius and the per-function stopping rule."""
-    R = max(operators_module._support_radius(p.values_at(ctx.mu), ctx.mu,
-                                             spec.abs_tol)
+    shared radius, the per-function stopping rule and the transform's
+    quadrature settings."""
+    om = operators_module
+    R = max(om._support_radius(p.values_at(ctx.mu), ctx.mu, om.QUAD_ABS_TOL)
             for p in psis)
     prev = None
-    for level in range(spec.max_subdivisions + 1):
+    for level in range(om.QUAD_LEVELS + 1):
         x, w = weighted_panel_rule(IntervalSet.of((-R, R)), ctx, 2 ** level,
-                                   spec.nodes_per_panel)
+                                   om.QUAD_NODES)
         kernel = exp_mu_imag_on_grid(-np.outer(k, x), ctx)
         vals = np.array([kernel @ (w * p.evaluate(x, ctx.mu)) for p in psis])
         if prev is not None and all(
-                np.max(np.abs(v - q)) <= max(spec.abs_tol, spec.rel_tol
+                np.max(np.abs(v - q)) <= max(om.QUAD_ABS_TOL, om.QUAD_REL_TOL
                                              * np.max(np.abs(v)))
                 for v, q in zip(vals, prev)):
             return vals
@@ -448,24 +450,25 @@ class TestFourierWork:
         monkeypatch.setattr(operators_module, "weighted_panel_rule", rule)
         psis = [apply_P(self.DEG6), self.DEG6]
         ks = np.linspace(-3, 3, 25)
-        for spec in (QuadratureSpec(), QuadratureSpec(nodes_per_panel=6)):
+        for nodes in (operators_module.QUAD_NODES, 6):
+            set_quadrature(monkeypatch, operators_module, QUAD_NODES=nodes)
             calls.clear()
             levels.clear()
-            fourier_mu_numeric(psis, ks, MuContext(-0.16), spec)
+            fourier_mu_numeric(psis, ks, MuContext(-0.16))
             assert len(calls) == 8 + 7  # degrees 7 and 6
             counts.append(len(levels))
         assert counts[0] < counts[1]
 
-    def test_failure_best_has_result_shape(self):
-        spec = QuadratureSpec(max_subdivisions=1, rel_tol=1e-15,
-                              abs_tol=1e-15)
+    def test_failure_best_has_result_shape(self, monkeypatch):
+        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=1,
+                       QUAD_REL_TOL=1e-15, QUAD_ABS_TOL=1e-15)
         ks = np.linspace(-3, 3, 25)
         ctx = MuContext(0.5)
         with pytest.raises(EvaluationError) as single:
-            fourier_mu_numeric(self.DEG6, ks, ctx, spec)
+            fourier_mu_numeric(self.DEG6, ks, ctx)
         assert single.value.best.shape == ks.shape
         with pytest.raises(EvaluationError) as pair:
-            fourier_mu_numeric([apply_P(self.DEG6), self.DEG6], ks, ctx, spec)
+            fourier_mu_numeric([apply_P(self.DEG6), self.DEG6], ks, ctx)
         assert pair.value.best.shape == (2, ks.size)
 
 
@@ -478,16 +481,17 @@ class TestIntertwining:
         rep = intertwining_check(XG, np.linspace(-3, 3, 25), MuContext(0.5))
         assert rep.max_discrepancy < 1e-6
 
-    def test_discrepancy_tracks_quadrature_resolution(self):
+    def test_discrepancy_tracks_quadrature_resolution(self, monkeypatch):
         # crude rules must not beat refined ones (sanity of error model)
         ctx = MuContext(0.5)
         ks = np.linspace(-2, 2, 9)
         gaps = []
+        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=2,
+                       QUAD_REL_TOL=1e-3, QUAD_ABS_TOL=1e-6)
         for nodes in (2, 4, 12):
-            spec = QuadratureSpec(nodes_per_panel=nodes, max_subdivisions=2,
-                                  rel_tol=1e-3, abs_tol=1e-6)
+            set_quadrature(monkeypatch, operators_module, QUAD_NODES=nodes)
             try:
-                rep = intertwining_check(basis(2), ks, ctx, spec)
+                rep = intertwining_check(basis(2), ks, ctx)
                 gaps.append(rep.max_discrepancy)
             except Exception:
                 gaps.append(math.inf)

@@ -1,7 +1,6 @@
 """Trace evaluators, their cross-validation, and the deviation scan."""
 
 import csv
-import dataclasses
 import importlib
 import io
 import json
@@ -18,12 +17,11 @@ from mudeform.core import MuContext, even_coeff
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
 from mudeform.measure import measure, moment_mp
-from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, QuadratureSpec,
-                            ScanRow, deviation_scan, evaluate_pair, rows_to_csv,
-                            rows_to_json, trace_moment_series,
-                            trace_quadrature)
+from mudeform.trace import (DEFAULT_PAIRS, TraceEstimate, deviation_scan,
+                            evaluate_pair, rows_to_csv, rows_to_json,
+                            trace_moment_series, trace_quadrature)
 
-from helpers import sup_abs
+from helpers import set_quadrature, sup_abs
 
 A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
@@ -32,19 +30,9 @@ measure_module = importlib.import_module("mudeform.measure")
 core_module = importlib.import_module("mudeform.core")
 
 
-def both(A, B, mu, spec=QuadratureSpec()):
+def both(A, B, mu):
     ctx = MuContext(mu)
-    return trace_quadrature(A, B, ctx, spec), trace_moment_series(A, B, ctx)
-
-
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_panel=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=1.5)
+    return trace_quadrature(A, B, ctx), trace_moment_series(A, B, ctx)
 
 
 class TestClassicalEquality:
@@ -102,15 +90,30 @@ class TestTraceQuadrature:
         q, m = both(A, A, 0.5)
         assert q.value == pytest.approx(m.value, rel=1e-8)
 
-    def test_nonconvergence_carries_best(self):
-        spec = QuadratureSpec(nodes_per_panel=1, max_subdivisions=2,
-                              rel_tol=1e-12, abs_tol=1e-14)
+    def test_nonconvergence_carries_best(self, monkeypatch):
+        set_quadrature(monkeypatch, trace_module, QUAD_NODES=1,
+                       QUAD_LEVELS=2, QUAD_REL_TOL=1e-12)
         with pytest.raises(EvaluationError) as err:
-            trace_quadrature(A12, B0515, MuContext(0.5), spec)
+            trace_quadrature(A12, B0515, MuContext(0.5))
         best = err.value.best
         assert best is not None
         assert best.value == pytest.approx(0.19387043407447682, rel=1e-2)
 
+    def test_tiny_trace_needs_the_relative_tolerance(self):
+        # B ends 1.6e-238 short of 0, so at mu = -0.25 the refinement
+        # changes shrink by only 2^-(2 mu + 1) per level; an absolute
+        # tolerance of 1e-12 passed this trace of 3.9e-100 at its first
+        # change, with a bar 2.4 times below its true error
+        A = IntervalSet.of((0.0, 1.0))
+        B = IntervalSet.of((1.616166607119054e-238, 3.2437534183229165e-198))
+        ctx = MuContext(-0.25)
+        with pytest.raises(EvaluationError, match="converges too slowly"):
+            trace_quadrature(A, B, ctx)
+        # K(xk) - 1 is below 1e-390 here, so Tr is m(A) m(B) at 60 digits
+        with mpmath.workdps(60):
+            ref = moment_mp(A, ctx.mu, 0) * moment_mp(B, ctx.mu, 0)
+        est = trace_moment_series(A, B, ctx)
+        assert abs(est.value - ref) <= est.error_estimate
 
     def test_slow_convergence_fails_fast(self, monkeypatch):
         # the |x|^(2mu) panel that ends just short of 0 makes the refinement
@@ -319,26 +322,23 @@ class TestDeviationScan:
         assert rows[0].deviation < 0
 
     def test_row_failure_recorded_scan_continues(self, monkeypatch):
-        # both routes are made to fail on the far pair, with no best
+        # the series is made to fail on the far pair, with no best
         far = IntervalSet.of((40, 41))
+        real = trace_module.trace_moment_series
 
-        def failing_on_far(name):
-            real = getattr(trace_module, name)
+        def series(A, B, ctx):
+            if A == far:
+                raise EvaluationError("series failure injected")
+            return real(A, B, ctx)
 
-            def route(A, B, *args):
-                if A == far:
-                    raise EvaluationError(f"{name} failure injected")
-                return real(A, B, *args)
-            return route
-
-        for name in ("trace_quadrature", "trace_moment_series"):
-            monkeypatch.setattr(trace_module, name, failing_on_far(name))
+        monkeypatch.setattr(trace_module, "trace_moment_series", series)
         rows = deviation_scan((0.5, -0.2), ((far, far), (A12, B0515)))
         assert len(rows) == 4
         good = [r for r in rows if r.set_a == A12]
         bad = [r for r in rows if r.set_a == far]
         assert all(r.note == "" for r in good)
-        assert all(not r.sign_resolved for r in bad)
+        assert all(r.method == "failed" and not r.sign_resolved for r in bad)
+        assert all(r.note == "series failure injected" for r in bad)
 
     def test_far_pair_resolves_semiclassically(self):
         # sup|A| sup|B| = 1681: both routes resolve Tr to about |A||B|/2pi
@@ -347,7 +347,7 @@ class TestDeviationScan:
             q, m = both(far, far, mu)
             assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
             row = evaluate_pair(far, far, MuContext(mu))
-            assert row.method in ("quadrature", "moment_series")
+            assert row.method == "moment_series"
             assert row.value == pytest.approx(1.0 / (2.0 * math.pi), abs=2e-3)
             assert row.error < 1e-9
             assert row.sign_resolved and (row.deviation < 0) == (mu > 0)
@@ -358,6 +358,7 @@ class TestDeviationScan:
         rows = deviation_scan((249.0, 0.5), ((far, far),))
         failed, good = rows[1], rows[0]
         assert failed.method == "failed" and not failed.sign_resolved
+        assert math.isnan(failed.product) and math.isnan(failed.value)
         assert "mu = 249.0" in failed.note and "[40,41]" in failed.note
         assert good.mu == 0.5 and good.sign_resolved
 
@@ -367,7 +368,8 @@ class TestDeviationScan:
 
     def test_evaluate_pair_prefers_smaller_error(self):
         # a converged series' error is a few eps of its value, below the
-        # quadrature's kernel floor, so its estimate is the row
+        # quadrature's kernel floor, so the one route evaluate_pair runs is
+        # the one with the smaller error
         far = IntervalSet.of((40, 41))
         for mu in (-0.45, 0.0, 0.5, 2.0):
             for A, B in DEFAULT_PAIRS + ((far, far),):
@@ -379,39 +381,12 @@ class TestDeviationScan:
                     "moment_series", m.value, m.error_estimate)
 
 
-def both_routes_row(A, B, ctx, spec=QuadratureSpec()):
-    """The scan row by the rule that ran both routes on every row: the
-    smaller error wins, the quadrature (run first) on a tie."""
-    estimates, notes = [], []
-    for run in (lambda: trace_quadrature(A, B, ctx, spec),
-                lambda: trace_moment_series(A, B, ctx)):
-        try:
-            estimates.append(run())
-        except EvaluationError as err:
-            if err.best is not None:
-                estimates.append(err.best)
-            notes.append(str(err))
-    best = min(estimates, key=lambda e: e.error_estimate)
-    return ScanRow(ctx.mu, A, B, best.method, best.value, best.error_estimate,
-                   best.product_measures, best.deviation, best.sign_resolved,
-                   A.contains_zero or B.contains_zero, "; ".join(notes))
+def forbidden_quadrature(*args):
+    raise AssertionError("the quadrature ran")
 
 
-def same_row(row, ref):
-    """Equal rows, up to what the series-first rule drops: where the series
-    converged, a failed quadrature's message in the note; and where a trace
-    and a product are both 0.0 (a tie at 4 ulp(0) that the quadrature won
-    by running first), the route named."""
-    if row.method == "moment_series" and not row.note:
-        ref = dataclasses.replace(ref, note="")
-    if ref.value == 0.0 and ref.product == 0.0:
-        ref = dataclasses.replace(ref, method=row.method)
-    return row == ref
-
-
-class TestSeriesFirstPolicy:
-    """Scan rows come from the moment series; the quadrature is its
-    fallback only."""
+class TestOneRoutePerRow:
+    """A scan row is the moment series' estimate; the quadrature never runs."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.449, 2.5), bounded_pairs())
@@ -424,49 +399,58 @@ class TestSeriesFirstPolicy:
     @example(60.0, (IntervalSet.of((0, 1e-3)), IntervalSet.of((0, 1e-3))))
     @example(0.449, (IntervalSet.of((0.0, 1.0)),  # the quadrature fails
                      IntervalSet.of((-18.0, -2.1457672128e-06))))
-    def test_rows_match_the_both_routes_rule(self, mu, pair):
-        # five levels keep a quadrature that fails cheap; the series-first
-        # rule must hold for every spec
+    @example(-0.25, (IntervalSet.of((0.0, 1.0)),  # a trace of 3.9e-100
+                     IntervalSet.of((1.616166607119054e-238,
+                                     3.2437534183229165e-198))))
+    def test_rows_are_the_series_estimate(self, mu, pair):
         A, B = pair
-        ctx, spec = MuContext(mu), QuadratureSpec(max_subdivisions=5)
-        row = evaluate_pair(A, B, ctx, spec)
-        assert row.method == "moment_series"
-        assert same_row(row, both_routes_row(A, B, ctx, spec))
+        ctx = MuContext(mu)
+        m = trace_moment_series(A, B, ctx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace_module, "trace_quadrature", forbidden_quadrature)
+            row = evaluate_pair(A, B, ctx)
+        assert (row.method, row.value, row.error, row.product, row.deviation,
+                row.sign_resolved, row.note) == (
+            "moment_series", m.value, m.error_estimate, m.product_measures,
+            m.deviation, m.sign_resolved, "")
+        # five levels keep a quadrature that fails cheap
+        with pytest.MonkeyPatch.context() as mp:
+            set_quadrature(mp, trace_module, QUAD_LEVELS=5)
+            try:
+                q = trace_quadrature(A, B, ctx)
+            except EvaluationError:
+                return
+        assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
+        assert m.error_estimate <= q.error_estimate
 
-    def test_default_scan_runs_no_quadrature(self, monkeypatch):
-        ref = [both_routes_row(A, B, MuContext(mu))
-               for mu in DEFAULT_MU_GRID for A, B in DEFAULT_PAIRS]
-        ref.sort(key=lambda r: (r.mu, str(r.set_a), str(r.set_b)))
-
-        def forbidden(*args):
-            raise AssertionError("the quadrature ran")
-
-        monkeypatch.setattr(trace_module, "trace_quadrature", forbidden)
-        rows = deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
-        assert len(rows) == 60
-        assert all(same_row(r, s) for r, s in zip(rows, ref))
-
-    def test_quadrature_runs_once_where_the_series_fails(self, monkeypatch):
-        failing = DEFAULT_PAIRS[2]
-        real_series = trace_module.trace_moment_series
-        real_quadrature = trace_module.trace_quadrature
-        calls = []
+    def test_series_failure_keeps_its_best(self, monkeypatch):
+        best = TraceEstimate.build(0.25, 1e-3, "moment_series", 0.5)
 
         def series(A, B, ctx):
-            if (A, B) == failing:
-                raise EvaluationError("series failure injected")
-            return real_series(A, B, ctx)
-
-        def quadrature(A, B, ctx, spec):
-            calls.append((A, B))
-            return real_quadrature(A, B, ctx, spec)
+            raise EvaluationError("series failure injected", best=best)
 
         monkeypatch.setattr(trace_module, "trace_moment_series", series)
-        monkeypatch.setattr(trace_module, "trace_quadrature", quadrature)
-        rows = deviation_scan((0.5,), DEFAULT_PAIRS)
-        assert calls == [failing]
-        row, = [r for r in rows if (r.set_a, r.set_b) == failing]
-        assert row.method == "quadrature" and row.sign_resolved
+        monkeypatch.setattr(trace_module, "trace_quadrature",
+                            forbidden_quadrature)
+        row = evaluate_pair(A12, B0515, MuContext(0.5))
+        assert (row.method, row.value, row.error, row.product, row.deviation,
+                row.sign_resolved, row.note) == (
+            "moment_series", best.value, best.error_estimate,
+            best.product_measures, best.deviation, best.sign_resolved,
+            "series failure injected")
+
+    def test_series_failure_without_best_is_a_failed_row(self, monkeypatch):
+        def series(A, B, ctx):
+            raise EvaluationError("series failure injected")
+
+        monkeypatch.setattr(trace_module, "trace_moment_series", series)
+        monkeypatch.setattr(trace_module, "trace_quadrature",
+                            forbidden_quadrature)
+        row = evaluate_pair(A12, B0515, MuContext(0.5))
+        assert row.method == "failed" and not row.sign_resolved
+        assert row.error == math.inf
+        assert all(math.isnan(v) for v in (row.value, row.product,
+                                           row.deviation))
         assert row.note == "series failure injected"
 
 
