@@ -8,9 +8,9 @@ the deformed position and momentum operators, an exact symbolic realization
 of those operators on Gaussian polynomials, and a CLI tying it together.
 """
 
-from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, binomial_poly,
-                   deformed_binomial, eta_rule, even_series_result,
-                   exp_mu_integral, exp_mu_series, gamma_mu)
+from .core import (MuContext, SeriesResult, binomial_poly, deformed_binomial,
+                   eta_rule, even_series_result, exp_mu_integral,
+                   exp_mu_series, gamma_mu)
 from .errors import EvaluationError
 from .exact import (IdentityCheck, IdentityReport, MuPolynomial,
                     gamma_mu_exact, p_at_exact, verify_closed_forms,
@@ -31,7 +31,7 @@ __all__ = [
     "EomReport", "EvaluationError", "GaussPoly", "IdentityCheck",
     "IdentityReport", "IntertwiningReport", "IntervalSet", "MuContext",
     "MuPolynomial", "ScanRow", "SeriesResult", "TraceEstimate",
-    "abs2_exp_mu_imag", "apply_H", "apply_J", "apply_P", "apply_Q",
+    "apply_H", "apply_J", "apply_P", "apply_Q",
     "binomial_poly", "ccr_residual", "deformed_binomial", "deviation_scan",
     "eom_residuals", "eta_rule", "evaluate_pair", "even_series_result",
     "exp_mu_integral", "exp_mu_series", "format_interval_set",

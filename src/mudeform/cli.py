@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact, operators
-from .core import (MuContext, SeriesResult, abs2_exp_mu_imag, eta_rule_exists,
+from .core import (MuContext, SeriesResult, eta_rule_exists,
                    even_series_result, exp_mu_integral, exp_mu_series)
 from .errors import EvaluationError
 from .intervals import format_interval_set, parse_interval_set
@@ -67,6 +67,9 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
+        if self.mu_grid is not None and not self.mu_grid:
+            raise ValueError(f"{self.command} needs at least one mu in "
+                             "mu_grid, got none")
         mus = (() if self.mu is None else (self.mu,)) + (self.mu_grid or ())
         for mu in mus:
             MuContext(mu)  # raises ValueError naming a bad mu
@@ -198,7 +201,8 @@ def cmd_specfun(cfg: RunConfig) -> int:
                                prec_bits=cfg.precision_bits)
         lines.append(f"  even_series  {_fmt(r.value.real)}   [{_series_diag(r)}]")
         if eta_rule_exists(ctx.mu):
-            v = abs2_exp_mu_imag(cfg.s, ctx, "integral")
+            e = exp_mu_integral(1j * cfg.s, ctx)
+            v = e.real ** 2 + e.imag ** 2
             lines.append(f"  integral     {_fmt(v)}")
             lines.append(f"  modulus |exp_mu(is)| = {_fmt(math.sqrt(v))}"
                          + ("  < 1" if v < 1 else ""))

@@ -1,17 +1,20 @@
 """Numeric mu-deformed special functions.
 
-Implements the deformed factorial, the deformed exponential and the squared
-modulus of the deformed exponential on the imaginary axis.  The hot path is
-one closed form: in rank one exp_mu(is) is the Dunkl kernel
-j_{mu-1/2}(|s|) + i s/(2mu+1) j_{mu+1/2}(|s|), with the normalized Bessel
-function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for every mu > -1/2;
-_bessel_pair evaluates j_a and j_(a+1) together in numpy alone (a 0F1
-series, Miller's backward recurrence or Hankel's expansion, by regime).
-Every Gauss rule comes from one Golub-Welsch routine, gauss_jacobi.  The
-independent routes stay as oracles: the power series, the rearranged
-even-power series and, for mu > 0, the integral representation against the
-probability measure eta_mu on [-1,1] with Jacobi weight
-(1-t)^(mu-1) (1+t)^mu.  even_coeff gives the even series' coefficients
+Implements the deformed factorial and binomials, each one product loop, the
+deformed exponential and the squared modulus of the deformed exponential on
+the imaginary axis.  The hot path is one closed form: in rank one
+exp_mu(is) is the Dunkl kernel j_{mu-1/2}(|s|) + i s/(2mu+1) j_{mu+1/2}(|s|),
+with the normalized Bessel function j_a(t) = Gamma(a+1) (2/t)^a J_a(t), for
+every mu > -1/2; _bessel_pair evaluates j_a and j_(a+1) together in numpy
+alone (a 0F1 series, Miller's backward recurrence or Hankel's expansion, by
+regime).  Every Gauss rule comes from one Golub-Welsch routine,
+gauss_jacobi.  The independent routes stay as oracles, each its own
+function: the power series (exp_mu_series), the rearranged even-power series
+(even_series_result) and, for mu > 0, the integral representation against
+the probability measure eta_mu on [-1,1] with Jacobi weight
+(1-t)^(mu-1) (1+t)^mu (exp_mu_integral).  |exp_mu(is)|^2 is abs2_on_grid on
+the kernel; the oracles give it as the even series' value or as the squared
+modulus of their exp_mu(is).  even_coeff gives the even series' coefficients
 exactly, as the oracle of the ratio that series runs on.
 
 Both series run on one engine, _sum_series, which sums
@@ -35,7 +38,6 @@ import numpy as np
 from .errors import EvaluationError
 
 MU_MIN = -0.5 + 1e-6
-LOG_SPACE_THRESHOLD = 150      # gamma_mu switches to log-space beyond this n
 CANCELLATION_ESCALATION = 1e8  # re-evaluate in extended precision past this
 ESCALATED_PREC_BITS = 4 * 53   # "4x working precision"
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -107,40 +109,37 @@ def _odd(n: int) -> int:
 def gamma_mu(n: int, ctx: MuContext) -> float:
     """Deformed factorial gamma_mu(n) = (n + 2 mu [n odd]) gamma_mu(n-1).
 
-    Computed by direct recursion up to n=150 and in log-space beyond;
-    raises OverflowError when the value exceeds float range.
+    Computed by that recursion; raises OverflowError when the value exceeds
+    float range.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= LOG_SPACE_THRESHOLD:
-        acc = 1.0
-        for m in range(1, n + 1):
-            acc *= m + 2.0 * ctx.mu * _odd(m)
-        if math.isinf(acc):
-            raise OverflowError(f"gamma_mu({n}) overflows float range")
-        return acc
-    lg = log_gamma_mu(n, ctx)
-    if lg > _LOG_FLOAT_MAX:
-        raise OverflowError(
-            f"gamma_mu({n}) overflows float range; use log_gamma_mu instead")
-    return math.exp(lg)
-
-
-def log_gamma_mu(n: int, ctx: MuContext) -> float:
-    """log gamma_mu(n); every recursion step is strictly positive."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum(math.log(m + 2.0 * ctx.mu * _odd(m)) for m in range(1, n + 1))
+    acc = 1.0
+    for m in range(1, n + 1):
+        acc *= m + 2.0 * ctx.mu * _odd(m)
+    if math.isinf(acc):
+        raise OverflowError(f"gamma_mu({n}) overflows float range")
+    return acc
 
 
 def deformed_binomial(k: int, j: int, ctx: MuContext) -> float:
-    """gamma_mu(k) / (gamma_mu(k-j) gamma_mu(j)); strictly positive."""
+    """gamma_mu(k) / (gamma_mu(k-j) gamma_mu(j)); strictly positive.
+
+    One product of r = min(j, k-j) ratios
+    (k-r+i + 2 mu [k-r+i odd]) / (i + 2 mu [i odd]), i = 1..r, so no
+    deformed factorial is formed; raises OverflowError when the product
+    exceeds float range.
+    """
     if not 0 <= j <= k:
         raise ValueError(f"need 0 <= j <= k, got k={k}, j={j}")
-    if k <= LOG_SPACE_THRESHOLD:
-        return gamma_mu(k, ctx) / (gamma_mu(j, ctx) * gamma_mu(k - j, ctx))
-    return math.exp(
-        log_gamma_mu(k, ctx) - log_gamma_mu(j, ctx) - log_gamma_mu(k - j, ctx))
+    r = min(j, k - j)
+    two_mu = 2.0 * ctx.mu
+    acc = 1.0
+    for i in range(1, r + 1):
+        acc *= (k - r + i + two_mu * _odd(k - r + i)) / (i + two_mu * _odd(i))
+    if math.isinf(acc):
+        raise OverflowError(f"deformed_binomial({k}, {j}) overflows float range")
+    return acc
 
 
 def binomial_poly(k: int, x: complex, y: complex, ctx: MuContext) -> complex:
@@ -339,7 +338,7 @@ def exp_mu_integral(z: complex, ctx: MuContext, rule: JacobiRule | None = None) 
     return complex(np.sum(rule.weights * np.exp(complex(z) * rule.nodes)))
 
 
-# --- |exp_mu(i s)|^2: three oracle routes, then the closed-form kernel -------
+# --- |exp_mu(i s)|^2: the even-series oracle, then the closed-form kernel --
 
 EVEN_COEFF_TABLES = 64  # per-mu coefficient tables kept, least recent dropped
 
@@ -390,37 +389,6 @@ def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
             j * (2 * mu + j) * (mu + (j - 0.5)))
 
     return _series_result(ratio_in, abs(s) / 2, tol, 2000, prec_bits)
-
-
-def _abs2_integral(s: float, ctx: MuContext, rule: JacobiRule | None) -> float:
-    if ctx.mu <= 0:
-        raise ValueError("method 'integral' requires mu > 0")
-    if rule is None:
-        rule = _cached_eta_rule(ctx.mu, default_eta_nodes(s))
-    c = float(np.sum(rule.weights * np.cos(s * rule.nodes)))
-    sn = float(np.sum(rule.weights * np.sin(s * rule.nodes)))
-    return c * c + sn * sn
-
-
-def abs2_exp_mu_imag(s: float, ctx: MuContext, method: str | None = None,
-                     tol: float = 1e-15, rule: JacobiRule | None = None,
-                     prec_bits: int = ESCALATED_PREC_BITS) -> float:
-    """|exp_mu(i s)|^2 by the requested method.
-
-    method 'product' squares the power-series value; 'even_series' sums the
-    rearranged even-power series; 'integral' uses cos/sin moments of eta_mu (mu > 0 only).  These are the
-    oracles; method=None evaluates the closed-form kernel of abs2_on_grid.
-    """
-    if method is None:
-        return float(abs2_on_grid(s, ctx))
-    if method == "product":
-        r = exp_mu_series(1j * s, ctx, tol=tol, prec_bits=prec_bits)
-        return abs(r.value) ** 2
-    if method == "even_series":
-        return even_series_result(s, ctx, tol, prec_bits).value.real
-    if method == "integral":
-        return _abs2_integral(s, ctx, rule)
-    raise ValueError(f"unknown method {method!r}")
 
 
 KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows

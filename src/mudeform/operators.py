@@ -31,7 +31,6 @@ call rounds the coefficients at mu once, from their exact values.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Sequence
@@ -415,18 +414,6 @@ class IntertwiningReport:
     lhs: np.ndarray
     rhs: np.ndarray
     max_discrepancy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "k": [float(k) for k in self.k_points],
-            "discrepancy": [float(abs(l - r))
-                            for l, r in zip(self.lhs, self.rhs)],
-            "max_discrepancy": self.max_discrepancy,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def intertwining_check(psi: GaussPoly, k_points, ctx: MuContext,

@@ -16,7 +16,8 @@ from test_core import series_reference_mp
 
 import mudeform.trace as trace_module
 from mudeform.cli import RunConfig, main, write_deviation_plot
-from mudeform.core import MuContext, exp_mu_series
+from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
+                           exp_mu_series)
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
 
@@ -59,6 +60,17 @@ class TestSpecfun:
         assert code == 0
         assert "< 1" in out
         assert "integral" in out
+
+    def test_integral_line_matches_kernel(self, capsys):
+        for mu, s in ((1.0, 2.0), (0.5, 0.0)):
+            code, out, _ = run(capsys, "specfun", "--mu", str(mu),
+                               "--s", str(s))
+            assert code == 0
+            line, = [ln for ln in out.splitlines()
+                     if ln.split()[0] == "integral"]
+            printed = float(line.split()[1])
+            kernel = float(abs2_on_grid(s, MuContext(mu)))
+            assert abs(printed - kernel) <= abs2_grid_error_bound(kernel)
 
     def test_negative_mu_cancellation_diagnostic(self, capsys):
         code, out, _ = run(capsys, "specfun", "--mu", "-0.25", "--s", "2")
@@ -260,6 +272,18 @@ class TestScanCommand:
     def test_half_pair_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--set-a", "[1,2]")
         assert code == 2
+
+    def test_empty_mu_grid_rejected(self, capsys, tmp_path):
+        # an empty grid would evaluate no row and print only the header
+        for argv in (("--mu-grid=,",), ("--mu-grid", "")):
+            code, out, err = run(capsys, "scan", *argv)
+            assert code == 2 and out == ""
+            assert "usage" in err and "at least one mu" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu_grid =\n")
+        code, out, err = run(capsys, "scan", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "usage" in err and "at least one mu" in err
 
 
 class TestVerifyIdentitiesCommand:

@@ -13,18 +13,37 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
-from mudeform.core import (MuContext, abs2_exp_mu_imag,
-                           abs2_grid_error_bound, abs2_on_grid,
+from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
                            even_coeff, even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
                            eta_rule_exists,
                            exp_mu_imag_on_grid, exp_mu_integral,
-                           exp_mu_series, gamma_mu, gauss_jacobi,
-                           log_gamma_mu)
+                           exp_mu_series, gamma_mu, gauss_jacobi)
 from mudeform.errors import EvaluationError
 from mudeform.exact import gamma_mu_exact, p_at_exact
 
 MU_GRID = (0.25, 0.5, 1.0, 2.0)
+
+
+def abs2_product(s: float, ctx: MuContext) -> float:
+    """|exp_mu(is)|^2 by squaring the power series."""
+    return abs(exp_mu_series(1j * s, ctx).value) ** 2
+
+
+def abs2_even(s: float, ctx: MuContext) -> float:
+    """|exp_mu(is)|^2 by the rearranged even-power series."""
+    return even_series_result(s, ctx).value.real
+
+
+def abs2_integral(s: float, ctx: MuContext, rule=None) -> float:
+    """|exp_mu(is)|^2 by the integral representation against eta_mu."""
+    v = exp_mu_integral(1j * s, ctx, rule)
+    return v.real ** 2 + v.imag ** 2
+
+
+def exact_binomial(k: int, j: int, mu: Fraction) -> Fraction:
+    return gamma_mu_exact(k).evaluate(mu) / (
+        gamma_mu_exact(j).evaluate(mu) * gamma_mu_exact(k - j).evaluate(mu))
 
 
 class TestMuContext:
@@ -99,17 +118,15 @@ class TestGammaMu:
                     prod *= mu + i + 0.5
                 assert gamma_mu(2 * m, ctx) == pytest.approx(prod, rel=1e-13)
 
-    def test_log_space_consistency(self):
-        ctx = MuContext(1.3)
-        for n in (10, 149, 151, 160):
-            assert log_gamma_mu(n, ctx) == pytest.approx(
-                math.log(gamma_mu(n, ctx)), rel=1e-12)
+    def test_recursion_accurate_past_150(self):
+        ctx = MuContext(0.25)
+        for n in range(149, 171):
+            exact = float(gamma_mu_exact(n).evaluate(Fraction(1, 4)))
+            assert gamma_mu(n, ctx) == pytest.approx(exact, rel=1e-14), n
 
     def test_overflow_range_error(self):
         with pytest.raises(OverflowError):
             gamma_mu(400, MuContext(1.0))
-        # log-space value is still available
-        assert log_gamma_mu(400, MuContext(1.0)) > 700
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -128,6 +145,29 @@ class TestDeformedBinomial:
 
     def test_classical_at_mu0(self):
         assert deformed_binomial(4, 2, MuContext(0.0)) == pytest.approx(6.0)
+
+    def test_large_mu_no_factorial_overflow(self):
+        # gamma_mu(150) overflows at mu = 100, the binomials do not
+        mu = Fraction(100)
+        for j in (75, 1):
+            exact = float(exact_binomial(150, j, mu))
+            assert deformed_binomial(150, j, MuContext(100.0)) == \
+                pytest.approx(exact, rel=1e-13), j
+        assert deformed_binomial(150, 1, MuContext(100.0)) == \
+            pytest.approx(150 / 201, rel=1e-15)
+
+    def test_overflow_range_error(self):
+        with pytest.raises(OverflowError):
+            deformed_binomial(2000, 1000, MuContext(0.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(min_value=-0.45, max_value=5.0), st.integers(0, 300),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_exact_binomial(self, mu, k, frac):
+        j = round(frac * k)
+        exact = float(exact_binomial(k, j, Fraction(mu)))
+        assert deformed_binomial(k, j, MuContext(mu)) == pytest.approx(
+            exact, rel=1e-13)
 
     def test_large_k_log_space(self):
         ctx = MuContext(0.5)
@@ -301,41 +341,40 @@ class TestExpMuIntegral:
         with pytest.raises(EvaluationError, match="resolve"):
             exp_mu_integral(3000j, MuContext(1.0))
         with pytest.raises(EvaluationError, match="resolve"):
-            abs2_exp_mu_imag(3000.0, MuContext(1.0), "integral")
+            abs2_integral(3000.0, MuContext(1.0))
         # an explicit rule is the caller's choice and still runs
         rule = eta_rule(MuContext(1.0), 48)
-        assert math.isfinite(abs2_exp_mu_imag(3000.0, MuContext(1.0),
-                                              "integral", rule=rule))
+        assert math.isfinite(abs2_integral(3000.0, MuContext(1.0), rule))
 
 
 class TestAbs2:
     def test_at_zero_all_methods(self):
-        for mu, methods in ((0.6, ("product", "even_series", "integral")),
-                            (-0.3, ("product", "even_series"))):
+        for mu, methods in ((0.6, (abs2_product, abs2_even, abs2_integral)),
+                            (-0.3, (abs2_product, abs2_even))):
             ctx = MuContext(mu)
             for m in methods:
-                assert abs2_exp_mu_imag(0.0, ctx, m) == pytest.approx(
+                assert m(0.0, ctx) == pytest.approx(
                     1.0, abs=1e-14)
 
     def test_mu0_product_is_unit(self):
         ctx = MuContext(0.0)
         for s in (0.1, 1.0, 3.0, 7.0):
-            assert abs2_exp_mu_imag(s, ctx, "product") == pytest.approx(
+            assert abs2_product(s, ctx) == pytest.approx(
                 1.0, abs=1e-11)
 
     def test_three_methods_agree(self):
         ctx = MuContext(0.75)
-        vals = [abs2_exp_mu_imag(1.5, ctx, m)
-                for m in ("product", "even_series", "integral")]
+        vals = [oracle(1.5, ctx)
+                for oracle in (abs2_product, abs2_even, abs2_integral)]
         assert max(vals) - min(vals) < 1e-9
 
     def test_strict_contraction_positive_mu(self):
         for mu in (0.25, 1.0, 2.0):
             ctx = MuContext(mu)
             for s in (0.05, 0.5, 2.0, 10.0, 20.0):
-                v = abs2_exp_mu_imag(s, ctx, "integral")
+                v = abs2_integral(s, ctx)
                 assert 0.0 <= v < 1.0
-        assert abs2_exp_mu_imag(0.0, MuContext(1.0), "integral") == \
+        assert abs2_integral(0.0, MuContext(1.0)) == \
             pytest.approx(1.0, abs=1e-15)
 
     def test_method_agreement_grid(self):
@@ -349,7 +388,7 @@ class TestAbs2:
                 prod = abs(series.value) ** 2
                 even_res = even_series_result(s, ctx)
                 even = even_res.value.real
-                integ = abs2_exp_mu_imag(s, ctx, "integral")
+                integ = abs2_integral(s, ctx)
                 err_prod = (series.trunc_error
                             + series.cancellation * eps * max(prod, 1.0))
                 err_even = (even_res.trunc_error
@@ -361,17 +400,7 @@ class TestAbs2:
 
     def test_integral_requires_positive_mu(self):
         with pytest.raises(ValueError):
-            abs2_exp_mu_imag(1.0, MuContext(-0.2), "integral")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            abs2_exp_mu_imag(1.0, MuContext(0.5), "bogus")
-
-    def test_default_method_dispatch(self):
-        assert abs2_exp_mu_imag(1.2, MuContext(0.5)) == pytest.approx(
-            abs2_exp_mu_imag(1.2, MuContext(0.5), "integral"), rel=1e-12)
-        assert abs2_exp_mu_imag(1.2, MuContext(-0.2)) == pytest.approx(
-            abs2_exp_mu_imag(1.2, MuContext(-0.2), "product"), rel=1e-12)
+            abs2_integral(1.0, MuContext(-0.2))
 
     def test_taylor_coefficients_match_cauchy_product(self):
         # even-series coefficients (exact route) against the convolution of
@@ -398,14 +427,14 @@ class TestAbs2:
             assert abs(conv) <= 1e-13 * max(scale, 1e-300) * (2 * j + 1)
 
     def test_grid_evaluator_matches_scalar(self):
-        for mu, oracles in ((0.8, ("product", "integral")),
-                            (-0.2, ("product",))):
+        for mu, oracles in ((0.8, (abs2_product, abs2_integral)),
+                            (-0.2, (abs2_product,))):
             ctx = MuContext(mu)
             svals = np.linspace(-4, 4, 9)
             grid = abs2_on_grid(svals, ctx)
             for s, v in zip(svals, grid):
-                for method in oracles:
-                    ref = abs2_exp_mu_imag(float(s), ctx, method)
+                for oracle in oracles:
+                    ref = oracle(float(s), ctx)
                     assert v == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
     def test_far_argument_against_bessel_reference(self):
@@ -417,7 +446,7 @@ class TestAbs2:
             j32 = mpmath.gamma(2.5) * (2 / t) ** 1.5 * mpmath.besselj(1.5, t)
             ref = float((mpmath.sin(t) / t) ** 2 + (t / 3 * j32) ** 2)
         assert ref == pytest.approx(1.11e-7, rel=1e-2)
-        got = abs2_exp_mu_imag(s, ctx)
+        got = float(abs2_on_grid(s, ctx))
         assert abs(got - ref) <= abs2_grid_error_bound(ref)
         assert got == pytest.approx(ref, rel=1e-9)
 

@@ -498,14 +498,6 @@ class TestIntertwining:
         assert gaps[0] >= gaps[2] or gaps[0] == math.inf
         assert gaps[2] < 1e-4
 
-    def test_report_json(self):
-        import json
-
-        rep = intertwining_check(G, np.linspace(-1, 1, 5), MuContext(0.5))
-        payload = json.loads(rep.to_json())
-        assert payload["schema_version"] == 1
-        assert len(payload["discrepancy"]) == 5
-
 
 class TestParser:
     def test_spec_literal(self):
