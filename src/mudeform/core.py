@@ -20,9 +20,10 @@ exactly, as the oracle of the ratio that series runs on.
 Both series run on one engine, _sum_series, which sums
 t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
 floats first; when the cancellation exceeds the escalation threshold it
-sums again in mpmath at four times working precision, or more where the
-even series needs it.  Every result carries a truncation bound and a
-rounding bound whose sum bounds its true error.
+sums again in mpmath, at four times working precision or at twice the bits
+of the float pass's peak partial sum plus 64, whichever is more.  Every
+result carries a truncation bound and a rounding bound whose sum bounds
+its true error.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ class MuContext:
         # at 113 bits, then rounded once to nearest: within 1 ulp wherever
         # the constant is a normal float
         with mpmath.workprec(113):
-            nu = mpmath.mpf(self.mu) + 0.5
-            value = mpmath.power(2, -nu) * mpmath.rgamma(nu)
+            value = norm_const_mp(self.mu)
         with mpmath.workprec(53):
             object.__setattr__(self, "norm_const", float(+value))
+
+
+def norm_const_mp(mu):
+    """[2^(mu+1/2) Gamma(mu+1/2)]^(-1) at the current mpmath precision."""
+    mu = mpmath.mpf(mu)
+    return 1 / (mpmath.power(2, mu + 0.5) * mpmath.gamma(mu + 0.5))
 
 
 @dataclass
@@ -154,30 +160,34 @@ def binomial_poly(k: int, x: complex, y: complex, ctx: MuContext) -> complex:
 
 # --- the series engine and the power series ----------------------------------
 
-def _sum_series(ratio, n_min: float, tol: float, max_terms: int):
+SERIES_REL_TOL = 1e-15  # stop once three terms in a row are this small
+SERIES_MAX_TERMS = 4000
+
+
+def _sum_series(ratio, n_min: float):
     """Sum t_0 = 1, t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.
 
-    Stops once three consecutive terms are below tol relative to the partial
-    sum and n > n_min.  Returns the sum, the number of terms, the largest
-    partial-sum magnitude, sum |t_n| and the truncation bound
+    Stops once three consecutive terms are below SERIES_REL_TOL relative to
+    the partial sum and n > n_min.  Returns the sum, the number of terms,
+    the largest partial-sum magnitude, sum |t_n| and the truncation bound
     |t_n| r / (1 - r), r the larger of the next two |ratio|: every later
     ratio is that small while |ratio| falls along each parity.
     """
     total = term = peak = abs_sum = 1
     consecutive = 0
-    for n in range(1, max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         term *= ratio(n)
         total += term
         peak = max(peak, abs(total))
         abs_sum += abs(term)
-        if abs(term) <= tol * abs(total) and n > n_min:
+        if abs(term) <= SERIES_REL_TOL * abs(total) and n > n_min:
             consecutive += 1
             if consecutive == 3:
                 break
         else:
             consecutive = 0
     else:
-        raise EvaluationError(f"series did not converge in {max_terms} terms")
+        raise EvaluationError(f"series did not converge in {n} terms")
     r = max(abs(ratio(n + 1)), abs(ratio(n + 2)))
     if not term:  # a zero ratio ended the series exactly (even series, mu = 0)
         tail = 0
@@ -186,25 +196,36 @@ def _sum_series(ratio, n_min: float, tol: float, max_terms: int):
     return total, n + 1, peak, abs_sum, tail
 
 
-def _series_result(ratio_in, n_min: float, tol: float, max_terms: int,
-                   prec_bits: int) -> SeriesResult:
+def _escalated_prec_bits(peak: float) -> int:
+    """Bits for the escalated pass: a sum whose partial sums reach peak
+    rounds to about peak 2^-bits, so twice peak's bits plus 64 leave far
+    more than double precision."""
+    return max(ESCALATED_PREC_BITS, 2 * math.ceil(math.log2(peak)) + 64)
+
+
+def _series_result(ratio_in, n_min: float) -> SeriesResult:
     """Run _sum_series on ratio_in(float arithmetic); past the escalation
-    threshold, rerun it on ratio_in(mpmath.mpmathify) at prec_bits.
+    threshold, rerun it on ratio_in(mpmath.mpmathify) at the precision
+    _escalated_prec_bits gives for the float pass's peak partial sum.
 
     The rounding bound is terms * u * sum |t_n| with u the pass's unit
     roundoff, plus 2 eps |value| for rounding an mpmath sum to a float.
     A sum whose rounding bound reaches its magnitude has no correct digit:
     that raises EvaluationError carrying it.
     """
-    total, terms, peak, abs_sum, tail = _sum_series(
-        ratio_in(lambda x: x), n_min, tol, max_terms)
+    total, terms, peak, abs_sum, tail = _sum_series(ratio_in(lambda x: x),
+                                                    n_min)
+    if not math.isfinite(peak):
+        raise EvaluationError("the partial sums leave float range")
     cancellation = peak / abs(total) if total else math.inf
     unit = _EPS / 2  # float unit roundoff
+    prec_bits = 53
     escalated = cancellation > CANCELLATION_ESCALATION
     if escalated:
+        prec_bits = _escalated_prec_bits(peak)
         with mpmath.workprec(prec_bits):
             total, terms, peak, abs_sum, tail = _sum_series(
-                ratio_in(mpmath.mpmathify), n_min, tol, max_terms)
+                ratio_in(mpmath.mpmathify), n_min)
             cancellation = float(peak / abs(total)) if total else math.inf
         unit = 2.0 ** -prec_bits
     value = complex(total)
@@ -212,31 +233,27 @@ def _series_result(ratio_in, n_min: float, tol: float, max_terms: int,
     if rounding >= abs(value):
         raise EvaluationError(
             f"cancellation {cancellation:.3g} leaves no correct digit at "
-            f"{prec_bits} bits; raise prec_bits", best=value)
+            f"{prec_bits} bits", best=value)
     return SeriesResult(value=value, terms_used=terms, trunc_error=float(tail),
                         rounding_error=rounding,
                         cancellation=max(1.0, cancellation), escalated=escalated)
 
 
-def exp_mu_series(z: complex, ctx: MuContext, tol: float = 1e-15,
-                  max_terms: int = 4000,
-                  prec_bits: int = ESCALATED_PREC_BITS) -> SeriesResult:
+def exp_mu_series(z: complex, ctx: MuContext) -> SeriesResult:
     """exp_mu(z) = sum_n z^n / gamma_mu(n), truncated by the stopping rule.
 
-    Stops once three consecutive terms are below tol relative to the
-    partial sum and the index exceeds |z|; the discarded tail is bounded by
-    geometric comparison.  Re-evaluates in extended precision when the
+    Stops once three consecutive terms are below SERIES_REL_TOL relative to
+    the partial sum and the index exceeds |z|; the discarded tail is bounded
+    by geometric comparison.  Re-evaluates in extended precision when the
     cancellation diagnostic crosses the escalation threshold.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     z = complex(z)
 
     def ratio_in(num):
         zz, two_mu = num(z), 2 * num(ctx.mu)
         return lambda n: zz / (n + two_mu * _odd(n))
 
-    return _series_result(ratio_in, abs(z), tol, max_terms, prec_bits)
+    return _series_result(ratio_in, abs(z))
 
 
 # --- eta_mu: Gauss-Jacobi rule ------------------------------------------------
@@ -365,30 +382,27 @@ def even_coeff(j: int, mu: Fraction) -> Fraction:
     return table[j]
 
 
-def even_series_result(s: float, ctx: MuContext, tol: float = 1e-15,
-                       prec_bits: int = ESCALATED_PREC_BITS) -> SeriesResult:
+def even_series_result(s: float, ctx: MuContext) -> SeriesResult:
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
     with diagnostics.
 
     Both passes of the series engine run even_coeff's ratio
     -s^2 (mu+j-1) / (j (2mu+j) (mu+j-1/2)) in their own arithmetic, from
     the float mu; even_coeff itself stays the exact oracle.  This sum
-    cancels like e^(2|s|), twice as hard as the complex series, so the
-    escalated pass carries at least 2 ceil(2|s|/ln 2) + 64 bits, and past
+    cancels like e^(2|s|), twice as hard as the complex series, and past
     |s| of about 354 that cancellation leaves float range: it fails fast.
     """
     if 2.0 * abs(s) > _LOG_FLOAT_MAX:
         raise EvaluationError(
             f"even series cancellation e^(2|s|) exceeds float range at "
             f"|s| = {abs(s):.3g}; use the closed-form kernel")
-    prec_bits = max(prec_bits, 2 * math.ceil(2 * abs(s) / math.log(2)) + 64)
 
     def ratio_in(num):
         mu, step = num(ctx.mu), -num(s) ** 2
         return lambda j: step * (mu + (j - 1)) / (
             j * (2 * mu + j) * (mu + (j - 0.5)))
 
-    return _series_result(ratio_in, abs(s) / 2, tol, 2000, prec_bits)
+    return _series_result(ratio_in, abs(s) / 2)
 
 
 KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows

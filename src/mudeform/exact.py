@@ -446,15 +446,13 @@ class IdentityReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self, **kwargs) -> str:
+    def to_json(self) -> str:
         payload = {
             "schema_version": 1,
             "all_passed": self.all_passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(payload, **kwargs)
+        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def verify_odd_vanishing(k_max: int) -> IdentityReport:

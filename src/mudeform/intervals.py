@@ -58,11 +58,11 @@ def _fmt(x: float) -> str:
     return repr(x) if x != int(x) else str(int(x))
 
 
-def format_interval_set(s: IntervalSet, sep: str = "+") -> str:
-    """Textual form "[a,b]+[c,d]"; pass sep="∪" for the union glyph."""
+def format_interval_set(s: IntervalSet) -> str:
+    """Textual form "[a,b]+[c,d]", the ASCII form parse_interval_set reads."""
     if s.is_empty:
         return "{}"
-    return sep.join(f"[{_fmt(lo)},{_fmt(hi)}]" for lo, hi in s.intervals)
+    return "+".join(f"[{_fmt(lo)},{_fmt(hi)}]" for lo, hi in s.intervals)
 
 
 _INTERVAL_RE = re.compile(r"\[\s*([^\[\],]+?)\s*,\s*([^\[\],]+?)\s*\]")

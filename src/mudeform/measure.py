@@ -20,7 +20,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .core import MuContext, gauss_jacobi
+from .core import MuContext, gauss_jacobi, norm_const_mp
 from .errors import EvaluationError
 from .intervals import IntervalSet
 
@@ -65,10 +65,8 @@ def measure(A: IntervalSet, ctx: MuContext) -> float:
 
 def moment_mp(A: IntervalSet, mu, n: int):
     """The n-th moment in the current mpmath working precision."""
-    mu = mpmath.mpf(mu)
-    norm = 1 / (mpmath.power(2, mu + mpmath.mpf("0.5"))
-                * mpmath.gamma(mu + mpmath.mpf("0.5")))
-    p = 2 * mu + n + 1
+    norm = norm_const_mp(mu)
+    p = 2 * mpmath.mpf(mu) + n + 1
     total = mpmath.mpf(0)
     for a, b, reflected in _positive_panels(A):
         part = (mpmath.power(b, p) - mpmath.power(a, p)) / p

@@ -290,18 +290,16 @@ def _fit_constant(target: GaussPoly, reference: GaussPoly):
 class EomReport:
     """Equations-of-motion check [H,Q] ~ P and [H,P] ~ Q on a given psi.
 
-    residual_q / residual_p are computed against the supplied constants
-    (defaults: the printed, convention-dependent claim [H,Q]=P, [H,P]=-Q);
-    fitted_c1 / fitted_c2 are the unique constants actually making the
-    commutators proportional, as exact (re, im) pairs, or None.
+    residual_q / residual_p are taken against the printed,
+    convention-dependent claim [H,Q]=P, [H,P]=-Q; fitted_c1 / fitted_c2 are
+    the unique constants actually making the commutators proportional, as
+    exact (re, im) pairs, or None.
     """
 
     residual_q: GaussPoly
     residual_p: GaussPoly
     fitted_c1: tuple[Fraction, Fraction] | None
     fitted_c2: tuple[Fraction, Fraction] | None
-    c1: tuple[Fraction, Fraction]
-    c2: tuple[Fraction, Fraction]
 
     @property
     def residuals_vanish(self) -> bool:
@@ -312,26 +310,19 @@ class EomReport:
                      for c in (self.fitted_c1, self.fitted_c2))
 
 
-def _as_pair(c) -> tuple[Fraction, Fraction]:
-    re, im = c if isinstance(c, tuple) else (complex(c).real, complex(c).imag)
-    return Fraction(re), Fraction(im)
-
-
-def eom_residuals(psi: GaussPoly, c1=1, c2=-1, kappa=Fraction(1)) -> EomReport:
-    """Residuals [H,Q]psi - c1 P psi and [H,P]psi - c2 Q psi, plus the
-    fitted constants that make each commutator a multiple of the target."""
-    c1p, c2p = _as_pair(c1), _as_pair(c2)
+def eom_residuals(psi: GaussPoly, kappa=Fraction(1)) -> EomReport:
+    """Residuals [H,Q]psi - P psi and [H,P]psi + Q psi, plus the fitted
+    constants that make each commutator a multiple of the target."""
     hq = (apply_H(apply_Q(psi), kappa) - apply_Q(apply_H(psi, kappa)))
     hp = (apply_H(apply_P(psi, kappa), kappa)
           - apply_P(apply_H(psi, kappa), kappa))
     p_psi = apply_P(psi, kappa)
     q_psi = apply_Q(psi)
     return EomReport(
-        residual_q=hq - p_psi.scale_complex(*c1p),
-        residual_p=hp - q_psi.scale_complex(*c2p),
+        residual_q=hq - p_psi,
+        residual_p=hp + q_psi,
         fitted_c1=_fit_constant(hq, p_psi),
         fitted_c2=_fit_constant(hp, q_psi),
-        c1=c1p, c2=c2p,
     )
 
 

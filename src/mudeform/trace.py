@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .core import MuContext, abs2_grid_error_bound, abs2_on_grid
+from .core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
+                   norm_const_mp)
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
 from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _positive_panels,
@@ -129,7 +130,7 @@ def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
     with mpmath.workdps(dps):
         mu = mpmath.mpf(mu)
         p = 2 * mu + 1
-        norm = 1 / (mpmath.power(2, mu + 0.5) * mpmath.gamma(mu + 0.5))
+        norm = norm_const_mp(mu)
         total = mpmath.mpf(0)
         for a, b, _ in _positive_panels(A):
             for c, d, _ in _positive_panels(B):

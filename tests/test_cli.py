@@ -1,5 +1,6 @@
 """CLI: commands, exit-status contract, config precedence, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from test_core import series_reference_mp
 
 import mudeform.trace as trace_module
-from mudeform.cli import RunConfig, main, write_deviation_plot
+from mudeform.cli import RunConfig, build_parser, main, write_deviation_plot
 from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
                            exp_mu_series)
 from mudeform.intervals import IntervalSet
@@ -25,12 +26,30 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 # the default `mudeform scan --out default_scan.csv`, frozen: a change to
 # any number in it must replace the file and say why
 GOLDEN_SCAN = Path(__file__).parent / "data" / "default_scan.csv"
+# every option of every command, help aside, sorted
+SURFACE = {
+    "specfun": ["--config", "--mu", "--s", "--z"],
+    "trace": ["--config", "--mu", "--set-a", "--set-b"],
+    "scan": ["--config", "--mu-grid", "--out", "--plot", "--set-a",
+             "--set-b"],
+    "verify-identities": ["--config", "--k-max", "--n-max", "--out"],
+    "check-operators": ["--config", "--kappa", "--mu", "--n-max", "--out",
+                        "--psi"],
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def product_line(out: str) -> tuple[float, float]:
+    """The value of specfun's product line and the sum of its two bars."""
+    line, = [ln for ln in out.splitlines() if ln.split()[0] == "product"]
+    fields = dict(f.split("=") for f in line.split("[")[1].split() if "=" in f)
+    return (float(line.split()[1]),
+            float(fields["trunc_error"]) + float(fields["rounding_error"]))
 
 
 def checkout_env() -> dict:
@@ -115,15 +134,13 @@ class TestSpecfun:
         # the bars of |exp_mu(is)|^2, not those of exp_mu(is) itself
         code, out, _ = run(capsys, "specfun", "--mu", "-0.45", "--s", "12")
         assert code == 0
-        line, = [ln for ln in out.splitlines() if ln.split()[0] == "product"]
-        fields = dict(f.split("=") for f in line.strip(" ]").split("[")[1].split())
-        bars = float(fields["trunc_error"]) + float(fields["rounding_error"])
+        value, bars = product_line(out)
         with mpmath.workprec(400):
             ref = abs(series_reference_mp(12.0, -0.45)) ** 2
-            gap = abs(float(line.split()[1]) - ref)
+            gap = abs(value - ref)
         assert gap <= bars
         # the bars of exp_mu(12i), d, propagated to its square
-        r = exp_mu_series(12j, MuContext(-0.45), tol=1e-12)  # specfun's tol
+        r = exp_mu_series(12j, MuContext(-0.45))
         d = r.trunc_error + r.rounding_error
         assert bars == pytest.approx((2 * abs(r.value) + d) * d, rel=1e-3)
 
@@ -135,11 +152,37 @@ class TestSpecfun:
         assert "integral" not in out and "even_series  1.0" in out
 
     def test_tolerance_options(self, capsys):
-        code, out, err = run(capsys, "specfun", "--tol", "1e-12",
-                             "--precision-bits", "256", "--mu", "0.5",
-                             "--s", "3")
-        assert code == 0, err
-        assert "even_series" in out
+        # the series size their own tolerance and precision: no flag sets
+        # them
+        for argv in (("--tol", "1e-12"), ("--precision-bits", "256")):
+            with pytest.raises(SystemExit) as exc:
+                main(["specfun", "--mu", "0.5", "--s", "3", *argv])
+            assert exc.value.code == 2
+            assert "usage" in capsys.readouterr().err
+
+    def test_far_imaginary_axis(self, capsys):
+        # the escalated precision follows the float pass's peak, so the
+        # product bars hold far out, up to the kernel's own floor
+        for mu in (-0.45, 0.0, 0.5, 3.0, 20.0):
+            for s in (150.0, 200.0, 300.0, 350.0):
+                code, out, err = run(capsys, "specfun", "--mu", str(mu),
+                                     "--s", str(s))
+                assert code == 0, err
+                value, bars = product_line(out)
+                got = float(abs2_on_grid(s, MuContext(mu)))
+                assert abs(value - got) <= (
+                    bars + abs2_grid_error_bound(got)), (mu, s)
+
+    def test_below_one_mark_clears_the_integral_bar(self, capsys):
+        # at s = 0 the integral may read 1 - ulp, which is not below 1
+        for mu in ("0.5", "1", "2.5"):
+            code, out, _ = run(capsys, "specfun", "--mu", mu, "--s", "0")
+            assert code == 0
+            line, = [ln for ln in out.splitlines() if "modulus" in ln]
+            assert not line.endswith("< 1")
+        code, out, _ = run(capsys, "specfun", "--mu", "1", "--s", "2")
+        line, = [ln for ln in out.splitlines() if "modulus" in ln]
+        assert code == 0 and line.endswith("< 1")
 
     def test_python_dash_m(self):
         proc = run_module("specfun", "--mu", "0", "--z", "1")
@@ -220,7 +263,7 @@ class TestScanCommand:
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["scan", "--mu-grid", "0,0.5", "--set-a", "[1,2]",
-                "--set-b", "[0.5,1.5]", "--seed", "7"]
+                "--set-b", "[0.5,1.5]"]
         texts, svgs = [], []
         for name in ("a", "b"):
             out_file = tmp_path / f"{name}.csv"
@@ -248,11 +291,10 @@ class TestScanCommand:
 
     def test_byte_identical_json_same_config(self, capsys, tmp_path):
         # the JSON embeds the config echo, so byte-identity needs the
-        # whole RunConfig (seed included) to match
+        # whole RunConfig to match
         out_file = tmp_path / "scan.json"
         argv = ["scan", "--mu-grid", "0.25", "--set-a", "[1,2]",
-                "--set-b", "[0.5,1.5]", "--seed", "3",
-                "--out", str(out_file)]
+                "--set-b", "[0.5,1.5]", "--out", str(out_file)]
         code, _, _ = run(capsys, *argv)
         assert code == 0
         first = out_file.read_bytes()
@@ -417,7 +459,7 @@ class TestConfigPrecedence:
         # a key the command has no flag for exits 2, as the flag would
         cfg = tmp_path / "run.cfg"
         for command, key, value in (("check-operators", "k_max", "0"),
-                                    ("verify-identities", "tol", "1e-9")):
+                                    ("trace", "out", "t.json")):
             cfg.write_text(f"{key} = {value}\n")
             code, out, err = run(capsys, command, "--config", str(cfg))
             assert code == 2 and out == ""
@@ -437,13 +479,37 @@ class TestParserContract:
         assert exc.value.code == 2
 
     def test_specfun_options_rejected_elsewhere(self, capsys):
-        # --tol and --precision-bits are read only by specfun
-        for argv in (("scan", "--tol", "1e-9"),
-                     ("check-operators", "--precision-bits", "256")):
+        # --z and --s are read only by specfun
+        for argv in (("scan", "--s", "1"),
+                     ("check-operators", "--z", "1+2i")):
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
             assert exc.value.code == 2
             assert "usage" in capsys.readouterr().err
+
+    def test_options_nothing_reads_rejected(self, capsys, tmp_path):
+        # no command takes a seed; specfun and trace write no file
+        spec = ["specfun", "--mu", "0.5", "--s", "1"]
+        trace = ["trace", "--mu", "0.25", "--set-a", "[1,2]",
+                 "--set-b", "[0.5,1.5]"]
+        out = tmp_path / "out.json"
+        argvs = [[command, "--seed", "0"] for command in SURFACE]
+        argvs += [spec + ["--out", str(out)], trace + ["--out", str(out)]]
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "usage" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_surface(self):
+        # adding or removing a flag is a deliberate edit of SURFACE
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        got = {name: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+        assert got == SURFACE
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Numeric special functions: deformed factorial/exponential, eta_mu rule."""
 
 import cmath
+import inspect
 import math
 from fractions import Fraction
 
@@ -236,13 +237,24 @@ class TestExpMuSeries:
         assert r.escalated
         assert r.cancellation > 1e8
 
-    def test_term_budget_error(self):
-        with pytest.raises(EvaluationError):
-            exp_mu_series(30.0, MuContext(0.5), max_terms=10)
+    def test_term_budget_error(self, monkeypatch):
+        import mudeform.core as core_module
+        monkeypatch.setattr(core_module, "SERIES_MAX_TERMS", 10)
+        with pytest.raises(EvaluationError, match="in 10 terms"):
+            exp_mu_series(30.0, MuContext(0.5))
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            exp_mu_series(1.0, MuContext(0.5), tol=0.0)
+    def test_float_overflow_fails_fast(self):
+        # the partial sums of exp(710) pass the largest float while the
+        # terms still meet the stopping rule: an error, not inf
+        with pytest.raises(EvaluationError, match="leave float range"):
+            exp_mu_series(710.0, MuContext(0.0))
+
+    def test_series_oracles_take_no_settings(self):
+        # the tolerance, the term cap and the precision are the module's
+        assert list(inspect.signature(exp_mu_series).parameters) == [
+            "z", "ctx"]
+        assert list(inspect.signature(even_series_result).parameters) == [
+            "s", "ctx"]
 
     def test_vectorized_matches_scalar(self):
         # the grid kernel on the imaginary axis, shaped input included
@@ -492,16 +504,37 @@ class TestSeriesEngine:
             assert abs(even.value.real - abs(ref) ** 2) <= (
                 even.trunc_error + even.rounding_error)
 
-    def test_precision_left_is_reported_or_fails_fast(self):
-        # at the default 212 bits the e^|s| cancellation leaves digits at
-        # s = 100, reported by the rounding bound, and none at s = 200
+    @pytest.mark.parametrize("mu", (-0.45, 0.0, 0.5, 3.0, 20.0))
+    def test_derived_precision_far_out(self, mu):
+        # the escalated pass sizes its precision from the float pass's
+        # peak, e^|s| < 2^505 here, so both bars hold out to s = 350
+        ctx = MuContext(mu)
+        for s in (150.0, 200.0, 300.0, 350.0):
+            series = exp_mu_series(1j * s, ctx)
+            even = even_series_result(s, ctx)
+            assert series.escalated
+            with mpmath.workprec(1200):
+                ref = series_reference_mp(s, mu)
+                assert abs(series.value - ref) <= (series.trunc_error
+                                                   + series.rounding_error)
+                assert abs(even.value.real - abs(ref) ** 2) <= (
+                    even.trunc_error + even.rounding_error)
+
+    def test_precision_left_is_reported_or_fails_fast(self, monkeypatch):
+        # the derived precision leaves digits at s = 100 and 200, reported
+        # by the rounding bound; at a fixed 212 bits the e^|s| cancellation
+        # leaves none at s = 200, and the rounding check raises
+        import mudeform.core as core_module
         ctx = MuContext(0.5)
-        for s, prec_bits in ((100.0, 212), (200.0, 512)):
-            r = exp_mu_series(1j * s, ctx, prec_bits=prec_bits)
+        for s in (100.0, 200.0):
+            r = exp_mu_series(1j * s, ctx)
             got = complex(exp_mu_imag_on_grid(np.array(s), ctx))
             assert abs(r.value - got) <= (r.trunc_error + r.rounding_error
                                           + 1e-12)
-        with pytest.raises(EvaluationError, match="no correct digit") as err:
+        monkeypatch.setattr(core_module, "_escalated_prec_bits",
+                            lambda peak: core_module.ESCALATED_PREC_BITS)
+        with pytest.raises(EvaluationError, match="no correct digit at 212 "
+                           "bits") as err:
             exp_mu_series(200j, ctx)
         assert err.value.best is not None
 
@@ -554,8 +587,8 @@ class TestKernelAgainstOracles:
                     * max(abs(series.value), 1.0))
         assert abs(series.value - got) <= 10.0 * err_prod + 1e-12 * max(
             1.0, abs(got))
-        # the even series cancels like e^(2|s|): give it a 512-bit budget
-        even = even_series_result(s, ctx, prec_bits=512)
+        # the even series cancels like e^(2|s|)
+        even = even_series_result(s, ctx)
         err_even = (even.trunc_error + even.cancellation * self.EPS
                     * max(abs(even.value), 1.0))
         assert abs(even.value.real - got2) <= 10.0 * err_even + \

@@ -85,7 +85,8 @@ class TestParsing:
     def test_format_roundtrip(self):
         s = IntervalSet.of((-1.5, 0.25), (1, 2))
         assert parse_interval_set(format_interval_set(s)) == s
-        assert parse_interval_set(format_interval_set(s, sep="∪")) == s
+        assert format_interval_set(s) == "[-1.5,0.25]+[1,2]"
+        assert parse_interval_set("[-1.5,0.25]∪[1,2]") == s
 
     @settings(max_examples=80, deadline=None)
     @given(interval_sets())

@@ -280,23 +280,27 @@ class TestEquationsOfMotion:
 
     def test_printed_form_residuals_nonzero(self):
         # the printed claim [H,Q]=P, [H,P]=-Q misses the factors of i
-        rep = eom_residuals(XG)  # defaults c1=1, c2=-1
+        rep = eom_residuals(XG)
         assert not rep.residuals_vanish
 
     def test_fitted_constants_zero_residual_on_basis(self):
+        # a fitted constant is returned only where the commutator equals
+        # it times the target on every coefficient: [H,Q] = -iP, [H,P] = iQ
         for n in range(9):
-            rep = eom_residuals(basis(n), c1=(0, -1), c2=(0, 1))
-            assert rep.residuals_vanish
-            if not basis(n).is_zero:
-                assert rep.fitted_c1 == (Fraction(0), Fraction(-1))
-                assert rep.fitted_c2 == (Fraction(0), Fraction(1))
+            rep = eom_residuals(basis(n))
+            assert not basis(n).is_zero
+            assert rep.fitted_c1 == (Fraction(0), Fraction(-1))
+            assert rep.fitted_c2 == (Fraction(0), Fraction(1))
+            assert not rep.residuals_vanish
 
     def test_classical_case_same_algebra(self):
-        # at mu=0 the fitted constants are the classical oscillator ones
-        rep = eom_residuals(G, c1=(0, -1), c2=(0, 1))
-        assert rep.residuals_vanish
-        for coeffs in (rep.residual_q.coeffs, rep.residual_p.coeffs):
-            assert all(c.evaluate(0.0) == 0 for c in coeffs)
+        # on the Gaussian the fitted constants are the classical oscillator
+        # ones, and [H,Q] G = -iP G holds exactly for every mu
+        rep = eom_residuals(G)
+        assert rep.fitted_as_complex() == (-1j, 1j)
+        hq = apply_H(apply_Q(G)) - apply_Q(apply_H(G))
+        residual = hq - apply_P(G).scale_complex(0, -1)
+        assert residual.is_zero
 
 
 class TestFourier:

@@ -242,9 +242,10 @@ class TestMomentSeriesWork:
         monkeypatch.setattr(core_module, "even_coeff", forbidden)
         for name in calls:
             monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
+        ctx = MuContext(mu)  # its norm_const takes a Gamma of its own
         for (A, B, corners, passes), quad in zip(cases, quads):
             calls.update(gamma=0, hyp2f3=0)
-            est = trace_moment_series(A, B, MuContext(mu))
+            est = trace_moment_series(A, B, ctx)
             assert est.value == pytest.approx(
                 quad.value, abs=est.error_estimate + quad.error_estimate)
             assert calls == {"gamma": passes, "hyp2f3": corners * passes}
