@@ -171,13 +171,17 @@ def _sum_series(ratio, n_min: float):
     the partial sum and n > n_min.  Returns the sum, the number of terms,
     the largest partial-sum magnitude, sum |t_n| and the truncation bound
     |t_n| r / (1 - r), r the larger of the next two |ratio|: every later
-    ratio is that small while |ratio| falls along each parity.
+    ratio is that small while |ratio| falls along each parity.  A partial
+    sum that is not finite (float overflow) ends the sum at once, with an
+    infinite peak.
     """
     total = term = peak = abs_sum = 1
     consecutive = 0
     for n in range(1, SERIES_MAX_TERMS + 1):
         term *= ratio(n)
         total += term
+        if not abs(total) < math.inf:  # inf or nan
+            return total, n + 1, math.inf, abs_sum, math.inf
         peak = max(peak, abs(total))
         abs_sum += abs(term)
         if abs(term) <= SERIES_REL_TOL * abs(total) and n > n_min:
@@ -426,12 +430,28 @@ def _pair_series(a: float, t: np.ndarray):
     return j0, j1
 
 
+def _miller_rescale(f, f_next, total, shifts):
+    # divide the recurrence state of every point past 2^600 by 2^600, in
+    # place, and count it in shifts
+    big = np.maximum(np.abs(f), np.abs(f_next)) > 2.0 ** _MILLER_SHIFT
+    shift = np.where(big, -_MILLER_SHIFT, 0)
+    np.ldexp(f, shift, out=f)
+    np.ldexp(f_next, shift, out=f_next)
+    np.ldexp(total, shift, out=total)
+    shifts -= shift
+
+
 def _pair_miller(a: float, t: np.ndarray):
     # f_k proportional to J_(v0+k): f = 1 at k = n, f_(n+1) = 0, then
     # f_(k-1) = (2(v0+k)/t) f_k - f_(k+1) down to k = 0, normalized by the
     # Neumann sum (t/2)^v0 = sum_i h_i J_(v0+2i), h_i = (v0+2i) Gamma(v0+i)/i!.
-    # Then j_a = Gamma(a+1) (2/t)^m f_m / sum_i h_i f_(2i).  Growth past
-    # 2^600 is divided out in exact powers of two and counted in shifts.
+    # Then j_a = Gamma(a+1) (2/t)^m f_m / sum_i h_i f_(2i).  A step grows
+    # max(|f_k|, |f_(k+1)|) by at most 2(v0+k)/t + 1, and the sum is at most
+    # sum_i h_i times that, so the state is checked only when the growth
+    # bound since the last check could carry it past float range; growth
+    # past 2^600 is then divided out in exact powers of two and counted in
+    # shifts.  Each point's state is scaled as a whole, so no rounding
+    # depends on when the check runs.
     m = math.ceil(a) - 1
     v0 = a - m
     t_max = float(t.max())
@@ -442,26 +462,36 @@ def _pair_miller(a: float, t: np.ndarray):
         if i > 1:
             g *= (v0 + i - 1) / i
         h.append((v0 + 2 * i) * g)
+    # the state stays below 2^room, so the sum stays below 2^1023: a bit
+    # short of float range, which covers the rounding of the bound itself
+    room = 1023.0 - math.log2(sum(h))
+    growth = np.log2(2.0 * (v0 + np.arange(n + 1)) / float(t.min())
+                     + 1.0).tolist()
     inv_t = 2.0 / t
-    f_next, f = np.zeros_like(t), np.ones_like(t)
-    total = np.zeros_like(t)
+    f, f_next, step = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
+    total, term = np.zeros_like(t), np.empty_like(t)
     shifts = np.zeros(t.shape, dtype=int)
+    # log2 of a bound on the state's largest value: 2^600 after a check,
+    # and the starting state is below it too
+    bits = _MILLER_SHIFT
     for k in range(n, -1, -1):
         if k % 2 == 0:
-            total += h[k // 2] * f
+            np.multiply(f, h[k // 2], out=term)
+            total += term
         if k == m + 1:
-            f_a1, shifts_a1 = f, shifts.copy()
+            f_a1, shifts_a1 = f.copy(), shifts.copy()
         elif k == m:
-            f_a, shifts_a = f, shifts.copy()
+            f_a, shifts_a = f.copy(), shifts.copy()
         if k == 0:
             break
-        f_next, f = f, (v0 + k) * inv_t * f - f_next
-        big = np.abs(f) > 2.0 ** _MILLER_SHIFT
-        if big.any():
-            shift = np.where(big, -_MILLER_SHIFT, 0)
-            f, f_next = np.ldexp(f, shift), np.ldexp(f_next, shift)
-            total = np.ldexp(total, shift)
-            shifts -= shift
+        if bits + growth[k] > room:
+            _miller_rescale(f, f_next, total, shifts)
+            bits = _MILLER_SHIFT
+        bits += growth[k]
+        np.multiply(inv_t, v0 + k, out=step)
+        step *= f
+        step -= f_next
+        f_next, f, step = f, step, f_next
     scale = np.exp(math.lgamma(a + 1.0) + m * np.log(inv_t))
     return (scale * np.ldexp(f_a / total, shifts_a - shifts),
             scale * (a + 1.0) * inv_t

@@ -100,24 +100,26 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval: int
 
     Each interval is split into equal panels; panels touching the origin
     get the Jacobi rule exact for the |x|^(2 mu) factor, all others plain
-    Gauss-Legendre with the density evaluated at the nodes.
+    Gauss-Legendre with the density evaluated at the nodes.  An interval's
+    Legendre panels are built in one array pass, in panel order.
     """
+    t, w = _legendre(nodes_per_panel)
     xs, ws = [], []
     for a, b, reflected in _positive_panels(A):
         edges = np.linspace(a, b, panels_per_interval + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if lo == 0.0:
-                t, w = _origin_rule(ctx.mu, nodes_per_panel)
-                half = 0.5 * hi
-                x = half * (1.0 + t)
-                wt = w * half ** (2.0 * ctx.mu + 1.0) * ctx.norm_const
-            else:
-                t, w = _legendre(nodes_per_panel)
-                half = 0.5 * (hi - lo)
-                x = 0.5 * (lo + hi) + half * t
-                wt = w * half * np.abs(x) ** (2.0 * ctx.mu) * ctx.norm_const
+        if edges[0] == 0.0:
+            t0, w0 = _origin_rule(ctx.mu, nodes_per_panel)
+            half = 0.5 * edges[1]
+            x = half * (1.0 + t0)
             xs.append(-x if reflected else x)
-            ws.append(wt)
+            ws.append(w0 * half ** (2.0 * ctx.mu + 1.0) * ctx.norm_const)
+            edges = edges[1:]
+        lo, hi = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * t
+        wt = w * half * np.abs(x) ** (2.0 * ctx.mu) * ctx.norm_const
+        xs.append((-x if reflected else x).ravel())
+        ws.append(wt.ravel())
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ws)

@@ -1,12 +1,15 @@
 """Definitions that only the tests use: the direct deformed binomial, exact
-rational evaluation, two sizes of an interval set, and an override of the
-quadrature settings."""
+rational evaluation, two sizes of an interval set, an override of the
+quadrature settings and the panel rule built one panel at a time."""
 
 from fractions import Fraction
+
+import numpy as np
 
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
+from mudeform.measure import _legendre, _origin_rule, _positive_panels
 
 
 def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
@@ -40,3 +43,28 @@ def set_quadrature(monkeypatch, module, **settings):
     set_quadrature(monkeypatch, trace_module, QUAD_LEVELS=5)."""
     for name, value in settings.items():
         monkeypatch.setattr(module, name, value)
+
+
+def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval: int,
+                        nodes_per_panel: int):
+    """measure.weighted_panel_rule as a loop over panels, one rule each: the
+    oracle of its array pass, which must match it bit for bit."""
+    xs, ws = [], []
+    for a, b, reflected in _positive_panels(A):
+        edges = np.linspace(a, b, panels_per_interval + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if lo == 0.0:
+                t, w = _origin_rule(ctx.mu, nodes_per_panel)
+                half = 0.5 * hi
+                x = half * (1.0 + t)
+                wt = w * half ** (2.0 * ctx.mu + 1.0) * ctx.norm_const
+            else:
+                t, w = _legendre(nodes_per_panel)
+                half = 0.5 * (hi - lo)
+                x = 0.5 * (lo + hi) + half * t
+                wt = w * half * np.abs(x) ** (2.0 * ctx.mu) * ctx.norm_const
+            xs.append(-x if reflected else x)
+            ws.append(wt)
+    if not xs:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(xs), np.concatenate(ws)

@@ -249,6 +249,24 @@ class TestExpMuSeries:
         with pytest.raises(EvaluationError, match="leave float range"):
             exp_mu_series(710.0, MuContext(0.0))
 
+    @pytest.mark.parametrize("z, mu", ((714.0, 0.0), (718.0, 0.5),
+                                       (709.0, -0.45), (750j, 0.5)))
+    def test_overflowed_term_ends_the_float_pass(self, monkeypatch, z, mu):
+        # an overflowed term turns the partial sums into inf or nan, which
+        # never meet the stopping rule: the first one ends the pass, long
+        # before the 4000-term cap (the sums leave float range by n = 656)
+        import mudeform.core as core_module
+        calls = []
+        real = core_module._sum_series
+
+        def counted(ratio, n_min):
+            return real(lambda n: calls.append(n) or ratio(n), n_min)
+
+        monkeypatch.setattr(core_module, "_sum_series", counted)
+        with pytest.raises(EvaluationError, match="leave float range"):
+            exp_mu_series(z, MuContext(mu))
+        assert 0 < len(calls) < 1000
+
     def test_series_oracles_take_no_settings(self):
         # the tolerance, the term cap and the precision are the module's
         assert list(inspect.signature(exp_mu_series).parameters) == [
@@ -615,21 +633,27 @@ class TestKernelAgainstOracles:
             exp_mu_imag_on_grid(np.array([1.0]), MuContext(300.0))
 
 
+def regime_edges(a: float) -> np.ndarray:
+    """Points at both sides of each _bessel_pair regime boundary: the series
+    hands over to Miller at 2 sqrt(a+1) and Miller to Hankel at
+    max(40, a+2)."""
+    edge = 2.0 * math.sqrt(a + 1.0)
+    return np.array(sorted({
+        0.0, 1e-3, 0.5 * edge, math.nextafter(edge, 0.0), edge,
+        1.01 * edge, math.nextafter(40.0, 0.0), 40.0, 40.5,
+        math.nextafter(a + 2.0, 0.0), a + 2.0, a + 2.5, 2.0 * a + 50.0,
+        1e3, 12345.6, 1e5, 1e6}))
+
+
 class TestBesselPair:
     """_bessel_pair in all three regimes against 40-digit 0F1."""
 
     @pytest.mark.parametrize(
         "a", (1e-6, 1e-3, 0.5, 1.0, 3.0, 20.5, 120.0, 250.5, 251.5))
     def test_against_hyp0f1(self, a):
+        # integer a has v0 = 1
         import mudeform.core as core_module
-        # the series hands over to Miller at 2 sqrt(a+1) and Miller to
-        # Hankel at max(40, a+2); integer a has v0 = 1
-        edge = 2.0 * math.sqrt(a + 1.0)
-        t = np.array(sorted({
-            0.0, 1e-3, 0.5 * edge, math.nextafter(edge, 0.0), edge,
-            1.01 * edge, math.nextafter(40.0, 0.0), 40.0, 40.5,
-            math.nextafter(a + 2.0, 0.0), a + 2.0, a + 2.5, 2.0 * a + 50.0,
-            1e3, 12345.6, 1e5, 1e6}))
+        t = regime_edges(a)
         j0, j1 = core_module._bessel_pair(a, t)
         with mpmath.workdps(40):
             for ti, got0, got1 in zip(t, j0, j1):
@@ -637,6 +661,41 @@ class TestBesselPair:
                 for got, b in ((got0, mpmath.mpf(a) + 1),
                                (got1, mpmath.mpf(a) + 2)):
                     assert abs(got - mpmath.hyp0f1(b, x)) <= 1e-13, (b, ti)
+
+    @pytest.mark.parametrize("a", (40.5, 120.0, 250.5, 251.5))
+    def test_miller_relative_accuracy(self, a):
+        # down to j_a of about 1.5e-34, below the absolute bar above: one
+        # sweep over the whole Miller range, whose points pass 2^600 at
+        # different orders; t < a+2 stays below the first zero of J_a
+        import mudeform.core as core_module
+        edge = 2.0 * math.sqrt(a + 1.0)
+        t = edge + (a + 2.0 - edge) * (np.arange(64) + 0.5) / 64
+        j0, j1 = core_module._pair_miller(a, t)
+        with mpmath.workdps(40):
+            for ti, got0, got1 in zip(t, j0, j1):
+                x = -mpmath.mpf(ti) ** 2 / 4
+                for got, b in ((got0, mpmath.mpf(a) + 1),
+                               (got1, mpmath.mpf(a) + 2)):
+                    ref = mpmath.hyp0f1(b, x)
+                    assert abs(got - ref) <= 1e-12 * abs(ref), (b, ti)
+
+    def test_overflow_check_runs_where_the_growth_bound_needs_it(
+            self, monkeypatch):
+        import mudeform.core as core_module
+        calls = []
+        real = core_module._miller_rescale
+        monkeypatch.setattr(core_module, "_miller_rescale",
+                            lambda *state: calls.append(1) or real(*state))
+        # the size of the check-operators Fourier grid: of its 86 orders,
+        # a few at most are checked
+        core_module._bessel_pair(1.443, np.linspace(0.0, 36.0, 1248))
+        assert len(calls) <= 2
+        # at the largest order the Miller points of the regime edges grow
+        # past 2^900: checked more than once (test_against_hyp0f1 checks
+        # the values of this very call)
+        calls.clear()
+        core_module._bessel_pair(251.5, regime_edges(251.5))
+        assert len(calls) > 1
 
     def test_one_sweep_per_kernel_call(self, monkeypatch):
         import mudeform.core as core_module

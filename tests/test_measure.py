@@ -14,7 +14,7 @@ from mudeform.intervals import (IntervalSet, format_interval_set,
                                 parse_interval_set)
 from mudeform.measure import measure, moment, moment_mp, weighted_panel_rule
 
-from helpers import sup_abs, total_length
+from helpers import panel_rule_by_panel, sup_abs, total_length
 
 
 @st.composite
@@ -224,3 +224,15 @@ class TestPanelRules:
         x, w = weighted_panel_rule(S, ctx, 3, 10)
         assert np.all(w > 0)
         assert np.all((x > -2) & (x < 3))
+
+    @pytest.mark.parametrize("panels", (1, 2, 4, 16, 256))
+    @pytest.mark.parametrize("mu", (-0.45, -0.2, 0.0, 0.37, 2.0, 30.0))
+    def test_array_pass_matches_panel_loop(self, panels, mu):
+        # from 0, across 0, wholly below 0, and a union of two intervals
+        ctx = MuContext(mu)
+        for S in (IntervalSet.of((0, 3.5)), IntervalSet.of((-1.5, 2.25)),
+                  IntervalSet.of((-5, -0.5)),
+                  IntervalSet.of((-3, -1), (0.5, 4))):
+            x, w = weighted_panel_rule(S, ctx, panels, 12)
+            want_x, want_w = panel_rule_by_panel(S, ctx, panels, 12)
+            assert np.array_equal(x, want_x) and np.array_equal(w, want_w), S
