@@ -14,8 +14,7 @@ function: the power series (exp_mu_series), the rearranged even-power series
 the probability measure eta_mu on [-1,1] with Jacobi weight
 (1-t)^(mu-1) (1+t)^mu (exp_mu_integral).  |exp_mu(is)|^2 is abs2_on_grid on
 the kernel; the oracles give it as the even series' value or as the squared
-modulus of their exp_mu(is).  even_coeff gives the even series' coefficients
-exactly, as the oracle of the ratio that series runs on.
+modulus of their exp_mu(is).
 
 Both series run on one engine, _sum_series, which sums
 t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -105,7 +103,6 @@ class JacobiRule:
     nodes: np.ndarray
     weights: np.ndarray
     raw_mass: float
-    mu: float
 
 
 def _odd(n: int) -> int:
@@ -324,7 +321,7 @@ def eta_rule(ctx: MuContext, n_nodes: int) -> JacobiRule:
         raise ValueError("n_nodes must be >= 1")
     nodes, raw = gauss_jacobi(n_nodes, ctx.mu - 1.0, ctx.mu)
     mass = float(np.sum(raw))
-    return JacobiRule(nodes=nodes, weights=raw / mass, raw_mass=mass, mu=ctx.mu)
+    return JacobiRule(nodes=nodes, weights=raw / mass, raw_mass=mass)
 
 
 @lru_cache(maxsize=64)
@@ -339,60 +336,38 @@ def default_eta_nodes(s_max: float) -> int:
     """Node count comfortably resolving e^{ist} on [-1,1] for |s| <= s_max.
 
     Past ETA_NODES_CAP nodes the capped rule would be under-resolved, so this
-    raises EvaluationError there; the integral oracle then needs a rule.
+    raises EvaluationError there, and the integral oracle with it.
     """
     n_nodes = int(2.2 * abs(s_max)) + 40
     if n_nodes > ETA_NODES_CAP:
         raise EvaluationError(
             f"the default eta_mu rule (at most {ETA_NODES_CAP} nodes) does not "
-            f"resolve e^(ist) for |s| = {abs(s_max):.3g}; pass a finer rule")
+            f"resolve e^(ist) for |s| = {abs(s_max):.3g}")
     return max(48, n_nodes)
 
 
-def exp_mu_integral(z: complex, ctx: MuContext, rule: JacobiRule | None = None) -> complex:
-    """exp_mu(z) via the integral representation against eta_mu (mu > 0)."""
+def exp_mu_integral(z: complex, ctx: MuContext) -> complex:
+    """exp_mu(z) via the integral representation against eta_mu (mu > 0),
+    on the cached rule of default_eta_nodes(|z|) nodes."""
     if ctx.mu <= 0:
         raise ValueError(
             "the integral representation of exp_mu requires mu > 0")
-    if rule is None:
-        rule = _cached_eta_rule(ctx.mu, default_eta_nodes(abs(z)))
+    rule = _cached_eta_rule(ctx.mu, default_eta_nodes(abs(z)))
     return complex(np.sum(rule.weights * np.exp(complex(z) * rule.nodes)))
 
 
 # --- |exp_mu(i s)|^2: the even-series oracle, then the closed-form kernel --
 
-EVEN_COEFF_TABLES = 64  # per-mu coefficient tables kept, least recent dropped
-
-
-@lru_cache(maxsize=EVEN_COEFF_TABLES)
-def _even_coeff_table(mu: Fraction) -> list[Fraction]:
-    return [Fraction(1)]
-
-
-def even_coeff(j: int, mu: Fraction) -> Fraction:
-    """c_j = p_{2j,mu}(-1,1) / gamma_mu(2j), exactly, at rational mu.
-
-    The paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
-    with gamma_mu(2j) = 4^j j! (mu+1/2)_j, give c_i / c_{i-1} =
-    (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.  The
-    even series runs on this ratio in floats or mpmath; these exact values
-    are its oracle, checked against the symbolic layer.
-    """
-    table = _even_coeff_table(mu)
-    while len(table) <= j:
-        i = len(table)
-        table.append(table[-1] * (
-            (mu + i - 1) / (i * (2 * mu + i) * (mu + i - Fraction(1, 2)))))
-    return table[j]
-
-
 def even_series_result(s: float, ctx: MuContext) -> SeriesResult:
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
     with diagnostics.
 
-    Both passes of the series engine run even_coeff's ratio
-    -s^2 (mu+j-1) / (j (2mu+j) (mu+j-1/2)) in their own arithmetic, from
-    the float mu; even_coeff itself stays the exact oracle.  This sum
+    The coefficients c_j = p_{2j,mu}(-1,1) / gamma_mu(2j) follow from the
+    paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
+    with gamma_mu(2j) = 4^j j! (mu+1/2)_j, as c_j / c_{j-1} =
+    (mu+j-1) / (j (2mu+j) (mu+j-1/2)).  Both passes of the series engine
+    run the term ratio -s^2 c_j / c_{j-1} in their own arithmetic, from
+    the float mu; the tests hold the exact c_j as its oracle.  This sum
     cancels like e^(2|s|), twice as hard as the complex series, and past
     |s| of about 354 that cancellation leaves float range: it fails fast.
     """

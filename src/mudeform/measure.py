@@ -5,7 +5,8 @@ antiderivative x^(2 mu + n + 1)/(2 mu + n + 1) on panels that avoid 0, with
 sign (-1)^n on reflected negative panels; the exponent is always positive
 for mu > -1/2, so no panel ever needs a principal value.  The moment
 series in trace.py sums in closed form over the corners of these
-half-line panels; moment_mp stays as its term-by-term oracle.
+half-line panels; its term-by-term oracle, with the moments in mpmath,
+lives in the tests.
 
 Panel quadrature rules are weight-aware at the origin: a panel touching 0
 uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters
@@ -17,10 +18,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
-from .core import MuContext, gauss_jacobi, norm_const_mp
+from .core import MuContext, gauss_jacobi
 from .errors import EvaluationError
 from .intervals import IntervalSet
 
@@ -61,17 +61,6 @@ def moment(A: IntervalSet, ctx: MuContext, n: int = 0) -> float:
 def measure(A: IntervalSet, ctx: MuContext) -> float:
     """m_mu(A) >= 0."""
     return moment(A, ctx, 0)
-
-
-def moment_mp(A: IntervalSet, mu, n: int):
-    """The n-th moment in the current mpmath working precision."""
-    norm = norm_const_mp(mu)
-    p = 2 * mpmath.mpf(mu) + n + 1
-    total = mpmath.mpf(0)
-    for a, b, reflected in _positive_panels(A):
-        part = (mpmath.power(b, p) - mpmath.power(a, p)) / p
-        total += -part if (reflected and n % 2) else part
-    return norm * total
 
 
 @lru_cache(maxsize=256)

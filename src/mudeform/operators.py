@@ -23,10 +23,10 @@ MuPolynomials.
 
 The numeric layer evaluates these functions on grids and implements the
 deformed Fourier transform by weight-aware adaptive quadrature.  It takes
-one function or a sequence of them; a sequence shares one radius and one
-kernel matrix per refinement level, and each level evaluates the kernel
-on |k| times the positive half of the mirror-symmetric rule only.  Each
-call rounds the coefficients at mu once, from their exact values.
+a sequence of functions, which share one radius and one kernel matrix per
+refinement level, and each level evaluates the kernel on |k| times the
+positive half of the mirror-symmetric rule only.  Each call rounds the
+coefficients at mu once, from their exact values.
 """
 
 from __future__ import annotations
@@ -344,18 +344,18 @@ def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
     return R
 
 
-def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
+def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
                        ctx: MuContext) -> np.ndarray:
-    """F_mu psi (k) = integral of exp_mu(-i k x) psi(x) dm_mu(x).
+    """F_mu psi (k) = integral of exp_mu(-i k x) psi(x) dm_mu(x), for each
+    psi in psis, as an array of shape (len(psis), len(k)).
 
-    psi is one GaussPoly (result of shape k.shape) or a sequence of them
-    (result of shape (n, len(k))); a sequence shares one radius R, the
-    largest of the Gaussian envelope bounds, and one kernel matrix per
-    refinement level.  Each function's coefficients are rounded at mu once
-    per call.  The measure and the panel rule on [-R, R] are
-    mirror-symmetric and exp_mu(-ikx) = C(|kx|) - i S(kx) with C even and
-    S odd, so each level evaluates the kernel once, on unique(|k|) times
-    the nodes x > 0 of the rule on (0, R):
+    The functions share one radius R, the largest of the Gaussian envelope
+    bounds, and one kernel matrix per refinement level.  Each function's
+    coefficients are rounded at mu once per call.  The measure and the panel
+    rule on [-R, R] are mirror-symmetric, and
+    exp_mu(-ikx) = C(|kx|) - i S(kx) with C even and S odd, so each level
+    evaluates the kernel once, on unique(|k|) times the nodes x > 0 of the
+    rule on (0, R):
 
         F(k) = C @ (w (psi(x) + psi(-x))) - i sign(k) S @ (w (psi(x) - psi(-x)))
 
@@ -363,12 +363,9 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
     nodes are refined, at most QUAD_LEVELS times, until successive levels
     agree within max(QUAD_ABS_TOL, QUAD_REL_TOL max|F|) at every k, per F.
     """
-    single = isinstance(psi, GaussPoly)
-    psis = [psi] if single else list(psi)
     k = np.asarray(list(k_points), dtype=float)
     if k.size == 0 or all(p.is_zero for p in psis):
-        return np.zeros(k.shape if single else (len(psis), k.size),
-                        dtype=complex)
+        return np.zeros((len(psis), k.size), dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
     R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
     domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
@@ -390,11 +387,11 @@ def fourier_mu_numeric(psi: GaussPoly | Sequence[GaussPoly], k_points,
             diff = float(np.max(change))
             if np.all(change <= np.maximum(
                     QUAD_ABS_TOL, QUAD_REL_TOL * np.max(np.abs(vals), axis=1))):
-                return vals[0] if single else vals
+                return vals
         prev = vals
     raise EvaluationError(
         f"deformed Fourier quadrature did not converge (last change {diff:.3g})",
-        best=prev[0] if single else prev)
+        best=prev)
 
 
 @dataclass

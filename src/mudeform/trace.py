@@ -79,7 +79,8 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
     QUAD_LEVELS levels, until two successive levels agree within
     QUAD_REL_TOL |value|, a relative tolerance alone because the integrand
     and the weights are nonnegative (an absolute one would pass a tiny
-    trace at its first refinement); the refinement difference plus a
+    trace at its first refinement); the larger of the last two refinement
+    changes (the only one when the first refinement converges) plus a
     per-point integrand error floor forms the error estimate.
     Non-convergence raises EvaluationError carrying the best estimate.  So
     does a convergence too slow to finish: once two changes are known, with
@@ -102,8 +103,11 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
             last, diff = diff, abs(value - prev)
             tol = QUAD_REL_TOL * value
             if diff <= tol:
+                # two under-resolved levels can agree by chance, so the bar
+                # is the larger of the last two changes
+                bar = diff if level == 1 else max(diff, last)
                 return TraceEstimate.build(
-                    value, diff + floor, "quadrature", product)
+                    value, bar + floor, "quadrature", product)
             ratio, left = diff / last, QUAD_LEVELS - level
             if left and ratio < 1 and diff * ratio ** left > tol:
                 raise EvaluationError(
@@ -147,14 +151,16 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
                         ctx: MuContext) -> TraceEstimate:
     """The series sum_j (-1)^j c_j M_A(2j) M_B(2j), in closed form.
 
-    With p = 2 mu + 1, M(2j) = norm x^(p+2j)/(p+2j) on [0, x] and
-    even_coeff's ratio, the term ratio is rational in j: over [0,a] x [0,b]
-    the series is F(ab), F(t) = norm^2 t^p / p^2 2F3(mu, mu+1/2; p, mu+3/2,
-    mu+3/2; -t^2).  The kernel is even, so a pair of half-line panels
-    [a,b] x [c,d] gives F(bd) - F(ad) - F(bc) + F(ac).  The corner sum runs
-    at SERIES_DPS digits and SERIES_CHECK_DIGITS higher, and the difference
-    is the error estimate; past double precision the corners cancel, and
-    both digit counts double, for at most SERIES_MAX_ROUNDS rounds.
+    With p = 2 mu + 1, M(2j) = norm x^(p+2j)/(p+2j) on [0, x] and the
+    coefficient ratio c_j / c_{j-1} = (mu+j-1) / (j (2mu+j) (mu+j-1/2)) of
+    core.even_series_result, the term ratio is rational in j: over
+    [0,a] x [0,b] the series is F(ab), F(t) = norm^2 t^p / p^2
+    2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2).  The kernel is even, so a
+    pair of half-line panels [a,b] x [c,d] gives F(bd) - F(ad) - F(bc) +
+    F(ac).  The corner sum runs at SERIES_DPS digits and SERIES_CHECK_DIGITS
+    higher, and the difference is the error estimate; past double precision
+    the corners cancel, and both digit counts double, for at most
+    SERIES_MAX_ROUNDS rounds.
     """
     product = measure(A, ctx) * measure(B, ctx)
     for rounds in range(SERIES_MAX_ROUNDS):
@@ -234,8 +240,7 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
                    zero, note)
 
 
-def deviation_scan(mu_grid=DEFAULT_MU_GRID,
-                   pairs=DEFAULT_PAIRS) -> list[ScanRow]:
+def deviation_scan(mu_grid, pairs) -> list[ScanRow]:
     """Deviation table over a mu grid and interval pairs.
 
     Row order is canonical (sorted by mu, then by the textual form of the
@@ -269,11 +274,10 @@ def rows_to_csv(rows: list[ScanRow]) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: list[ScanRow], config: dict | None = None) -> str:
+def rows_to_json(rows: list[ScanRow], config: dict) -> str:
     payload = {
         "schema_version": 1,
         "rows": [r.to_dict() for r in rows],
+        "config": config,
     }
-    if config is not None:
-        payload["config"] = config
     return json.dumps(payload, sort_keys=True, indent=2)

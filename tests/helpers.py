@@ -1,11 +1,15 @@
 """Definitions that only the tests use: the direct deformed binomial, exact
-rational evaluation, two sizes of an interval set, an override of the
-quadrature settings and the panel rule built one panel at a time."""
+rational evaluation, the exact even-series coefficients, the moments in
+mpmath, two sizes of an interval set, an override of the quadrature
+settings and the panel rule built one panel at a time."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
+from mudeform.core import norm_const_mp
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
@@ -27,6 +31,42 @@ def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
 def eval_rational(f: MuRationalFunction, mu: Fraction) -> Fraction:
     """Exact evaluation of a rational function at rational mu."""
     return f.evaluate(Fraction(mu))
+
+
+EVEN_COEFF_TABLES = 64  # per-mu coefficient tables kept, least recent dropped
+
+
+@lru_cache(maxsize=EVEN_COEFF_TABLES)
+def _even_coeff_table(mu: Fraction) -> list[Fraction]:
+    return [Fraction(1)]
+
+
+def even_coeff(j: int, mu: Fraction) -> Fraction:
+    """c_j = p_{2j,mu}(-1,1) / gamma_mu(2j), exactly, at rational mu.
+
+    The paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
+    with gamma_mu(2j) = 4^j j! (mu+1/2)_j, give c_i / c_{i-1} =
+    (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.  The
+    even series runs on this ratio in floats or mpmath; these exact values
+    are its oracle, checked against the symbolic layer.
+    """
+    table = _even_coeff_table(mu)
+    while len(table) <= j:
+        i = len(table)
+        table.append(table[-1] * (
+            (mu + i - 1) / (i * (2 * mu + i) * (mu + i - Fraction(1, 2)))))
+    return table[j]
+
+
+def moment_mp(A: IntervalSet, mu, n: int):
+    """The n-th moment in the current mpmath working precision."""
+    norm = norm_const_mp(mu)
+    p = 2 * mpmath.mpf(mu) + n + 1
+    total = mpmath.mpf(0)
+    for a, b, reflected in _positive_panels(A):
+        part = (mpmath.power(b, p) - mpmath.power(a, p)) / p
+        total += -part if (reflected and n % 2) else part
+    return norm * total
 
 
 def sup_abs(s: IntervalSet) -> float:

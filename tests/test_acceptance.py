@@ -171,7 +171,7 @@ def test_criterion_10_classical_recovery():
     factorial_ok = all(gamma_mu(n, ctx) == float(math.factorial(n))
                        for n in range(13))
     ks = np.linspace(-3, 3, 13)
-    vals = fourier_mu_numeric(GaussPoly.gaussian(), ks, ctx)
+    vals = fourier_mu_numeric([GaussPoly.gaussian()], ks, ctx)[0]
     fourier_ok = bool(np.max(np.abs(vals - np.exp(-ks ** 2 / 2))) < 1e-8)
     ok = series_ok and factorial_ok and fourier_ok
     report(10, "classical mu=0 recovery", ok)

@@ -15,13 +15,15 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
-                           even_coeff, even_series_result,
+                           even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
                            eta_rule_exists,
                            exp_mu_imag_on_grid, exp_mu_integral,
                            exp_mu_series, gamma_mu, gauss_jacobi)
 from mudeform.errors import EvaluationError
 from mudeform.exact import gamma_mu_exact, p_at_exact
+
+from helpers import even_coeff
 
 MU_GRID = (0.25, 0.5, 1.0, 2.0)
 
@@ -36,9 +38,9 @@ def abs2_even(s: float, ctx: MuContext) -> float:
     return even_series_result(s, ctx).value.real
 
 
-def abs2_integral(s: float, ctx: MuContext, rule=None) -> float:
+def abs2_integral(s: float, ctx: MuContext) -> float:
     """|exp_mu(is)|^2 by the integral representation against eta_mu."""
-    v = exp_mu_integral(1j * s, ctx, rule)
+    v = exp_mu_integral(1j * s, ctx)
     return v.real ** 2 + v.imag ** 2
 
 
@@ -372,9 +374,6 @@ class TestExpMuIntegral:
             exp_mu_integral(3000j, MuContext(1.0))
         with pytest.raises(EvaluationError, match="resolve"):
             abs2_integral(3000.0, MuContext(1.0))
-        # an explicit rule is the caller's choice and still runs
-        rule = eta_rule(MuContext(1.0), 48)
-        assert math.isfinite(abs2_integral(3000.0, MuContext(1.0), rule))
 
 
 class TestAbs2:
@@ -728,25 +727,19 @@ class TestEvenSeriesFarArgument:
             assert abs(got.value.real - ref) <= 1e-12 * max(1.0, ref), s
 
     def test_mp_pass_runs_its_own_recurrence(self, monkeypatch):
-        # neither pass converts even_coeff's Fractions
+        # the mp pass runs the coefficient ratio itself, in mpmath
         import mudeform.core as core_module
-        state = {"mp": False, "calls": 0}
-        real_coeff, real_workprec = core_module.even_coeff, mpmath.workprec
-
-        def coeff(j, mu):
-            assert not state["mp"], "even_coeff called after the hand-over"
-            state["calls"] += 1
-            return real_coeff(j, mu)
+        state = {"mp": False}
+        real_workprec = mpmath.workprec
 
         def workprec(bits):
             state["mp"] = True
             return real_workprec(bits)
 
-        monkeypatch.setattr(core_module, "even_coeff", coeff)
         monkeypatch.setattr(core_module.mpmath, "workprec", workprec)
         res = even_series_result(200.0, MuContext(0.413))
         assert res.escalated and state["mp"]
-        assert state["calls"] == 0 and res.terms_used > 100
+        assert res.terms_used > 100
 
     def test_cancellation_past_float_range_fails_fast(self):
         # e^(2|s|) overflows the cancellation diagnostic past |s| of 354

@@ -12,9 +12,9 @@ from scipy.integrate import quad
 from mudeform.core import MuContext
 from mudeform.intervals import (IntervalSet, format_interval_set,
                                 parse_interval_set)
-from mudeform.measure import measure, moment, moment_mp, weighted_panel_rule
+from mudeform.measure import measure, moment, weighted_panel_rule
 
-from helpers import panel_rule_by_panel, sup_abs, total_length
+from helpers import moment_mp, panel_rule_by_panel, sup_abs, total_length
 
 
 @st.composite

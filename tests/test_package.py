@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,26 @@ def test_all_names_resolve_once():
     # a name deleted from a module must leave __all__ too
     assert [n for n, c in Counter(mudeform.__all__).items() if c > 1] == []
     assert [n for n in mudeform.__all__ if not hasattr(mudeform, n)] == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public module-level function or class is exported in __all__ or
+    # used by another src definition; test-only code lives in the tests
+    defs, users = {}, {}
+    for path in sorted(Path(mudeform.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[f"{path.stem}.{node.name}"] = node
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    users.setdefault(name, []).append(node)
+    unused = [qual for qual, node in defs.items()
+              if node.name not in mudeform.__all__
+              and all(user is node for user in users.get(node.name, []))]
+    assert unused == []
 
 
 def test_import_loads_only_the_runtime_dependencies():
