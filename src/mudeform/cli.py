@@ -112,17 +112,33 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _checked(parse):
+    """A converter that checks a literal with parse and keeps its text."""
+    def convert(value) -> str:
+        parse(str(value))
+        return str(value)
+    return convert
+
+
+def _fraction(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except ArithmeticError:
+        raise ValueError(f"not a finite fraction: {value!r}") from None
+
+
 _CONVERTERS = {
     "mu": float,
     "mu_grid": lambda v: _parse_mu_grid(v) if isinstance(v, str) else tuple(v),
-    "set_a": str,
-    "set_b": str,
+    "set_a": _checked(parse_interval_set),
+    "set_b": _checked(parse_interval_set),
     "z": lambda v: _parse_complex(v) if isinstance(v, str) else complex(v),
     "s": float,
-    "psi": lambda v: tuple(v) if isinstance(v, (list, tuple)) else (str(v),),
+    "psi": lambda v: tuple(map(_checked(operators.parse_gauss_poly),
+                               v if isinstance(v, (list, tuple)) else (v,))),
     "n_max": int,
     "k_max": int,
-    "kappa": Fraction,
+    "kappa": _fraction,
     "out": str,
     "plot": str,
 }
@@ -298,9 +314,9 @@ def cmd_check_operators(cfg: RunConfig) -> int:
         ccr.append({"basis": n, "residual_zero": residual.is_zero})
     ccr_ok = all(c["residual_zero"] for c in ccr)
 
+    psis = [(text, operators.parse_gauss_poly(text)) for text in cfg.psi]
     eom_entries = []
-    for text in cfg.psi:
-        psi = operators.parse_gauss_poly(text)
+    for text, psi in psis:
         rep = operators.eom_residuals(psi, kappa=kappa)
         c1, c2 = rep.fitted_as_complex()
         eom_entries.append({
@@ -312,8 +328,7 @@ def cmd_check_operators(cfg: RunConfig) -> int:
 
     k_points = np.linspace(-3.0, 3.0, 25)
     intertwining = []
-    for text in cfg.psi:
-        psi = operators.parse_gauss_poly(text)
+    for text, psi in psis:
         try:
             rep = operators.intertwining_check(psi, k_points, ctx,
                                                kappa=kappa)

@@ -65,33 +65,17 @@ def format_interval_set(s: IntervalSet) -> str:
     return "+".join(f"[{_fmt(lo)},{_fmt(hi)}]" for lo, hi in s.intervals)
 
 
-_INTERVAL_RE = re.compile(r"\[\s*([^\[\],]+?)\s*,\s*([^\[\],]+?)\s*\]")
+# The interval-set grammar: "{}", blank, or "[a,b]" terms joined by "+",
+# "∪", "u" or "U".  Whitespace may follow any token, and no two \s* meet.
+_NUMBER = r"[+-]? (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )?"
+_INTERVAL = rf"\[\s* ({_NUMBER}) \s* ,\s* ({_NUMBER}) \s* \]\s*"
+_INTERVAL_SET = (rf"(?x) \s* (?: \{{\}}\s*"
+                 rf" | {_INTERVAL} (?: [+∪uU]\s* {_INTERVAL} )* )?")
 
 
 def parse_interval_set(text: str) -> IntervalSet:
     """Parse "[a,b]∪[c,d]" (ASCII alternative "[a,b]+[c,d]")."""
-    text = text.strip()
-    if text in ("{}", ""):
-        return IntervalSet.empty()
-    pairs = []
-    pos = 0
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        m = _INTERVAL_RE.match(text, pos)
-        if m is None:
-            raise ValueError(f"cannot parse interval set {text!r}")
-        try:
-            pairs.append((float(m.group(1)), float(m.group(2))))
-        except ValueError as err:
-            raise ValueError(f"bad endpoint in {text!r}: {err}") from None
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            break
-        if text[pos] not in "+∪uU":
-            raise ValueError(
-                f"expected '∪' or '+' between intervals in {text!r}")
-        pos += 1
-    return IntervalSet(tuple(pairs))
+    if re.fullmatch(_INTERVAL_SET, text) is None:
+        raise ValueError(f"cannot parse interval set {text!r}")
+    return IntervalSet(tuple((float(lo), float(hi)) for lo, hi
+                             in re.findall(f"(?x){_INTERVAL}", text)))

@@ -36,7 +36,6 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -416,90 +415,59 @@ def intertwining_check(psi: GaussPoly, k_points, ctx: MuContext,
 
 
 # --- literal syntax -----------------------------------------------------------
-
-_GAUSS_TAIL = re.compile(r"\*?\s*gauss\s*$", re.IGNORECASE)
-
-
-def _parse_complex(text: str) -> tuple[Fraction, Fraction]:
-    """Sum of real and imaginary atoms: "1+2i", "-1/2-i", "3", "2i"; an
-    atom "", "+" or "-" is a unit."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty coefficient")
-    re_im = [Fraction(0), Fraction(0)]
-    start = 0
-    for idx in range(1, len(text) + 1):
-        if idx == len(text) or (text[idx] in "+-"
-                                and text[idx - 1] not in "+-/."):
-            atom = text[start:idx]
-            imaginary = atom.endswith("i")
-            atom = atom[:-1] if imaginary else atom
-            re_im[imaginary] += Fraction(atom + "1" if atom in ("", "+", "-")
-                                         else atom)
-            start = idx
-    return re_im[0], re_im[1]
-
-
-def _parse_term(raw: str):
-    """One monomial: optional coefficient times optional x power."""
-    t = raw.strip()
-    if "x" in t:
-        cpart, xpart = t.split("x", 1)
-        cpart = cpart.strip().rstrip("*").strip()
-        xpart = xpart.strip()
-        if xpart == "":
-            power = 1
-        elif xpart.startswith("^") and xpart[1:].strip().isdigit():
-            power = int(xpart[1:])
-        else:
-            raise ValueError(f"cannot parse monomial {raw!r}")
-    else:
-        cpart, power = t, 0
-    if not cpart:
-        if not power:
-            raise ValueError(f"empty term {raw!r}")
-        cpart = "+"
-    elif cpart.startswith("(") and cpart.endswith(")"):
-        cpart = cpart[1:-1]
-    return power, _parse_complex(cpart)
+# The gauss-poly grammar, one verbose sub-pattern per rule.  Each token
+# takes the whitespace after it, so no two \s* meet and a malformed
+# literal fails in time linear in its length.
+#   literal := [ "(" poly ")" | poly ] ["*"] "gauss"   (any case)
+#   poly    := [sign] term { sign term }
+#   term    := coeff [ ["*"] mono ] | mono
+#   coeff   := atom | "(" [sign] atom { sign atom } ")"
+#   atom    := real ["i"] | "i"
+#   mono    := "x" [ "^" digits ]
+_REAL = (r"(?: \d+ \s* / \s* \d+"
+         r" | (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )? ) \s*")
+_ATOM = rf"(?: {_REAL} (?: i\s* )? | i\s* )"
+_COEFF = (rf"(?: {_ATOM}"
+          rf" | \(\s* (?:[+-]\s*)? {_ATOM} (?: [+-]\s* {_ATOM} )* \)\s* )")
+_MONO = r"(?: x\s* (?: \^\s* \d+\s* )? )"
+_TERM = rf"(?: {_COEFF} (?: (?:\*\s*)? {_MONO} )? | {_MONO} )"
+_POLY = rf"(?: (?:[+-]\s*)? {_TERM} (?: [+-]\s* {_TERM} )* )"
+# strings, not compiled patterns: re compiles each at its first use and
+# caches it, so importing mudeform compiles none of them (about 9 ms)
+_LITERAL = rf"""(?x) \s*
+    (?: (?P<open> \(\s* )? (?P<poly> {_POLY} ) (?(open) \)\s* ) )?
+    (?:\*\s*)? (?i: gauss ) \s*
+"""
+# readers of text the grammar has matched: one signed term, one signed atom
+_SIGNED_TERM = rf"""(?x) (?P<sign> [+-]? ) \s*
+    (?: (?P<coeff> {_COEFF} ) (?: (?:\*\s*)? (?P<mono> {_MONO} ) )?
+      | (?P<lone> {_MONO} ) )
+"""
+_SIGNED_ATOM = (rf"(?x) (?P<sign> [+-]? ) \s*"
+                rf" (?: (?P<real> {_REAL} ) (?P<imag> i )? | i )")
 
 
 def parse_gauss_poly(text: str) -> GaussPoly:
-    """Parse literals like "(1 + 2x^3) * gauss" or "(1+2i)x^2 * gauss".
-
-    The trailing "* gauss" marks the fixed Gaussian factor and is
-    mandatory.  Terms are separated by top-level +/-; complex coefficients
-    are written "a+bi", parenthesized when attached to a power of x.
-    """
-    stripped, count = _GAUSS_TAIL.subn("", text.strip())
-    if count != 1 or "gauss" in stripped.lower():
-        raise ValueError(
-            f"gauss-poly literal must end with '* gauss': {text!r}")
-    body = stripped.strip() or "1"  # bare "gauss" is the unit Gaussian
-    depths = list(accumulate((ch == "(") - (ch == ")") for ch in body))
-    if body[0] == "(" and body[-1] == ")" and 0 not in depths[:-1]:
-        body = body[1:-1]  # the outer parens match each other
-    if not body.strip():
-        raise ValueError(f"empty polynomial in {text!r}")
-    terms = []
-    depth = 0
-    start = 0
-    for idx, ch in enumerate(body):
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth == 0 and ch in "+-" and idx > start:
-            prev = body[start:idx].rstrip()
-            if prev and prev[-1] not in "+-*/^(":
-                terms.append(body[start:idx])
-                start = idx
-    terms.append(body[start:])
-
+    """Parse a literal like "(1 + 2x^3) * gauss" or "(1+2i)x^2 + 3x + 1 *
+    gauss" by the grammar above.  Bare "gauss" is the unit Gaussian, and
+    equal powers of x add."""
+    literal = re.fullmatch(_LITERAL, text)
+    if literal is None:
+        raise ValueError(f"not a gauss-poly literal: {text!r}")
     coeffs: dict[int, list[Fraction]] = {}
-    for raw in terms:
-        if not raw.strip():
-            raise ValueError(f"cannot parse {text!r}")
-        power, parts = _parse_term(raw)
-        acc = coeffs.setdefault(power, [0, 0])
-        acc[:] = acc[0] + parts[0], acc[1] + parts[1]
-    top = max(coeffs)
-    return GaussPoly([CPoly(*coeffs.get(n, (0, 0))) for n in range(top + 1)])
+    try:
+        for term in re.finditer(_SIGNED_TERM, literal["poly"] or "1"):
+            mono = term["mono"] or term["lone"]
+            power = int(mono.partition("^")[2] or 1) if mono else 0
+            acc = coeffs.setdefault(power, [Fraction(0), Fraction(0)])
+            for atom in re.finditer(_SIGNED_ATOM, term["coeff"] or "1"):
+                real = atom["real"]
+                value = Fraction("".join(real.split())) if real else 1
+                if (term["sign"] + atom["sign"]).count("-") == 1:
+                    value = -value
+                acc[real is None or atom["imag"] is not None] += value
+    except ZeroDivisionError:
+        raise ValueError(
+            f"zero denominator in gauss-poly literal {text!r}") from None
+    return GaussPoly([CPoly(*coeffs.get(n, (0, 0)))
+                      for n in range(max(coeffs) + 1)])

@@ -76,12 +76,12 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
     """Tensor-product adaptive quadrature of the trace double integral.
 
     Panels of QUAD_NODES nodes are refined dyadically, for at most
-    QUAD_LEVELS levels, until two successive levels agree within
-    QUAD_REL_TOL |value|, a relative tolerance alone because the integrand
-    and the weights are nonnegative (an absolute one would pass a tiny
-    trace at its first refinement); the larger of the last two refinement
-    changes (the only one when the first refinement converges) plus a
-    per-point integrand error floor forms the error estimate.
+    QUAD_LEVELS levels, until a level from the second refinement on agrees
+    with the one before within QUAD_REL_TOL |value|, a relative tolerance
+    alone because the integrand and the weights are nonnegative (an
+    absolute one would pass a tiny trace at its first refinement); the
+    larger of the last two refinement changes plus a per-point integrand
+    error floor forms the error estimate.
     Non-convergence raises EvaluationError carrying the best estimate.  So
     does a convergence too slow to finish: once two changes are known, with
     r = change / previous change < 1, a change that r^(levels left) would
@@ -102,13 +102,13 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
         if prev is not None:
             last, diff = diff, abs(value - prev)
             tol = QUAD_REL_TOL * value
-            if diff <= tol:
+            if diff <= tol and level > 1:
                 # two under-resolved levels can agree by chance, so the bar
                 # is the larger of the last two changes
-                bar = diff if level == 1 else max(diff, last)
                 return TraceEstimate.build(
-                    value, bar + floor, "quadrature", product)
-            ratio, left = diff / last, QUAD_LEVELS - level
+                    value, max(diff, last) + floor, "quadrature", product)
+            ratio = diff / last if last else math.inf
+            left = QUAD_LEVELS - level
             if left and ratio < 1 and diff * ratio ** left > tol:
                 raise EvaluationError(
                     f"trace quadrature converges too slowly: the refinement "

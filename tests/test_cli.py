@@ -15,8 +15,10 @@ import mpmath
 import pytest
 from test_core import series_reference_mp
 
+import mudeform.operators as operators_module
 import mudeform.trace as trace_module
-from mudeform.cli import RunConfig, build_parser, main, write_deviation_plot
+from mudeform.cli import (RunConfig, build_parser, cmd_check_operators, main,
+                          resolve_config, write_deviation_plot)
 from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
                            exp_mu_series)
 from mudeform.intervals import IntervalSet
@@ -221,10 +223,10 @@ class TestTraceCommand:
         assert code == 2
 
     def test_bad_interval_syntax(self, capsys):
-        code, _, err = run(capsys, "trace", "--mu", "0.25",
-                           "--set-a", "[2,1]", "--set-b", "[0,1]")
-        assert code == 1
-        assert "error" in err
+        code, out, err = run(capsys, "trace", "--mu", "0.25",
+                             "--set-a", "[2,1]", "--set-b", "[0,1]")
+        assert code == 2 and out == ""
+        assert "usage" in err and "error" in err
 
 
 class TestScanCommand:
@@ -428,6 +430,19 @@ class TestCheckOperatorsCommand:
         payload = json.loads(out_file.read_text())
         assert payload["equations_of_motion"][0]["psi"] == "(1 + 2x^3) * gauss"
 
+    def test_each_psi_parsed_once_by_the_command(self, tmp_path,
+                                                monkeypatch):
+        psis = ("gauss", "(1 + 2x^3) * gauss")
+        cfg = resolve_config(build_parser().parse_args(
+            ["check-operators", "--n-max", "1", "--psi", psis[0],
+             "--psi", psis[1], "--out", str(tmp_path / "ops.json")]))
+        calls = []
+        parse = operators_module.parse_gauss_poly
+        monkeypatch.setattr(operators_module, "parse_gauss_poly",
+                            lambda text: calls.append(text) or parse(text))
+        assert cmd_check_operators(cfg) == 0
+        assert calls == list(psis)
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, capsys, tmp_path):
@@ -464,6 +479,25 @@ class TestConfigPrecedence:
             code, out, err = run(capsys, command, "--config", str(cfg))
             assert code == 2 and out == ""
             assert "usage" in err and repr(key) in err
+
+    def test_malformed_literal_is_a_usage_error(self, capsys, tmp_path):
+        # a literal is checked where the flag or config key is read, so a
+        # malformed one exits 2 with usage and nothing is written
+        out_file = tmp_path / "out.json"
+        cfg = tmp_path / "run.cfg"
+        cases = (("scan", "set_a", "[1,2]+", ("--set-b", "[0,1]")),
+                 ("scan", "set_b", "[0,1] [2,3]", ("--set-a", "[0,1]")),
+                 ("check-operators", "psi", "7- gauss", ()),
+                 ("check-operators", "kappa", "1/0", ()))
+        for command, key, value, extra in cases:
+            cfg.write_text(f"{key} = {value}\n")
+            flag = "--" + key.replace("_", "-")
+            for source in ((flag, value), ("--config", str(cfg))):
+                code, out, err = run(capsys, command, *source, *extra,
+                                     "--out", str(out_file))
+                assert code == 2 and out == "", source
+                assert "usage" in err and repr(value) in err, err
+                assert not out_file.exists()
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -501,6 +502,86 @@ class TestIntertwining:
         assert gaps[2] < 1e-4
 
 
+def _spaced(draw, tokens) -> str:
+    """tokens joined by drawn whitespace, none to two characters."""
+    gaps = draw(st.lists(st.sampled_from(("", " ", "  ")),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+@st.composite
+def gauss_literals(draw):
+    """A literal drawn from the gauss-poly grammar and the GaussPoly it
+    names, built directly from the drawn numbers."""
+    def real():
+        num = draw(st.integers(0, 40))
+        form = draw(st.sampled_from(("int", "frac", "dec", "exp")))
+        if form == "frac":
+            den = draw(st.integers(1, 12))
+            return [str(num), "/", str(den)], Fraction(num, den)
+        if form == "dec":
+            digits = draw(st.text("0123456789", max_size=3))
+            return ([f"{num}.{digits}"],
+                    num + Fraction(int(digits or 0), 10 ** len(digits)))
+        if form == "exp":
+            exp = draw(st.integers(-3, 3))
+            plus = "+" if exp >= 0 and draw(st.booleans()) else ""
+            e = draw(st.sampled_from("eE"))
+            return [f"{num}{e}{plus}{exp}"], num * Fraction(10) ** exp
+        return [str(num)], Fraction(num)
+
+    def atom(sign):
+        imaginary = draw(st.booleans())
+        if imaginary and draw(st.booleans()):
+            tokens, value = ["i"], Fraction(1)
+        else:
+            tokens, value = real()
+            tokens += ["i"] if imaginary else []
+        signed = sign * value
+        return tokens, ((0, signed) if imaginary else (signed, 0))
+
+    def signs(count):
+        """count signs between terms or atoms; the first may be blank."""
+        return [draw(st.sampled_from(("", "+", "-")))] + [
+            draw(st.sampled_from("+-")) for _ in range(count - 1)]
+
+    literal, coeffs = ["("] if draw(st.booleans()) else [], {}
+    outer = bool(literal)
+    for sign in signs(draw(st.integers(1, 5))):
+        literal.append(sign)
+        term_sign = -1 if sign == "-" else 1
+        power = draw(st.none() | st.integers(0, 9))
+        if power is None or draw(st.booleans()):
+            if draw(st.booleans()):
+                tokens, parts = ["("], []
+                for s in signs(draw(st.integers(1, 3))):
+                    tokens.append(s)
+                    more, part = atom(term_sign * (-1 if s == "-" else 1))
+                    tokens += more
+                    parts.append(part)
+                tokens.append(")")
+            else:
+                tokens, part = atom(term_sign)
+                parts = [part]
+            literal += tokens
+            if power is not None and draw(st.booleans()):
+                literal.append("*")
+        else:
+            parts = [(term_sign, 0)]
+        if power is not None:
+            literal += ["x"] + (["^", str(power)]
+                                if power != 1 or draw(st.booleans()) else [])
+        re_part, im_part = coeffs.get(power or 0, (0, 0))
+        coeffs[power or 0] = (re_part + sum(p[0] for p in parts),
+                              im_part + sum(p[1] for p in parts))
+    literal += [")"] if outer else []
+    literal += ["*"] if draw(st.booleans()) else []
+    literal.append(draw(st.sampled_from(("gauss", "Gauss", "GAUSS"))))
+    expected = GaussPoly([CPoly(*coeffs.get(n, (0, 0)))
+                          for n in range(max(coeffs) + 1)])
+    return _spaced(draw, literal), expected
+
+
 class TestParser:
     def test_spec_literal(self):
         psi = parse_gauss_poly("(1 + 2x^3) * gauss")
@@ -513,11 +594,18 @@ class TestParser:
         assert psi.coeff(2) == CPoly(1, 2)
         assert psi.coeff(1) == CPoly(3)
         assert psi.coeff(0) == CPoly(1)
+        # a parenthesized coefficient may follow any sign
+        psi = parse_gauss_poly("1 + (1+2i)x^2 * gauss")
+        assert psi == GaussPoly([CPoly(1), CPoly(0), CPoly(1, 2)])
 
     def test_rational_and_decimal(self):
         psi = parse_gauss_poly("1/2 x - 0.25 * gauss")
         assert psi.coeff(1) == CPoly(Fraction(1, 2))
         assert psi.coeff(0) == CPoly(Fraction(-1, 4))
+        # an exponent of either sign
+        for text, value in (("1e3 * gauss", 1000),
+                            ("1e-3 * gauss", Fraction(1, 1000))):
+            assert parse_gauss_poly(text) == GaussPoly([CPoly(value)])
 
     def test_imaginary_shorthand(self):
         assert parse_gauss_poly("-i x^2 * gauss").coeff(2) == CPoly(0, -1)
@@ -532,10 +620,20 @@ class TestParser:
         assert psi.coeff(1) == CPoly(2)
 
     def test_rejections(self):
+        # numbers need a sign between them and every sign needs a term; each
+        # error, a zero denominator's included, names the literal
         for bad in ("x^2", "(1+2x) * gauss trailing", "y * gauss",
-                    "2x^-1 * gauss", "() * gauss", "gauss * gauss"):
-            with pytest.raises(ValueError):
+                    "2x^-1 * gauss", "() * gauss", "gauss * gauss",
+                    "2 3 * gauss", "3+ * gauss", "7- gauss",
+                    "(1+2i)x^2 + 3x - * gauss", "1/0 * gauss"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 parse_gauss_poly(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gauss_literals())
+    def test_grammar_draws(self, drawn):
+        text, expected = drawn
+        assert parse_gauss_poly(text) == expected, text
 
 
 class TestEvaluate:

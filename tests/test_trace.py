@@ -87,16 +87,48 @@ class TestTraceQuadrature:
         assert q.value == pytest.approx(m.value, rel=1e-8)
 
     def test_bar_covers_two_levels_that_agree_by_chance(self):
-        # the last refinement change here is 5.2e-11, twelve times below
-        # the true error of 6.4e-10, while the change before it is 3.9e-8
-        mu = -0.18028962887023325
-        A = IntervalSet.of((0.016099531033035023, 0.030923670892617557),
-                           (399.6404598332162, 402.4014120495584))
-        B = IntervalSet.of((6.672059965769718, 6.672158638978764),
-                           (71.22099964439803, 90.38220152439894))
-        est = trace_quadrature(A, B, MuContext(mu))
+        # first pair: the last refinement change is 5.2e-11, twelve times
+        # below the true error of 6.4e-10, while the change before it is
+        # 3.9e-8.  The other two agree by chance at the first refinement,
+        # whose change alone is below the true error: 1.28e-107 against
+        # 1.42e-107 on a trace of 6.9e-96, and 3.69e-13 against 1.98e-12
+        # where |xk| reaches 2.7e5 and the later levels scatter by 1.6e-11
+        pairs = (
+            (-0.18028962887023325,
+             IntervalSet.of((0.016099531033035023, 0.030923670892617557),
+                            (399.6404598332162, 402.4014120495584)),
+             IntervalSet.of((6.672059965769718, 6.672158638978764),
+                            (71.22099964439803, 90.38220152439894))),
+            (19.302693942349478,
+             IntervalSet.of((-0.010813273241377763, -0.01078285611054235),
+                            (0.008387716982970741, 0.016355679574028094)),
+             IntervalSet.of((-0.0015490492291622322, 4.123262743810204))),
+            (-0.228144717981487,
+             IntervalSet.of((-488.29307340667805, -488.28795469628136),
+                            (-169.6790325343288, -169.67901767513197)),
+             IntervalSet.of((0.539786436891121, 0.539800531582869),
+                            (553.0038172199709, 560.2387632946082))),
+        )
+        for mu, A, B in pairs[:2]:
+            est = trace_quadrature(A, B, MuContext(mu))
+            ref = trace_module._corner_sum(A, B, mu, 60)
+            assert abs(est.value - ref) <= est.error_estimate
+        mu, A, B = pairs[2]
+        with pytest.raises(EvaluationError, match="too slowly") as err:
+            trace_quadrature(A, B, MuContext(mu))
+        best = err.value.best
         ref = trace_module._corner_sum(A, B, mu, 60)
-        assert abs(est.value - ref) <= est.error_estimate
+        assert abs(best.value - ref) <= best.error_estimate
+
+    def test_first_change_of_zero_gives_no_rate(self, monkeypatch):
+        # at mu = 0 levels 0 and 1 agree bit for bit here and level 2 moves
+        # one ulp; with no tolerance the route goes on past level 2, where
+        # the rate of change would divide by that first change of 0
+        set_quadrature(monkeypatch, trace_module, QUAD_REL_TOL=0.0)
+        A = IntervalSet.of((-1.4695858455634698, -1.4695849640660508))
+        B = IntervalSet.of((-0.303053611267571, -0.30298767631886386))
+        est = trace_quadrature(A, B, MuContext(0.0))
+        assert abs(est.value - est.product_measures) <= est.error_estimate
 
     def test_nonconvergence_carries_best(self, monkeypatch):
         set_quadrature(monkeypatch, trace_module, QUAD_NODES=1,
