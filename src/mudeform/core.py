@@ -12,9 +12,8 @@ gauss_jacobi.  The independent routes stay as oracles, each its own
 function: the power series (exp_mu_series), the rearranged even-power series
 (even_series_result) and, for mu > 0, the integral representation against
 the probability measure eta_mu on [-1,1] with Jacobi weight
-(1-t)^(mu-1) (1+t)^mu (exp_mu_integral).  |exp_mu(is)|^2 is abs2_on_grid on
-the kernel; the oracles give it as the even series' value or as the squared
-modulus of their exp_mu(is).
+(1-t)^(mu-1) (1+t)^mu (exp_mu_integral).  The oracles give |exp_mu(is)|^2
+as the even series' value or as the squared modulus of their exp_mu(is).
 
 Both series run on one engine, _sum_series, which sums
 t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
@@ -349,9 +348,6 @@ def default_eta_nodes(s_max: float) -> int:
 def exp_mu_integral(z: complex, ctx: MuContext) -> complex:
     """exp_mu(z) via the integral representation against eta_mu (mu > 0),
     on the cached rule of default_eta_nodes(|z|) nodes."""
-    if ctx.mu <= 0:
-        raise ValueError(
-            "the integral representation of exp_mu requires mu > 0")
     rule = _cached_eta_rule(ctx.mu, default_eta_nodes(abs(z)))
     return complex(np.sum(rule.weights * np.exp(complex(z) * rule.nodes)))
 
@@ -385,7 +381,7 @@ def even_series_result(s: float, ctx: MuContext) -> SeriesResult:
 
 
 KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows
-KERNEL_ABS2_FLOOR = 1e-12  # per-point error of abs2_on_grid over max(1, value)
+KERNEL_ABS2_FLOOR = 1e-12  # per-point error of |exp_mu(is)|^2 over max(1, value)
 _J_SERIES_TERMS = 20  # the first omitted term is below 1/20! < 5e-19
 _HANKEL_TERMS = 15  # at t >= 40 and order <= 2 the first omitted term is < 2e-18
 _MILLER_SHIFT = 600  # Miller values past 2^600 are scaled back by 2^-600
@@ -550,14 +546,3 @@ def exp_mu_imag_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
     j_nu, j_next = _bessel_pair(nu, t)
     return (j_nu - t * t / (4.0 * nu * (nu + 1.0)) * j_next) \
         + 1j * (svals / (2.0 * nu)) * j_nu
-
-
-def abs2_on_grid(svals: np.ndarray, ctx: MuContext) -> np.ndarray:
-    """Vectorized |exp_mu(i s)|^2 over an array of real s."""
-    vals = exp_mu_imag_on_grid(svals, ctx)
-    return vals.real ** 2 + vals.imag ** 2
-
-
-def abs2_grid_error_bound(peak: float) -> float:
-    """Per-point absolute error of abs2_on_grid where every value is <= peak."""
-    return KERNEL_ABS2_FLOOR * max(1.0, peak)

@@ -225,9 +225,6 @@ class MuRationalFunction:
     def __eq__(self, other):
         return isinstance(other, MuRationalFunction) and self.cross_equal(other)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __mul__(self, other: "MuRationalFunction") -> "MuRationalFunction":
         return MuRationalFunction(self.num * other.num, self.den * other.den)
 

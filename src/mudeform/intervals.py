@@ -46,16 +46,12 @@ class IntervalSet:
         """True iff 0 lies in the set (endpoints included: closed intervals)."""
         return any(lo <= 0.0 <= hi for lo, hi in self.intervals)
 
-    def reflected(self) -> "IntervalSet":
-        """The set -A."""
-        return IntervalSet(tuple((-hi, -lo) for lo, hi in self.intervals))
-
     def __str__(self):
         return format_interval_set(self)
 
 
 def _fmt(x: float) -> str:
-    return repr(x) if x != int(x) else str(int(x))
+    return str(int(x)) if x == int(x) and abs(x) < 2.0 ** 53 else repr(x)
 
 
 def format_interval_set(s: IntervalSet) -> str:

@@ -8,9 +8,9 @@ series in trace.py sums in closed form over the corners of these
 half-line panels; its term-by-term oracle, with the moments in mpmath,
 lives in the tests.
 
-Panel quadrature rules are weight-aware at the origin: a panel touching 0
-uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters
-for -1/2 < mu < 0 where the density is integrable but unbounded.
+Panel rules are weight-aware at the origin: a panel nearer 0 than its width
+uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters for
+-1/2 < mu < 0 where the density is integrable but unbounded.
 """
 
 from __future__ import annotations
@@ -83,25 +83,30 @@ QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-12
 
 
-def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval: int,
+def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
                         nodes_per_panel: int):
     """Nodes and weights integrating f against dm_mu over A.
 
-    Each interval is split into equal panels; panels touching the origin
-    get the Jacobi rule exact for the |x|^(2 mu) factor, all others plain
-    Gauss-Legendre with the density evaluated at the nodes.  An interval's
-    Legendre panels are built in one array pass, in panel order.
+    Each half-line panel of A gets panels_per_interval equal panels: one
+    count for all, or one per _positive_panels entry.  A first panel [e, h]
+    nearer 0 than its width is [0, h] minus [0, e] by the Jacobi rule exact
+    for |x|^(2 mu); the rest get Gauss-Legendre, in one array pass.
     """
     t, w = _legendre(nodes_per_panel)
+    pieces = list(_positive_panels(A))
+    counts = np.broadcast_to(panels_per_interval, (len(pieces),))
     xs, ws = [], []
-    for a, b, reflected in _positive_panels(A):
-        edges = np.linspace(a, b, panels_per_interval + 1)
-        if edges[0] == 0.0:
+    for (a, b, reflected), panels in zip(pieces, counts):
+        edges = np.linspace(a, b, panels + 1)
+        if 2.0 * edges[0] < edges[1]:
             t0, w0 = _origin_rule(ctx.mu, nodes_per_panel)
-            half = 0.5 * edges[1]
-            x = half * (1.0 + t0)
-            xs.append(-x if reflected else x)
-            ws.append(w0 * half ** (2.0 * ctx.mu + 1.0) * ctx.norm_const)
+            for end, sign in ((edges[1], 1.0), (edges[0], -1.0)):
+                if end > 0.0:
+                    half = 0.5 * end
+                    x = half * (1.0 + t0)
+                    xs.append(-x if reflected else x)
+                    ws.append(sign * w0 * half ** (2.0 * ctx.mu + 1.0)
+                              * ctx.norm_const)
             edges = edges[1:]
         lo, hi = edges[:-1, None], edges[1:, None]
         half = 0.5 * (hi - lo)

@@ -98,16 +98,20 @@ def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return num // g, den // g
 
 
-def _exact_value(row: np.ndarray, den: int, mu: Fraction) -> complex:
-    """One coefficient sum_j (a_j + i b_j) mu^j / den at mu = p/q, by Horner
-    on integers, (sum_j a_j p^j q^(m-1-j)) / (den q^(m-1)), rounded once."""
+def _exact_value(n: int, row: np.ndarray, den: int, mu: Fraction) -> complex:
+    """c_n = sum_j (a_j + i b_j) mu^j / den at mu = p/q, by Horner on
+    integers, (sum_j a_j p^j q^(m-1-j)) / (den q^(m-1)), rounded once."""
     p, q = mu.numerator, mu.denominator
     (re, im), *rest = reversed(row.tolist())
     q_pow = 1
     for a, b in rest:
         q_pow *= q
         re, im = re * p + a * q_pow, im * p + b * q_pow
-    return complex(re / (den * q_pow), im / (den * q_pow))
+    try:
+        return complex(re / (den * q_pow), im / (den * q_pow))
+    except OverflowError:
+        raise EvaluationError(f"the coefficient of x^{n} at mu = {mu} leaves "
+                              "float range") from None
 
 
 def _on_grid(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -152,10 +156,6 @@ class GaussPoly:
         num = _zeros(n + 1, 1)
         num[n, 0, 0] = 1
         return cls._of(num)
-
-    @classmethod
-    def gaussian(cls) -> "GaussPoly":
-        return cls.basis(0)
 
     @property
     def degree(self) -> int:
@@ -204,8 +204,8 @@ class GaussPoly:
         Fraction(mu) and rounded once."""
         num, den = _canonical(self.num, self.den)
         mu = Fraction(mu)
-        return np.array([_exact_value(row, den, mu) for row in num],
-                        dtype=complex)
+        return np.array([_exact_value(n, row, den, mu)
+                         for n, row in enumerate(num)], dtype=complex)
 
     def evaluate(self, x: np.ndarray, mu: float) -> np.ndarray:
         """psi on a grid, its coefficients evaluated at mu."""

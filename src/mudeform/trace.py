@@ -1,19 +1,19 @@
 """Two independent evaluators of Tr(E^Q(A) E^P(B)) and deviation scans.
 
 The trace equals the double integral of |exp_mu(i k x)|^2 over A x B against
-m_mu x m_mu.  Route one is tensor-product adaptive quadrature of that
-integral; route two substitutes the rearranged even-power series, whose
-terms are products of closed-form moments, and sums it in closed form: its
-term ratio is rational in j, so the trace is a finite corner sum of 2F3
-values over the half-line panels of A and B.  Where both converge they must
-agree within their combined error estimates.  A scan row comes from the
-closed form alone, its best estimate included where it fails.  The
-quadrature runs at the fixed settings measure.QUAD_* and is only the
-independent cross-check: the trace command, the tests and the acceptance
-suite run both.  The trace's difference from m_mu(A) m_mu(B) is the
-deviation of interest: provably negative for mu > 0 on sets of positive
-measure, conjecturally positive for -1/2 < mu < 0, and zero in the
-classical case mu = 0.
+m_mu x m_mu.  Route one is a 1-D adaptive panel rule over A of the diagonal
+of E^P(B), in closed form by Lommel's integral; route two substitutes the
+rearranged even-power series, whose terms are products of closed-form
+moments, and sums it in closed form: its term ratio is rational in j, so
+the trace is a finite corner sum of 2F3 values over the half-line panels of
+A and B.  Where both converge they must agree within their combined error
+estimates.  A scan row comes from the closed form alone, its best estimate
+included where it fails.  The quadrature runs at the fixed settings
+measure.QUAD_* and is only the independent cross-check: the trace command,
+the tests and the acceptance suite run both.  The trace's difference from
+m_mu(A) m_mu(B) is the deviation of interest: provably negative for mu > 0
+on sets of positive measure, conjecturally positive for -1/2 < mu < 0, and
+zero in the classical case mu = 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
+from .core import (KERNEL_ABS2_FLOOR, MuContext, exp_mu_imag_on_grid,
                    norm_const_mp)
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
@@ -71,51 +71,67 @@ class TraceEstimate:
         return self.error_estimate < abs(self.deviation) / 10.0
 
 
+def _start_panels(A: IntervalSet, B: IntervalSet) -> list[int]:
+    """Level-0 panels per half-line panel of A, one per period of Phi_B."""
+    s = max(abs(v) for iv in B.intervals for v in iv)
+    return [1 + math.ceil((b - a) * s / math.pi)
+            for a, b, _ in _positive_panels(A)]
+
+
+def _diagonal(x: np.ndarray, B: IntervalSet, ctx: MuContext):
+    """Phi_B at the nodes x, and its scale: the sum of |each term|."""
+    p = 2.0 * ctx.mu + 1.0
+    phi, scale = np.zeros_like(x), np.zeros_like(x)
+    for c, d, _ in _positive_panels(B):
+        for t, sign in ((d, 1.0), (c, -1.0)):
+            if t > 0.0:
+                T = np.abs(x) * t
+                E = exp_mu_imag_on_grid(T, ctx)
+                # Im(E) / T = j_nu(T) / p, and j_nu(T) = 1 - O(T^2) rounds
+                # to 1 below sqrt(eps), where T / p may be subnormal
+                cross = 2.0 * ctx.mu * E.real * np.divide(
+                    E.imag, T, out=np.full_like(T, 1.0 / p),
+                    where=T >= math.sqrt(_EPS))
+                abs2 = E.real ** 2 + E.imag ** 2
+                phi += sign * t ** p * (abs2 - cross)
+                scale += t ** p * (abs2 + np.abs(cross))
+    return ctx.norm_const * phi, ctx.norm_const * scale
+
+
 def trace_quadrature(A: IntervalSet, B: IntervalSet,
                      ctx: MuContext) -> TraceEstimate:
-    """Tensor-product adaptive quadrature of the trace double integral.
+    """Tr as the integral over A of the diagonal Phi_B of E^P(B).
 
-    Panels of QUAD_NODES nodes are refined dyadically, for at most
-    QUAD_LEVELS levels, until a level from the second refinement on agrees
-    with the one before within QUAD_REL_TOL |value|, a relative tolerance
-    alone because the integrand and the weights are nonnegative (an
-    absolute one would pass a tiny trace at its first refinement); the
-    larger of the last two refinement changes plus a per-point integrand
-    error floor forms the error estimate.
-    Non-convergence raises EvaluationError carrying the best estimate.  So
-    does a convergence too slow to finish: once two changes are known, with
-    r = change / previous change < 1, a change that r^(levels left) would
-    still leave above the tolerance fails at once.
+    With p = 2 mu + 1 and E = exp_mu(iT), Lommel's integral (DLMF 10.22.5)
+    gives the integral of s^(2 mu) |E(s)|^2 over [0, T] as T^p H(T),
+    H(T) = |E|^2 - 2 mu Re(E) Im(E) / T, so Phi_B(x) is norm times the sum
+    of d^p H(|x| d) - c^p H(|x| c) over the half-line panels [c, d] of B.
+    Tr is symmetric: A is the set needing fewer first panels.  Panels of
+    QUAD_NODES nodes double, up to QUAD_LEVELS times, until a change from
+    the second refinement on is within QUAD_REL_TOL |value| plus the floor
+    KERNEL_ABS2_FLOOR |w| @ scale; that floor plus the larger of the last
+    two changes (two levels can agree by chance) is the error estimate, and
+    non-convergence raises EvaluationError carrying the best estimate.
     """
     product = measure(A, ctx) * measure(B, ctx)
     if A.is_empty or B.is_empty:
         return TraceEstimate.build(0.0, 0.0, "quadrature", product)
+    start, swapped = _start_panels(A, B), _start_panels(B, A)
+    if sum(swapped) < sum(start):
+        A, B, start = B, A, swapped
     prev = None
     diff = math.inf
     for level in range(QUAD_LEVELS + 1):
-        panels = 2 ** level
-        x, wx = weighted_panel_rule(A, ctx, panels, QUAD_NODES)
-        k, wk = weighted_panel_rule(B, ctx, panels, QUAD_NODES)
-        F = abs2_on_grid(np.outer(x, k), ctx)
-        value = float(wx @ F @ wk)
-        floor = abs2_grid_error_bound(float(F.max())) * product
+        x, w = weighted_panel_rule(A, ctx, [n << level for n in start],
+                                   QUAD_NODES)
+        phi, scale = _diagonal(x, B, ctx)
+        value = float(w @ phi)
+        floor = KERNEL_ABS2_FLOOR * float(np.abs(w) @ scale)
         if prev is not None:
             last, diff = diff, abs(value - prev)
-            tol = QUAD_REL_TOL * value
-            if diff <= tol and level > 1:
-                # two under-resolved levels can agree by chance, so the bar
-                # is the larger of the last two changes
+            if diff <= QUAD_REL_TOL * abs(value) + floor and level > 1:
                 return TraceEstimate.build(
                     value, max(diff, last) + floor, "quadrature", product)
-            ratio = diff / last if last else math.inf
-            left = QUAD_LEVELS - level
-            if left and ratio < 1 and diff * ratio ** left > tol:
-                raise EvaluationError(
-                    f"trace quadrature converges too slowly: the refinement "
-                    f"change {diff:.3g} is {ratio:.3g} times the one before, "
-                    f"so the {left} levels left would end near "
-                    f"{diff * ratio ** left:.3g}", best=TraceEstimate.build(
-                        value, diff + floor, "quadrature", product))
         prev = value
     best = TraceEstimate.build(prev, diff + floor, "quadrature", product)
     raise EvaluationError(

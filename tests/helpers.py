@@ -1,7 +1,8 @@
 """Definitions that only the tests use: the direct deformed binomial, exact
 rational evaluation, the exact even-series coefficients, the moments in
-mpmath, two sizes of an interval set, an override of the quadrature
-settings and the panel rule built one panel at a time."""
+mpmath, |exp_mu(is)|^2 on the kernel with its error bound, the trace as a
+dense 2-D sum, the reflection and two sizes of an interval set, an override
+of the quadrature settings and the panel rule built one panel at a time."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,11 +10,12 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from mudeform.core import norm_const_mp
+from mudeform.core import KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid, norm_const_mp
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
-from mudeform.measure import _legendre, _origin_rule, _positive_panels
+from mudeform.measure import (_legendre, _origin_rule, _positive_panels,
+                              weighted_panel_rule)
 
 
 def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
@@ -69,6 +71,32 @@ def moment_mp(A: IntervalSet, mu, n: int):
     return norm * total
 
 
+def abs2_on_grid(svals, ctx) -> np.ndarray:
+    """Vectorized |exp_mu(i s)|^2 over an array of real s, on the kernel."""
+    vals = exp_mu_imag_on_grid(svals, ctx)
+    return vals.real ** 2 + vals.imag ** 2
+
+
+def abs2_grid_error_bound(peak: float) -> float:
+    """Per-point absolute error of abs2_on_grid where every value is <= peak."""
+    return KERNEL_ABS2_FLOOR * max(1.0, peak)
+
+
+def dense_trace(A: IntervalSet, B: IntervalSet, ctx, panels: int = 8,
+                nodes: int = 12) -> float:
+    """Tr(E^Q(A) E^P(B)) as the 2-D tensor sum of |exp_mu(ixk)|^2 over the
+    panel rules of A and B: the oracle of the 1-D trace quadrature that
+    needs no Lommel integral, for small sets only."""
+    x, wx = weighted_panel_rule(A, ctx, panels, nodes)
+    k, wk = weighted_panel_rule(B, ctx, panels, nodes)
+    return float(wx @ abs2_on_grid(np.outer(x, k), ctx) @ wk)
+
+
+def reflected(s: IntervalSet) -> IntervalSet:
+    """The set -s."""
+    return IntervalSet(tuple((-hi, -lo) for lo, hi in s.intervals))
+
+
 def sup_abs(s: IntervalSet) -> float:
     """sup |x| over the set; 0 for the empty set."""
     return max((max(abs(lo), abs(hi)) for lo, hi in s.intervals), default=0.0)
@@ -85,19 +113,23 @@ def set_quadrature(monkeypatch, module, **settings):
         monkeypatch.setattr(module, name, value)
 
 
-def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval: int,
+def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
                         nodes_per_panel: int):
     """measure.weighted_panel_rule as a loop over panels, one rule each: the
     oracle of its array pass, which must match it bit for bit."""
+    pieces = list(_positive_panels(A))
+    counts = np.broadcast_to(panels_per_interval, (len(pieces),))
     xs, ws = [], []
-    for a, b, reflected in _positive_panels(A):
-        edges = np.linspace(a, b, panels_per_interval + 1)
+    for (a, b, reflected), panels in zip(pieces, counts):
+        edges = np.linspace(a, b, panels + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if lo == 0.0:
+            if 2.0 * lo < hi:  # nearer 0 than its width: [0,hi] minus [0,lo]
                 t, w = _origin_rule(ctx.mu, nodes_per_panel)
-                half = 0.5 * hi
-                x = half * (1.0 + t)
-                wt = w * half ** (2.0 * ctx.mu + 1.0) * ctx.norm_const
+                parts = [(hi, 1.0)] + ([(lo, -1.0)] if lo > 0.0 else [])
+                x = np.concatenate([0.5 * end * (1.0 + t) for end, _ in parts])
+                wt = np.concatenate([
+                    sign * (w * (0.5 * end) ** (2.0 * ctx.mu + 1.0)
+                            * ctx.norm_const) for end, sign in parts])
             else:
                 t, w = _legendre(nodes_per_panel)
                 half = 0.5 * (hi - lo)

@@ -148,7 +148,7 @@ def test_criterion_09_intertwining():
     worst = 0.0
     for mu in (0.0, 0.5, 1.0):
         ctx = MuContext(mu)
-        for psi in (GaussPoly.gaussian(), GaussPoly.basis(1)):
+        for psi in (GaussPoly.basis(0), GaussPoly.basis(1)):
             rep = intertwining_check(psi, k_points, ctx)
             worst = max(worst, rep.max_discrepancy)
     elapsed = time.perf_counter() - t0
@@ -171,7 +171,7 @@ def test_criterion_10_classical_recovery():
     factorial_ok = all(gamma_mu(n, ctx) == float(math.factorial(n))
                        for n in range(13))
     ks = np.linspace(-3, 3, 13)
-    vals = fourier_mu_numeric([GaussPoly.gaussian()], ks, ctx)[0]
+    vals = fourier_mu_numeric([GaussPoly.basis(0)], ks, ctx)[0]
     fourier_ok = bool(np.max(np.abs(vals - np.exp(-ks ** 2 / 2))) < 1e-8)
     ok = series_ok and factorial_ok and fourier_ok
     report(10, "classical mu=0 recovery", ok)

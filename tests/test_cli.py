@@ -19,10 +19,11 @@ import mudeform.operators as operators_module
 import mudeform.trace as trace_module
 from mudeform.cli import (RunConfig, build_parser, cmd_check_operators, main,
                           resolve_config, write_deviation_plot)
-from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
-                           exp_mu_series)
+from mudeform.core import MuContext, exp_mu_series
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
+
+from helpers import abs2_grid_error_bound, abs2_on_grid
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 # the default `mudeform scan --out default_scan.csv`, frozen: a change to
@@ -209,6 +210,14 @@ class TestTraceCommand:
                      if ln.split()[0] == name]
             value = float(line.split()[1].removeprefix("value="))
             assert math.isfinite(value)
+
+    def test_far_pair_at_negative_mu_resolves_by_both_routes(self, capsys):
+        # the former 2-D quadrature failed here: "converges too slowly"
+        code, out, _ = run(capsys, "trace", "--mu", "-0.45", "--set-a",
+                           "[1000,1001]", "--set-b", "[1000,1001]")
+        assert code == 0 and "FAILED" not in out
+        names = [ln.split()[0] for ln in out.splitlines()[1:]]
+        assert names == ["quadrature", "moment_series"]
 
     def test_measure_overflow_reported_per_route(self, capsys):
         code, out, err = run(capsys, "trace", "--mu", "249",
@@ -429,6 +438,19 @@ class TestCheckOperatorsCommand:
         assert code == 0
         payload = json.loads(out_file.read_text())
         assert payload["equations_of_motion"][0]["psi"] == "(1 + 2x^3) * gauss"
+
+    def test_coefficient_beyond_float_range_is_an_error_entry(self):
+        # the exact checks hold; only the numeric transform needs floats
+        proc = run_module("check-operators", "--n-max", "1", "--psi",
+                          "1e400 * gauss", "--psi", "gauss")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["ccr_all_zero"] is True
+        assert len(payload["equations_of_motion"]) == 2
+        bad, good = payload["intertwining"]
+        assert bad == {"psi": "1e400 * gauss", "mu": 0.5, "error":
+                       "the coefficient of x^1 at mu = 1/2 leaves float range"}
+        assert good["max_discrepancy"] < 1e-9
 
     def test_each_psi_parsed_once_by_the_command(self, tmp_path,
                                                 monkeypatch):

@@ -14,8 +14,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
-from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
-                           even_series_result,
+from mudeform.core import (MuContext, even_series_result,
                            binomial_poly, deformed_binomial, eta_rule,
                            eta_rule_exists,
                            exp_mu_imag_on_grid, exp_mu_integral,
@@ -23,7 +22,7 @@ from mudeform.core import (MuContext, abs2_grid_error_bound, abs2_on_grid,
 from mudeform.errors import EvaluationError
 from mudeform.exact import gamma_mu_exact, p_at_exact
 
-from helpers import even_coeff
+from helpers import abs2_grid_error_bound, abs2_on_grid, even_coeff
 
 MU_GRID = (0.25, 0.5, 1.0, 2.0)
 

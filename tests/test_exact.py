@@ -162,6 +162,15 @@ class TestMuRationalFunction:
         assert a.cross_equal(b)
         assert not a.cross_equal(rational((0, 4), (1, 1)))
 
+    def test_unhashable_because_equality_cross_multiplies(self):
+        # (mu+1)/(mu+1) equals 1, so no hash of the stored num and den
+        # could agree with ==
+        one = MuRationalFunction(exact.ONE)
+        assert MuRationalFunction(exact.MU + exact.ONE,
+                                  exact.MU + exact.ONE) == one
+        with pytest.raises(TypeError):
+            hash(one)
+
     def test_pole_evaluation(self):
         f = rational((1,), (Q(1, 2), 1))
         with pytest.raises(ZeroDivisionError):

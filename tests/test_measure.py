@@ -14,7 +14,8 @@ from mudeform.intervals import (IntervalSet, format_interval_set,
                                 parse_interval_set)
 from mudeform.measure import measure, moment, weighted_panel_rule
 
-from helpers import moment_mp, panel_rule_by_panel, sup_abs, total_length
+from helpers import (moment_mp, panel_rule_by_panel, reflected, sup_abs,
+                     total_length)
 
 
 @st.composite
@@ -59,7 +60,7 @@ class TestIntervalSet:
 
     def test_reflected(self):
         s = IntervalSet.of((1, 2), (3, 4))
-        assert s.reflected().intervals == ((-4.0, -3.0), (-2.0, -1.0))
+        assert reflected(s).intervals == ((-4.0, -3.0), (-2.0, -1.0))
 
 
 class TestParsing:
@@ -87,6 +88,16 @@ class TestParsing:
         assert parse_interval_set(format_interval_set(s)) == s
         assert format_interval_set(s) == "[-1.5,0.25]+[1,2]"
         assert parse_interval_set("[-1.5,0.25]∪[1,2]") == s
+
+    def test_format_roundtrip_of_large_integral_endpoints(self):
+        # integral floats print as integers only below 2^53
+        for s, text in (
+                (IntervalSet.of((0, 1e300)), "[0,1e+300]"),
+                (IntervalSet.of((-1e20, 1)), "[-1e+20,1]"),
+                (IntervalSet.of((0, 2 ** 53 + 2)), "[0,9007199254740994.0]"),
+                (IntervalSet.of((0, 2 ** 53 - 1)), "[0,9007199254740991]")):
+            assert format_interval_set(s) == text
+            assert parse_interval_set(format_interval_set(s)) == s
 
     @settings(max_examples=80, deadline=None)
     @given(interval_sets())
@@ -214,6 +225,30 @@ class TestPanelRules:
         assert float(np.sum(w)) == pytest.approx(
             measure(IntervalSet.of((0, 1)), ctx), rel=1e-13)
 
+    def test_panel_nearer_zero_than_its_width(self):
+        # [1e-4, 1] is ruled as [0,1] minus [0,1e-4], both exact against
+        # x^(2mu); plain Legendre on the one panel misses x^(-0.9)
+        ctx = MuContext(-0.45)
+        S = IntervalSet.of((1e-4, 1))
+        x, w = weighted_panel_rule(S, ctx, 1, 12)
+        assert np.all((x > 0) & (x < 1)) and np.sum(w < 0) == 12
+        for n in (0, 1, 2, 7):
+            assert float(np.sum(w * x ** n)) == pytest.approx(
+                moment(S, ctx, n), rel=1e-13)
+
+    def test_one_count_per_half_line_panel(self):
+        # [-5,-3], then [-2,0] and [0,1.5] from the interval across 0
+        S = IntervalSet.of((-5, -3), (-2, 1.5))
+        ctx = MuContext(-0.3)
+        x, w = weighted_panel_rule(S, ctx, [3, 1, 5], 12)
+        parts = [weighted_panel_rule(part, ctx, n, 12) for part, n in (
+            (IntervalSet.of((-5, -3)), 3), (IntervalSet.of((-2, 0)), 1),
+            (IntervalSet.of((0, 1.5)), 5))]
+        assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+        want_x, want_w = panel_rule_by_panel(S, ctx, [3, 1, 5], 12)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
     def test_empty(self):
         x, w = weighted_panel_rule(IntervalSet.empty(), MuContext(0.5), 2, 8)
         assert x.size == 0 and w.size == 0
@@ -228,10 +263,11 @@ class TestPanelRules:
     @pytest.mark.parametrize("panels", (1, 2, 4, 16, 256))
     @pytest.mark.parametrize("mu", (-0.45, -0.2, 0.0, 0.37, 2.0, 30.0))
     def test_array_pass_matches_panel_loop(self, panels, mu):
-        # from 0, across 0, wholly below 0, and a union of two intervals
+        # from 0, across 0, wholly below 0, just short of 0, and a union of
+        # two intervals
         ctx = MuContext(mu)
         for S in (IntervalSet.of((0, 3.5)), IntervalSet.of((-1.5, 2.25)),
-                  IntervalSet.of((-5, -0.5)),
+                  IntervalSet.of((-5, -0.5)), IntervalSet.of((1e-4, 1)),
                   IntervalSet.of((-3, -1), (0.5, 4))):
             x, w = weighted_panel_rule(S, ctx, panels, 12)
             want_x, want_w = panel_rule_by_panel(S, ctx, panels, 12)

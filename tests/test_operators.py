@@ -24,7 +24,7 @@ from mudeform.operators import (CPoly, GaussPoly, apply_H, apply_J, apply_P,
 
 from helpers import set_quadrature
 
-G = GaussPoly.gaussian()
+G = GaussPoly.basis(0)
 XG = GaussPoly.basis(1)
 
 
