@@ -309,15 +309,10 @@ def eta_rule(ctx: MuContext, n_nodes: int) -> JacobiRule:
     2^(2 mu) B(mu, mu+1); that it equals B(1/2, mu) is a checked identity,
     not an input.
     """
-    if ctx.mu <= 0:
-        raise ValueError(
-            "the integral representation of exp_mu requires mu > 0")
     if not eta_rule_exists(ctx.mu):
         raise ValueError(
-            f"mu = {ctx.mu} is too small for the eta_mu rule: its Jacobi "
-            "parameter mu - 1 rounds to -1")
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+            "the eta_mu rule requires mu > 0 with its Jacobi parameter "
+            f"mu - 1 above -1 in floating point, got mu = {ctx.mu}")
     nodes, raw = gauss_jacobi(n_nodes, ctx.mu - 1.0, ctx.mu)
     mass = float(np.sum(raw))
     return JacobiRule(nodes=nodes, weights=raw / mass, raw_mass=mass)
@@ -384,7 +379,6 @@ KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows
 KERNEL_ABS2_FLOOR = 1e-12  # per-point error of |exp_mu(is)|^2 over max(1, value)
 _J_SERIES_TERMS = 20  # the first omitted term is below 1/20! < 5e-19
 _HANKEL_TERMS = 15  # at t >= 40 and order <= 2 the first omitted term is < 2e-18
-_MILLER_SHIFT = 600  # Miller values past 2^600 are scaled back by 2^-600
 
 
 def _pair_series(a: float, t: np.ndarray):
@@ -401,28 +395,13 @@ def _pair_series(a: float, t: np.ndarray):
     return j0, j1
 
 
-def _miller_rescale(f, f_next, total, shifts):
-    # divide the recurrence state of every point past 2^600 by 2^600, in
-    # place, and count it in shifts
-    big = np.maximum(np.abs(f), np.abs(f_next)) > 2.0 ** _MILLER_SHIFT
-    shift = np.where(big, -_MILLER_SHIFT, 0)
-    np.ldexp(f, shift, out=f)
-    np.ldexp(f_next, shift, out=f_next)
-    np.ldexp(total, shift, out=total)
-    shifts -= shift
-
-
 def _pair_miller(a: float, t: np.ndarray):
     # f_k proportional to J_(v0+k): f = 1 at k = n, f_(n+1) = 0, then
     # f_(k-1) = (2(v0+k)/t) f_k - f_(k+1) down to k = 0, normalized by the
     # Neumann sum (t/2)^v0 = sum_i h_i J_(v0+2i), h_i = (v0+2i) Gamma(v0+i)/i!.
-    # Then j_a = Gamma(a+1) (2/t)^m f_m / sum_i h_i f_(2i).  A step grows
-    # max(|f_k|, |f_(k+1)|) by at most 2(v0+k)/t + 1, and the sum is at most
-    # sum_i h_i times that, so the state is checked only when the growth
-    # bound since the last check could carry it past float range; growth
-    # past 2^600 is then divided out in exact powers of two and counted in
-    # shifts.  Each point's state is scaled as a whole, so no rounding
-    # depends on when the check runs.
+    # Then j_a = Gamma(a+1) (2/t)^m f_m / sum_i h_i f_(2i).  For a <= 251.5
+    # and t in the Miller interval the state stays below 2^940, far from
+    # float range, so it needs no scaling.
     m = math.ceil(a) - 1
     v0 = a - m
     t_max = float(t.max())
@@ -433,40 +412,25 @@ def _pair_miller(a: float, t: np.ndarray):
         if i > 1:
             g *= (v0 + i - 1) / i
         h.append((v0 + 2 * i) * g)
-    # the state stays below 2^room, so the sum stays below 2^1023: a bit
-    # short of float range, which covers the rounding of the bound itself
-    room = 1023.0 - math.log2(sum(h))
-    growth = np.log2(2.0 * (v0 + np.arange(n + 1)) / float(t.min())
-                     + 1.0).tolist()
     inv_t = 2.0 / t
     f, f_next, step = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
     total, term = np.zeros_like(t), np.empty_like(t)
-    shifts = np.zeros(t.shape, dtype=int)
-    # log2 of a bound on the state's largest value: 2^600 after a check,
-    # and the starting state is below it too
-    bits = _MILLER_SHIFT
     for k in range(n, -1, -1):
         if k % 2 == 0:
             np.multiply(f, h[k // 2], out=term)
             total += term
         if k == m + 1:
-            f_a1, shifts_a1 = f.copy(), shifts.copy()
+            f_a1 = f.copy()
         elif k == m:
-            f_a, shifts_a = f.copy(), shifts.copy()
+            f_a = f.copy()
         if k == 0:
             break
-        if bits + growth[k] > room:
-            _miller_rescale(f, f_next, total, shifts)
-            bits = _MILLER_SHIFT
-        bits += growth[k]
         np.multiply(inv_t, v0 + k, out=step)
         step *= f
         step -= f_next
         f_next, f, step = f, step, f_next
     scale = np.exp(math.lgamma(a + 1.0) + m * np.log(inv_t))
-    return (scale * np.ldexp(f_a / total, shifts_a - shifts),
-            scale * (a + 1.0) * inv_t
-            * np.ldexp(f_a1 / total, shifts_a1 - shifts))
+    return scale * (f_a / total), scale * (a + 1.0) * inv_t * (f_a1 / total)
 
 
 def _pair_hankel(a: float, t: np.ndarray):

@@ -14,8 +14,8 @@ so each odd step contributes the monic linear factor 2*(mu + n/2) and each
 even step a constant.  Every gamma_mu(n) is therefore a rational constant
 times a product of distinct factors (mu + i + 1/2), i = 0, 1, ..., which is
 what makes exact summation of deformed binomials cheap: common denominators
-are short products of known linear factors, and reduction is trial division
-by those factors instead of a general polynomial gcd.
+are short products of known linear factors, and the longest such prefix is
+already the lowest denominator wherever the closed forms hold.
 
 The expansion runs on integers.  Since (mu + i + 1/2) = (2 mu + 2 i + 1)/2,
 each summand is a rational scalar over a power of two times the product of
@@ -137,22 +137,6 @@ class MuPolynomial:
             acc = acc * p + n * q_pow
         return Fraction(acc, den * q_pow)
 
-    def divide_linear(self, c: Fraction):
-        """Synthetic division by the monic factor (mu + c).
-
-        Returns (quotient, remainder); the division is exact iff the
-        remainder is zero, i.e. iff -c is a root.
-        """
-        if self.is_zero:
-            return MuPolynomial(), Fraction(0)
-        r = -Fraction(c)
-        q = [Fraction(0)] * self.degree
-        acc = self.coeffs[-1]
-        for i in range(self.degree - 1, -1, -1):
-            q[i] = acc
-            acc = self.coeffs[i] + r * acc
-        return MuPolynomial(q), acc
-
     def coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -225,16 +209,10 @@ class MuRationalFunction:
     def __eq__(self, other):
         return isinstance(other, MuRationalFunction) and self.cross_equal(other)
 
-    def __mul__(self, other: "MuRationalFunction") -> "MuRationalFunction":
-        return MuRationalFunction(self.num * other.num, self.den * other.den)
-
     def __add__(self, other: "MuRationalFunction") -> "MuRationalFunction":
         return MuRationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __sub__(self, other: "MuRationalFunction") -> "MuRationalFunction":
-        return self + MuRationalFunction(-other.num, other.den)
 
     def evaluate(self, mu):
         den = self.den.evaluate(mu)
@@ -309,9 +287,11 @@ def _factored_sum(terms) -> MuRationalFunction:
     scalar / 2^m times an integer polynomial R(n_lo, n_hi) R(d_hi, d_max),
     where R(a, b) = prod_{i=a}^{b-1} (2 mu + 2 i + 1) is built from
     R(a+1, b) by one linear step and kept for the call.  Terms with the same
-    ranges are merged before expanding, the integer sum runs over one common
-    denominator, and the result is reduced by trial division against the
-    known linear factors.
+    ranges are merged before expanding, and the integer sum runs over one
+    common denominator.  The prefix [0, d_max) stays the denominator (1 for
+    a zero sum): exact, and in lowest terms wherever the closed forms hold,
+    as their d_max denominator roots are half-integers, their numerator
+    roots integers.
     """
     d_max = max((t[2][1] for t in terms), default=0)
     merged: dict[tuple[int, int, int], Fraction] = {}
@@ -340,22 +320,12 @@ def _factored_sum(terms) -> MuRationalFunction:
         for i, c in enumerate(term):
             acc[i] += scale * c
     total = MuPolynomial([Fraction(c, common) for c in acc])
-    remaining = []
-    for i in range(d_max):
-        c = i + HALF
-        quot, rem = total.divide_linear(c)
-        if rem == 0 and not total.is_zero:
-            total = quot
-        elif total.is_zero:
-            pass  # zero numerator: every factor cancels
-        else:
-            remaining.append(i)
-    den = [1]
-    for i in remaining:
-        den = _convolve(den, [2 * i + 1, 2])
-    scale = 2 ** len(remaining)
-    return MuRationalFunction(total,
-                              MuPolynomial([Fraction(c, scale) for c in den]))
+    if total.is_zero:
+        return MuRationalFunction(total)
+    scale = 2 ** d_max
+    return MuRationalFunction(
+        total, MuPolynomial([Fraction(c, scale)
+                             for c in range_product(0, d_max)]))
 
 
 @lru_cache(maxsize=None)
@@ -363,8 +333,8 @@ def p_at_exact(k: int) -> MuRationalFunction:
     """The k-th deformed binomial polynomial at (-1, 1), exactly.
 
     This is the alternating sum over deformed binomial coefficients; it is
-    identically zero for odd k and a reduced rational function of mu for
-    even k.
+    identically zero for odd k and, for even k, a rational function of mu
+    over the prefix prod_{i<ceil(k/4)} (mu + i + 1/2) (see _factored_sum).
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -104,6 +104,16 @@ class TestSpecfun:
         code, _, err = run(capsys, "specfun", "--mu", "1")
         assert code == 2
         assert "--z" in err or "--s" in err
+        code, _, err = run(capsys, "specfun", "--s", "1")
+        assert code == 2
+        assert "specfun requires --mu" in err
+
+    def test_even_series_past_float_range_exits_1(self):
+        proc = run_module("specfun", "--mu", "1", "--s", "400")
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            "error: even series cancellation e^(2|s|) exceeds float range "
+            "at |s| = 400")
 
     def test_invalid_mu(self, capsys, tmp_path):
         code, _, err = run(capsys, "specfun", "--mu", "-0.6", "--s", "1")
@@ -230,6 +240,15 @@ class TestTraceCommand:
     def test_requires_sets(self, capsys):
         code, _, err = run(capsys, "trace", "--mu", "0.25")
         assert code == 2
+
+    def test_empty_set_has_zero_trace(self, capsys):
+        code, out, _ = run(capsys, "trace", "--mu", "1", "--set-a", "{}",
+                           "--set-b", "[0,1]")
+        assert code == 0
+        assert "A = {}" in out.splitlines()[0]
+        for name in ("quadrature", "moment_series"):
+            line, = [ln for ln in out.splitlines() if ln.split()[0] == name]
+            assert line.split()[1] == "value=0.0"
 
     def test_bad_interval_syntax(self, capsys):
         code, out, err = run(capsys, "trace", "--mu", "0.25",
@@ -451,6 +470,30 @@ class TestCheckOperatorsCommand:
         assert bad == {"psi": "1e400 * gauss", "mu": 0.5, "error":
                        "the coefficient of x^1 at mu = 1/2 leaves float range"}
         assert good["max_discrepancy"] < 1e-9
+
+    def test_weights_past_float_range_are_error_entries(self):
+        # from mu of about 93 on, |x|^(2 mu) on the quadrature's [0, R]
+        # leaves float range: the exact sections stand, and every
+        # transform is an error entry that names mu
+        def exact_sections(proc):
+            payload = json.loads(proc.stdout)
+            del payload["intertwining"]
+            return payload
+
+        reference = exact_sections(
+            run_module("check-operators", "--mu", "0.5"))
+        for mu in ("95", "120", "250"):
+            proc = run_module("check-operators", "--mu", mu)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            assert exact_sections(proc) == reference
+            ints = json.loads(proc.stdout)["intertwining"]
+            assert ints and all(f"mu = {mu}" in e["error"] for e in ints)
+        proc = run_module("check-operators", "--mu", "92", "--n-max", "0")
+        assert proc.returncode == 0 and proc.stderr == ""
+        ints = json.loads(proc.stdout)["intertwining"]
+        assert ints and all(e["max_discrepancy"] < 1e-6 for e in ints)
 
     def test_each_psi_parsed_once_by_the_command(self, tmp_path,
                                                 monkeypatch):

@@ -663,8 +663,8 @@ class TestBesselPair:
     @pytest.mark.parametrize("a", (40.5, 120.0, 250.5, 251.5))
     def test_miller_relative_accuracy(self, a):
         # down to j_a of about 1.5e-34, below the absolute bar above: one
-        # sweep over the whole Miller range, whose points pass 2^600 at
-        # different orders; t < a+2 stays below the first zero of J_a
+        # sweep over the whole Miller range, whose points peak at different
+        # orders; t < a+2 stays below the first zero of J_a
         import mudeform.core as core_module
         edge = 2.0 * math.sqrt(a + 1.0)
         t = edge + (a + 2.0 - edge) * (np.arange(64) + 0.5) / 64
@@ -677,23 +677,18 @@ class TestBesselPair:
                     ref = mpmath.hyp0f1(b, x)
                     assert abs(got - ref) <= 1e-12 * abs(ref), (b, ti)
 
-    def test_overflow_check_runs_where_the_growth_bound_needs_it(
-            self, monkeypatch):
+    @pytest.mark.parametrize(
+        "a", (1e-6, 0.5, 1.443, 20.5, 120.0, 250.5, 251.5))
+    def test_sweep_stays_in_float_range(self, a):
+        # the whole Miller interval in one call: the sweep's state peaks
+        # near 2^940 at a = 251.5, 83 bits short of float overflow
         import mudeform.core as core_module
-        calls = []
-        real = core_module._miller_rescale
-        monkeypatch.setattr(core_module, "_miller_rescale",
-                            lambda *state: calls.append(1) or real(*state))
-        # the size of the check-operators Fourier grid: of its 86 orders,
-        # a few at most are checked
-        core_module._bessel_pair(1.443, np.linspace(0.0, 36.0, 1248))
-        assert len(calls) <= 2
-        # at the largest order the Miller points of the regime edges grow
-        # past 2^900: checked more than once (test_against_hyp0f1 checks
-        # the values of this very call)
-        calls.clear()
-        core_module._bessel_pair(251.5, regime_edges(251.5))
-        assert len(calls) > 1
+        lo, hi = 2.0 * math.sqrt(a + 1.0), max(40.0, a + 2.0)
+        t = np.linspace(lo, hi, 258)[:-1]
+        with np.errstate(over="raise", invalid="raise"):
+            j0, j1 = core_module._pair_miller(a, t)
+        assert t[0] == lo and t[-1] < hi
+        assert np.all(np.isfinite(j0)) and np.all(np.isfinite(j1))
 
     def test_one_sweep_per_kernel_call(self, monkeypatch):
         import mudeform.core as core_module

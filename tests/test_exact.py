@@ -134,15 +134,6 @@ class TestMuPolynomial:
         assert (p * p).degree == 2 * p.degree
         assert len(calls) == 1
 
-    def test_divide_linear_exact(self):
-        # (mu + 1/2)(mu + 3) = mu^2 + 7/2 mu + 3/2
-        p = MuPolynomial.mu_plus(Q(1, 2)) * MuPolynomial.mu_plus(3)
-        quot, rem = p.divide_linear(Q(1, 2))
-        assert rem == 0
-        assert quot == MuPolynomial.mu_plus(3)
-        _, rem2 = p.divide_linear(Q(7))
-        assert rem2 != 0
-
 
 class TestMuRationalFunction:
     def test_monic_denominator(self):
@@ -271,7 +262,8 @@ class TestPAtExact:
 
     def test_expansion_matches_general_rational_sum(self):
         # independent oracle: the plain alternating sum with MuRationalFunction
-        # addition, reduced by a Euclidean gcd instead of trial division
+        # addition, reduced by a Euclidean gcd: the expansion's prefix
+        # denominator is already in lowest terms
         for k in range(25):
             naive = naive_p_at(k)
             assert naive.cross_equal(p_at_exact(k)), k
