@@ -1,26 +1,25 @@
 """The measure m_mu on interval sets: closed-form moments and panel rules.
 
 dm_mu(x) = norm_const |x|^(2 mu) dx.  All moments reduce to the
-antiderivative x^(2 mu + n + 1)/(2 mu + n + 1) on panels that avoid 0, with
-sign (-1)^n on reflected negative panels; the exponent is always positive
-for mu > -1/2, so no panel ever needs a principal value.  The moment
-series in trace.py sums in closed form over the corners of these
-half-line panels; its term-by-term oracle, with the moments in mpmath,
-lives in the tests.
+antiderivative x^(2 mu + n + 1)/(2 mu + n + 1) on the half-line panels of a
+set, with sign (-1)^n on reflected negative panels; the exponent is always
+positive for mu > -1/2, so no panel ever needs a principal value.
 
 Panel rules are weight-aware at the origin: a panel nearer 0 than its width
 uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters for
--1/2 < mu < 0 where the density is integrable but unbounded.
+-1/2 < mu < 0 where the density is integrable but unbounded.  Their weights
+are ratios to each piece's end times _density_scale, the one place that
+forms the density, so they stay in float range up to mu = 250.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
-from .core import MuContext, gauss_jacobi
+from .core import MuContext, gauss_jacobi, norm_const_mp
 from .errors import EvaluationError
 from .intervals import IntervalSet
 
@@ -64,15 +63,10 @@ def measure(A: IntervalSet, ctx: MuContext) -> float:
 
 
 @lru_cache(maxsize=256)
-def _legendre(n: int):
-    return gauss_jacobi(n, 0.0, 0.0)
-
-
-@lru_cache(maxsize=256)
-def _origin_rule(mu: float, n: int):
-    # Gauss-Jacobi for weight (1+t)^(2 mu) on [-1,1]; mapped onto [0,h]
-    # this is exact against the x^(2 mu) density factor.
-    return gauss_jacobi(n, 0.0, 2.0 * mu)
+def _gauss_rule(n: int, beta: float = 0.0):
+    """The n-point rule for (1+t)^beta on [-1,1]: Gauss-Legendre at beta = 0;
+    at beta = 2 mu, mapped onto [0,h], exact against the x^(2 mu) factor."""
+    return gauss_jacobi(n, 0.0, beta)
 
 
 # the fixed settings of both adaptive quadratures on these panel rules,
@@ -83,35 +77,49 @@ QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-12
 
 
+@lru_cache(maxsize=256)
+def _density_scale(mu: float, end: float) -> float:
+    """norm_const end^(2 mu + 1) for end > 0, at 113 bits and rounded once:
+    in float range where norm_const and end^(2 mu) alone may not be."""
+    with mpmath.workprec(113):
+        value = norm_const_mp(mu) * mpmath.power(end, 2 * mpmath.mpf(mu) + 1)
+    with mpmath.workprec(53):
+        return float(+value)
+
+
 def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
                         nodes_per_panel: int):
     """Nodes and weights integrating f against dm_mu over A.
 
-    Each half-line panel of A gets panels_per_interval equal panels: one
-    count for all, or one per _positive_panels entry.  A first panel [e, h]
-    nearer 0 than its width is [0, h] minus [0, e] by the Jacobi rule exact
-    for |x|^(2 mu); the rest get Gauss-Legendre, in one array pass.
+    Each half-line panel [a, b] of A gets panels_per_interval equal panels,
+    one count for all or one per _positive_panels entry, less any of zero
+    width.  A first panel [e, h] nearer 0 than its width is [0, h] minus
+    [0, e] by the Jacobi rule exact for |x|^(2 mu); the rest get
+    Gauss-Legendre, in one array pass.  Each weight is _density_scale(mu, b)
+    times ratios to b: (end / 2b)^(2 mu + 1) on a Jacobi weight, the half
+    width over b times (x / b)^(2 mu) on a Legendre weight.
     """
-    t, w = _legendre(nodes_per_panel)
+    t, w = _gauss_rule(nodes_per_panel)
+    p = 2.0 * ctx.mu + 1.0
     pieces = list(_positive_panels(A))
     counts = np.broadcast_to(panels_per_interval, (len(pieces),))
     xs, ws = [], []
     for (a, b, reflected), panels in zip(pieces, counts):
+        scale = _density_scale(ctx.mu, b)
         edges = np.linspace(a, b, panels + 1)
+        edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # as a >= 0
         if 2.0 * edges[0] < edges[1]:
-            t0, w0 = _origin_rule(ctx.mu, nodes_per_panel)
+            t0, w0 = _gauss_rule(nodes_per_panel, 2.0 * ctx.mu)
             for end, sign in ((edges[1], 1.0), (edges[0], -1.0)):
                 if end > 0.0:
-                    half = 0.5 * end
-                    x = half * (1.0 + t0)
+                    x = 0.5 * end * (1.0 + t0)
                     xs.append(-x if reflected else x)
-                    ws.append(sign * w0 * half ** (2.0 * ctx.mu + 1.0)
-                              * ctx.norm_const)
+                    ws.append(sign * w0 * (0.5 * (end / b)) ** p * scale)
             edges = edges[1:]
         lo, hi = edges[:-1, None], edges[1:, None]
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * t
-        wt = w * half * np.abs(x) ** (2.0 * ctx.mu) * ctx.norm_const
+        half = 0.5 * ((hi - lo) / b)
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        wt = w * half * (lo / b + half * (1.0 + t)) ** (2.0 * ctx.mu) * scale
         xs.append((-x if reflected else x).ravel())
         ws.append(wt.ravel())
     if not xs:

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _LOG_FLOAT_MAX, MuContext, exp_mu_imag_on_grid
+from .core import MuContext, exp_mu_imag_on_grid
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
@@ -328,20 +328,15 @@ def eom_residuals(psi: GaussPoly, kappa=Fraction(1)) -> EomReport:
 # --- numeric deformed Fourier transform ---------------------------------------
 
 def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
-    """R with (max coeff) (1+R)^deg e^{-R^2/2} (1+R) max(1, R^{2 mu}) below
-    a tenth of abs_tol, for the coefficients values at mu of a nonzero psi:
-    beyond R the Gaussian envelope is negligible.  A term past float range
-    is simply not small yet."""
-    cmax = max(max(map(abs, values.tolist())), 1e-300)
-    deg = len(values) - 1
+    """R with max|c_n| (1+R)^(deg+1) e^{-R^2/2} max(1, R^{2 mu}) below a tenth
+    of abs_tol, for the coefficients c_n at mu of a nonzero psi, compared in
+    logs: beyond R the Gaussian envelope is negligible."""
+    log_ratio = (math.log(max(max(map(abs, values.tolist())), 1e-300))
+                 - math.log(0.1 * abs_tol))
     R = 2.0
     while R < 40.0:
-        try:
-            envelope = (cmax * (1.0 + R) ** deg * math.exp(-0.5 * R * R)
-                        * (1.0 + R) * max(1.0, R ** (2.0 * mu)))
-        except OverflowError:
-            envelope = math.inf
-        if envelope < 0.1 * abs_tol:
+        if (log_ratio + len(values) * math.log1p(R) - 0.5 * R * R
+                + max(0.0, 2.0 * mu * math.log(R))) < 0.0:
             return R
         R *= 1.25
     return R
@@ -365,18 +360,14 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
     which is the full-grid sum exactly, for any k.  Panels of QUAD_NODES
     nodes are refined, at most QUAD_LEVELS times, until successive levels
     agree within max(QUAD_ABS_TOL, QUAD_REL_TOL max|F|) at every k, per F.
-    Where R^(2 mu) leaves float range, from mu of about 93 on, it raises
-    EvaluationError before building any weight.
+    The weights of measure.weighted_panel_rule stay in float range, so it
+    runs for every mu the kernel takes, up to 250.
     """
     k = np.asarray(list(k_points), dtype=float)
     if k.size == 0 or all(p.is_zero for p in psis):
         return np.zeros((len(psis), k.size), dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
     R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
-    if 2.0 * ctx.mu * math.log(R) > _LOG_FLOAT_MAX:
-        raise EvaluationError(
-            "the deformed Fourier quadrature weight |x|^(2 mu) leaves float "
-            f"range on [0, {R:.3g}] at mu = {ctx.mu:g}")
     domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
     ak, inv = np.unique(np.abs(k), return_inverse=True)
     odd_factor = -1j * np.sign(k)
@@ -433,13 +424,13 @@ def intertwining_check(psi: GaussPoly, k_points, ctx: MuContext,
 #   term    := coeff [ ["*"] mono ] | mono
 #   coeff   := atom | "(" [sign] atom { sign atom } ")"
 #   atom    := real ["i"] | "i"
-#   mono    := "x" [ "^" digits ]
+#   mono    := "x" [ "^" digits ]   at most 3, and 4 in a real's exponent
 _REAL = (r"(?: \d+ \s* / \s* \d+"
-         r" | (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d+ )? ) \s*")
+         r" | (?: \d+ (?:\.\d*)? | \.\d+ ) (?: [eE][+-]?\d{1,4} )? ) \s*")
 _ATOM = rf"(?: {_REAL} (?: i\s* )? | i\s* )"
 _COEFF = (rf"(?: {_ATOM}"
           rf" | \(\s* (?:[+-]\s*)? {_ATOM} (?: [+-]\s* {_ATOM} )* \)\s* )")
-_MONO = r"(?: x\s* (?: \^\s* \d+\s* )? )"
+_MONO = r"(?: x\s* (?: \^\s* \d{1,3}\s* )? )"
 _TERM = rf"(?: {_COEFF} (?: (?:\*\s*)? {_MONO} )? | {_MONO} )"
 _POLY = rf"(?: (?:[+-]\s*)? {_TERM} (?: [+-]\s* {_TERM} )* )"
 # strings, not compiled patterns: re compiles each at its first use and

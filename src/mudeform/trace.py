@@ -31,8 +31,8 @@ from .core import (KERNEL_ABS2_FLOOR, MuContext, exp_mu_imag_on_grid,
                    norm_const_mp)
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
-from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _positive_panels,
-                      measure, weighted_panel_rule)
+from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _density_scale,
+                      _positive_panels, measure, weighted_panel_rule)
 
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
@@ -93,9 +93,10 @@ def _diagonal(x: np.ndarray, B: IntervalSet, ctx: MuContext):
                     E.imag, T, out=np.full_like(T, 1.0 / p),
                     where=T >= math.sqrt(_EPS))
                 abs2 = E.real ** 2 + E.imag ** 2
-                phi += sign * t ** p * (abs2 - cross)
-                scale += t ** p * (abs2 + np.abs(cross))
-    return ctx.norm_const * phi, ctx.norm_const * scale
+                corner = _density_scale(ctx.mu, t)  # norm_const t^p
+                phi += sign * corner * (abs2 - cross)
+                scale += corner * (abs2 + np.abs(cross))
+    return phi, scale
 
 
 def trace_quadrature(A: IntervalSet, B: IntervalSet,

@@ -14,7 +14,7 @@ from mudeform.core import KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid, norm_const_mp
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
-from mudeform.measure import (_legendre, _origin_rule, _positive_panels,
+from mudeform.measure import (_density_scale, _gauss_rule, _positive_panels,
                               weighted_panel_rule)
 
 
@@ -119,22 +119,27 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
     oracle of its array pass, which must match it bit for bit."""
     pieces = list(_positive_panels(A))
     counts = np.broadcast_to(panels_per_interval, (len(pieces),))
+    p = 2.0 * ctx.mu + 1.0
     xs, ws = [], []
     for (a, b, reflected), panels in zip(pieces, counts):
+        scale = _density_scale(ctx.mu, b)  # norm_const b^p
         edges = np.linspace(a, b, panels + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
+            if lo == hi:
+                continue
             if 2.0 * lo < hi:  # nearer 0 than its width: [0,hi] minus [0,lo]
-                t, w = _origin_rule(ctx.mu, nodes_per_panel)
+                t, w = _gauss_rule(nodes_per_panel, 2.0 * ctx.mu)
                 parts = [(hi, 1.0)] + ([(lo, -1.0)] if lo > 0.0 else [])
                 x = np.concatenate([0.5 * end * (1.0 + t) for end, _ in parts])
                 wt = np.concatenate([
-                    sign * (w * (0.5 * end) ** (2.0 * ctx.mu + 1.0)
-                            * ctx.norm_const) for end, sign in parts])
+                    sign * w * (0.5 * (end / b)) ** p * scale
+                    for end, sign in parts])
             else:
-                t, w = _legendre(nodes_per_panel)
-                half = 0.5 * (hi - lo)
-                x = 0.5 * (lo + hi) + half * t
-                wt = w * half * np.abs(x) ** (2.0 * ctx.mu) * ctx.norm_const
+                t, w = _gauss_rule(nodes_per_panel)
+                half = 0.5 * ((hi - lo) / b)
+                x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+                wt = w * half * (lo / b + half * (1.0 + t)) ** (2.0 * ctx.mu) \
+                    * scale
             xs.append(-x if reflected else x)
             ws.append(wt)
     if not xs:

@@ -260,6 +260,24 @@ class TestPanelRules:
         assert np.all(w > 0)
         assert np.all((x > -2) & (x < 3))
 
+    @pytest.mark.parametrize("mu", (93.0, 150.0, 250.0))
+    def test_weights_past_the_float_range_of_the_density(self, mu):
+        # 45.5^(2 mu) leaves float range from mu of about 93 on, and
+        # norm_const underflows to 0 at mu = 250; the weights, ratios to
+        # 45.5 times the density there, do neither.  Near 0 the ratio power
+        # underflows, so a prefix of the nodes gets weight 0; the moments
+        # show that it carries no mass at float precision
+        S = IntervalSet.of((0, 45.5))
+        x, w = weighted_panel_rule(S, MuContext(mu), 256, 12)
+        assert np.all(np.isfinite(w)) and np.all(np.diff(x) > 0)
+        first = np.argmax(w > 0)
+        assert np.all(w[:first] == 0) and np.all(w[first:] > 0)
+        with mpmath.workdps(40):
+            for n in range(4):
+                got = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(xi) ** n
+                                  for wi, xi in zip(w.tolist(), x.tolist()))
+                assert float(abs(got / moment_mp(S, mu, n) - 1)) < 1e-13
+
     @pytest.mark.parametrize("panels", (1, 2, 4, 16, 256))
     @pytest.mark.parametrize("mu", (-0.45, -0.2, 0.0, 0.37, 2.0, 30.0))
     def test_array_pass_matches_panel_loop(self, panels, mu):

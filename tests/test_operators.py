@@ -625,9 +625,17 @@ class TestParser:
         for bad in ("x^2", "(1+2x) * gauss trailing", "y * gauss",
                     "2x^-1 * gauss", "() * gauss", "gauss * gauss",
                     "2 3 * gauss", "3+ * gauss", "7- gauss",
-                    "(1+2i)x^2 + 3x - * gauss", "1/0 * gauss"):
+                    "(1+2i)x^2 + 3x - * gauss", "1/0 * gauss",
+                    "x^1000 * gauss", "1e10000 * gauss"):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 parse_gauss_poly(bad)
+
+    def test_digit_bounds(self):
+        # a power of x takes at most 3 digits and an exponent at most 4, so
+        # no literal asks for a huge array or integer; both limits parse
+        assert parse_gauss_poly("x^999 * gauss") == GaussPoly.basis(999)
+        assert parse_gauss_poly("1e-9999 * gauss") == GaussPoly(
+            [CPoly(Fraction(1, 10 ** 9999))])
 
     @settings(max_examples=300, deadline=None)
     @given(gauss_literals())

@@ -487,6 +487,12 @@ class TestOneRoutePerRow:
     @example(-0.25, (IntervalSet.of((0.0, 1.0)),  # a trace of 3.9e-100
                      IntervalSet.of((1.616166607119054e-238,
                                      3.2437534183229165e-198))))
+    @example(-0.25, (IntervalSet.of((0.0, 5e-324)),  # subnormal widths
+                     IntervalSet.of((0.0, 18.0))))
+    @example(-0.25, (IntervalSet.of((0.0, 1e-322)),
+                     IntervalSet.of((0.0, 18.0))))
+    @example(-0.45, (IntervalSet.of((0.0, 1e-320)),
+                     IntervalSet.of((0.0, 18.0))))
     def test_rows_are_the_series_estimate(self, mu, pair):
         A, B = pair
         ctx = MuContext(mu)
