@@ -245,23 +245,14 @@ def gamma_mu_exact(n: int) -> MuPolynomial:
     return _GAMMA_POLYS[n]
 
 
-_GAMMA_FACTORED: list[tuple[Fraction, int]] = [(Fraction(1), 0)]
-
-
 def _gamma_factored(n: int) -> tuple[Fraction, int]:
     """gamma_mu(n) = scalar * prod_{i=0}^{e-1} (mu + i + 1/2), as (scalar, e).
 
-    Follows the recursion: an odd step n contributes 2*(mu + n/2), i.e. the
-    factor index (n-1)/2, so the factor indices stay contiguous.
+    An odd step m of the recursion contributes 2 (mu + (m-1)/2 + 1/2), so the
+    factor indices stay contiguous, and an even step m the constant m: the
+    scalar is 2^n floor(n/2)! and e is ceil(n/2).
     """
-    while len(_GAMMA_FACTORED) <= n:
-        m = len(_GAMMA_FACTORED)
-        s, e = _GAMMA_FACTORED[m - 1]
-        if m % 2:
-            _GAMMA_FACTORED.append((2 * s, e + 1))
-        else:
-            _GAMMA_FACTORED.append((m * s, e))
-    return _GAMMA_FACTORED[n]
+    return Fraction(2 ** n * math.factorial(n // 2)), (n + 1) // 2
 
 
 def _binom_factored(k: int, j: int):
@@ -393,16 +384,7 @@ class IdentityCheck:
     sampled_equal: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {"family": self.family, "index": self.index, "passed": self.passed}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.sampled_equal is not None:
-            out["sampled_equal"] = self.sampled_equal
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass

@@ -97,13 +97,14 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
     [0, e] by the Jacobi rule exact for |x|^(2 mu); the rest get
     Gauss-Legendre, in one array pass.  Each weight is _density_scale(mu, b)
     times ratios to b: (end / 2b)^(2 mu + 1) on a Jacobi weight, the half
-    width over b times (x / b)^(2 mu) on a Legendre weight.
+    width over b times (x / b)^(2 mu) on a Legendre weight.  A node whose
+    weight underflowed to 0 is dropped; a negative Jacobi weight is kept.
     """
     t, w = _gauss_rule(nodes_per_panel)
     p = 2.0 * ctx.mu + 1.0
     pieces = list(_positive_panels(A))
     counts = np.broadcast_to(panels_per_interval, (len(pieces),))
-    xs, ws = [], []
+    xs, ws = [np.empty(0)], [np.empty(0)]  # an empty A gives an empty rule
     for (a, b, reflected), panels in zip(pieces, counts):
         scale = _density_scale(ctx.mu, b)
         edges = np.linspace(a, b, panels + 1)
@@ -122,6 +123,5 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
         wt = w * half * (lo / b + half * (1.0 + t)) ** (2.0 * ctx.mu) * scale
         xs.append((-x if reflected else x).ravel())
         ws.append(wt.ravel())
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    return x[w != 0.0], w[w != 0.0]

@@ -37,9 +37,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
-from .core import MuContext, exp_mu_imag_on_grid
+from .core import MuContext, exp_mu_imag_on_grid, norm_const_mp
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
@@ -328,14 +329,18 @@ def eom_residuals(psi: GaussPoly, kappa=Fraction(1)) -> EomReport:
 # --- numeric deformed Fourier transform ---------------------------------------
 
 def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
-    """R with max|c_n| (1+R)^(deg+1) e^{-R^2/2} max(1, R^{2 mu}) below a tenth
-    of abs_tol, for the coefficients c_n at mu of a nonzero psi, compared in
-    logs: beyond R the Gaussian envelope is negligible."""
+    """R with norm_const max|c_n| (1+R)^(deg+1) e^{-R^2/2} max(1, R^{2 mu})
+    below a tenth of abs_tol, for the coefficients c_n at mu of a nonzero
+    psi, compared in logs: beyond R the Gaussian envelope is negligible.  R
+    is past the envelope's peak, R^2 >= 2 mu + deg + 1, so a tiny norm_const
+    cannot pass an R on its rising side."""
     log_ratio = (math.log(max(max(map(abs, values.tolist())), 1e-300))
+                 + float(mpmath.log(norm_const_mp(mu)))
                  - math.log(0.1 * abs_tol))
     R = 2.0
     while R < 40.0:
-        if (log_ratio + len(values) * math.log1p(R) - 0.5 * R * R
+        if R * R >= 2.0 * mu + len(values) and (
+                log_ratio + len(values) * math.log1p(R) - 0.5 * R * R
                 + max(0.0, 2.0 * mu * math.log(R))) < 0.0:
             return R
         R *= 1.25

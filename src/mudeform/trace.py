@@ -222,19 +222,10 @@ class ScanRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "A": format_interval_set(self.set_a),
-            "B": format_interval_set(self.set_b),
-            "method": self.method,
-            "value": self.value,
-            "error": self.error,
-            "product": self.product,
-            "deviation": self.deviation,
-            "sign_resolved": self.sign_resolved,
-            "contains_zero": self.contains_zero,
-            "note": self.note,
-        }
+        out = dict(vars(self))
+        out["A"] = format_interval_set(out.pop("set_a"))
+        out["B"] = format_interval_set(out.pop("set_b"))
+        return out
 
 
 def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
@@ -244,17 +235,15 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
     its message.  A series error with no best comes from m(A) or m(B)
     overflowing a float, so that row is failed, with no product either.
     """
-    zero = A.contains_zero or B.contains_zero
     try:
         est, note = trace_moment_series(A, B, ctx), ""
     except EvaluationError as err:
         est, note = err.best, str(err)
     if est is None:
-        return ScanRow(ctx.mu, A, B, "failed", math.nan, math.inf, math.nan,
-                       math.nan, False, zero, note)
+        est = TraceEstimate(math.nan, math.inf, "failed", math.nan, math.nan)
     return ScanRow(ctx.mu, A, B, est.method, est.value, est.error_estimate,
                    est.product_measures, est.deviation, est.sign_resolved,
-                   zero, note)
+                   A.contains_zero or B.contains_zero, note)
 
 
 def deviation_scan(mu_grid, pairs) -> list[ScanRow]:
@@ -278,16 +267,18 @@ CSV_COLUMNS = ("mu", "A", "B", "method", "value", "error", "product",
                "deviation", "sign_resolved", "contains_zero")
 
 
+def _csv_cell(v) -> str:
+    """repr for a number, text as it is, a boolean in lower case."""
+    return (str(v).lower() if isinstance(v, bool)
+            else v if isinstance(v, str) else repr(v))
+
+
 def rows_to_csv(rows: list[ScanRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        d = r.to_dict()
-        writer.writerow([repr(d["mu"]), d["A"], d["B"], d["method"],
-                         repr(d["value"]), repr(d["error"]), repr(d["product"]),
-                         repr(d["deviation"]), str(d["sign_resolved"]).lower(),
-                         str(d["contains_zero"]).lower()])
+    writer.writerows([_csv_cell(d[c]) for c in CSV_COLUMNS]
+                     for d in map(ScanRow.to_dict, rows))
     return buf.getvalue()
 
 

@@ -144,4 +144,5 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
             ws.append(wt)
     if not xs:
         return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    return x[w != 0.0], w[w != 0.0]  # the nodes of weight 0 are dropped

@@ -291,6 +291,26 @@ class TestScanCommand:
             pytest.fail(f"the default scan differs from {GOLDEN_SCAN.name} "
                         f"first at line {n}:\n got  {g!r}\n want {w!r}")
 
+    def test_failed_row_bytes(self, capsys, tmp_path):
+        # m(A) overflows a float at mu = 249: the row is failed, with no
+        # product either, and the scan exits 1
+        code, _, _ = run(capsys, "scan", "--mu-grid", "249,1,-0.3",
+                         "--set-a", "[40,41]+[-3,-1]", "--set-b", "[40,41]",
+                         "--out", str(tmp_path / "s"))
+        assert code == 1
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[-1] == ('249.0,"[-3,-1]+[40,41]","[40,41]",failed,'
+                             'nan,inf,nan,nan,false,false')
+        text = (tmp_path / "s.json").read_text()
+        row = json.loads(text)["rows"][-1]
+        assert '"error": Infinity,' in text and '"value": NaN' in text
+        assert row["mu"] == 249.0 and row["method"] == "failed"
+        assert all(math.isnan(row[k]) for k in ("value", "product",
+                                                "deviation"))
+        assert row["note"] == ("moment 0 of m_mu over [-3,-1]+[40,41] at "
+                               "mu = 249.0 overflows a float")
+        assert row["sign_resolved"] is False and row["contains_zero"] is False
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["scan", "--mu-grid", "0,0.5", "--set-a", "[1,2]",
                 "--set-b", "[0.5,1.5]"]

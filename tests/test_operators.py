@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import mudeform.operators as operators_module
 from mudeform.cli import main
-from mudeform.core import MuContext, exp_mu_imag_on_grid
+from mudeform.core import MuContext, exp_mu_imag_on_grid, norm_const_mp
 from mudeform.errors import EvaluationError
 from mudeform.exact import MU, MuPolynomial
 from mudeform.intervals import IntervalSet
@@ -473,6 +474,27 @@ class TestFourierWork:
         with pytest.raises(EvaluationError) as pair:
             fourier_mu_numeric([apply_P(self.DEG6), self.DEG6], ks, ctx)
         assert pair.value.best.shape == (2, ks.size)
+
+    @pytest.mark.parametrize("mu", (0.5, 87.0, 131.0, 200.0, 250.0))
+    @pytest.mark.parametrize("literal", ("gauss", "x * gauss",
+                                         "(1 + 2x^3) * gauss"))
+    def test_support_radius_is_the_first_grid_point_past_the_peak(
+            self, literal, mu):
+        # the envelope norm_const max|c| (1+R)^(deg+1) e^(-R^2/2) R^(2 mu)
+        # at 40 digits, as norm_const leaves a float's range at large mu,
+        # tried on the 2 * 1.25^k grid from past its peak on
+        values = parse_gauss_poly(literal).values_at(mu)
+        tol = operators_module.QUAD_ABS_TOL
+        with mpmath.workdps(40):
+            scale = norm_const_mp(mu) * max(abs(v) for v in values.tolist())
+            R = 2.0
+            while not (R * R >= 2 * mu + len(values) and scale
+                       * (1 + mpmath.mpf(R)) ** len(values)
+                       * mpmath.exp(-mpmath.mpf(R) ** 2 / 2)
+                       * mpmath.mpf(R) ** (2 * mu) < 0.1 * tol):
+                R *= 1.25
+        assert R < 40.0
+        assert operators_module._support_radius(values, mu, tol) == R
 
 
 class TestIntertwining:
