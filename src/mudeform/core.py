@@ -17,11 +17,11 @@ as the even series' value or as the squared modulus of their exp_mu(is).
 
 Both series run on one engine, _sum_series, which sums
 t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
-floats first; when the cancellation exceeds the escalation threshold it
-sums again in mpmath, at four times working precision or at twice the bits
-of the float pass's peak partial sum plus 64, whichever is more.  Every
-result carries a truncation bound and a rounding bound whose sum bounds
-its true error.
+floats first; when that pass's rounding bound exceeds the kernel's error
+floor, KERNEL_ABS2_FLOOR max(1, |value|), it sums again in mpmath, at four
+times working precision or at twice the bits of the float pass's peak
+partial sum plus 64, whichever is more.  Every result carries a truncation
+bound and a rounding bound whose sum bounds its true error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import EvaluationError
 
 MU_MIN = -0.5 + 1e-6
-CANCELLATION_ESCALATION = 1e8  # re-evaluate in extended precision past this
 ESCALATED_PREC_BITS = 4 * 53   # "4x working precision"
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
@@ -204,32 +203,30 @@ def _escalated_prec_bits(peak: float) -> int:
 
 
 def _series_result(ratio_in, n_min: float) -> SeriesResult:
-    """Run _sum_series on ratio_in(float arithmetic); past the escalation
-    threshold, rerun it on ratio_in(mpmath.mpmathify) at the precision
+    """Run _sum_series on ratio_in(float arithmetic); where the float pass's
+    rounding bound exceeds the kernel's error floor KERNEL_ABS2_FLOOR
+    max(1, |value|), rerun it on ratio_in(mpmath.mpmathify) at the precision
     _escalated_prec_bits gives for the float pass's peak partial sum.
 
-    The rounding bound is terms * u * sum |t_n| with u the pass's unit
-    roundoff, plus 2 eps |value| for rounding an mpmath sum to a float.
+    The rounding bound is terms * 2^-bits * sum |t_n| with bits the pass's
+    precision, plus 2 eps |value| for rounding an mpmath sum to a float.
     A sum whose rounding bound reaches its magnitude has no correct digit:
     that raises EvaluationError carrying it.
     """
-    total, terms, peak, abs_sum, tail = _sum_series(ratio_in(lambda x: x),
-                                                    n_min)
-    if not math.isfinite(peak):
-        raise EvaluationError("the partial sums leave float range")
-    cancellation = peak / abs(total) if total else math.inf
-    unit = _EPS / 2  # float unit roundoff
-    prec_bits = 53
-    escalated = cancellation > CANCELLATION_ESCALATION
-    if escalated:
-        prec_bits = _escalated_prec_bits(peak)
+    prec_bits, num = 53, (lambda x: x)  # a float's unit roundoff is 2^-53
+    for escalated in (False, True):
         with mpmath.workprec(prec_bits):
-            total, terms, peak, abs_sum, tail = _sum_series(
-                ratio_in(mpmath.mpmathify), n_min)
+            total, terms, peak, abs_sum, tail = _sum_series(ratio_in(num),
+                                                            n_min)
             cancellation = float(peak / abs(total)) if total else math.inf
-        unit = 2.0 ** -prec_bits
-    value = complex(total)
-    rounding = terms * unit * float(abs_sum) + 2 * _EPS * abs(value)
+        if not math.isfinite(peak):
+            raise EvaluationError("the partial sums leave float range")
+        value = complex(total)
+        rounding = (terms * 2.0 ** -prec_bits * float(abs_sum)
+                    + 2 * _EPS * abs(value))
+        if escalated or rounding <= KERNEL_ABS2_FLOOR * max(1.0, abs(value)):
+            break
+        prec_bits, num = _escalated_prec_bits(peak), mpmath.mpmathify
     if rounding >= abs(value):
         raise EvaluationError(
             f"cancellation {cancellation:.3g} leaves no correct digit at "
@@ -245,7 +242,7 @@ def exp_mu_series(z: complex, ctx: MuContext) -> SeriesResult:
     Stops once three consecutive terms are below SERIES_REL_TOL relative to
     the partial sum and the index exceeds |z|; the discarded tail is bounded
     by geometric comparison.  Re-evaluates in extended precision when the
-    cancellation diagnostic crosses the escalation threshold.
+    float pass's rounding bound exceeds the kernel's error floor.
     """
     z = complex(z)
 

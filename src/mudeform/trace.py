@@ -6,11 +6,12 @@ of E^P(B), in closed form by Lommel's integral; route two substitutes the
 rearranged even-power series, whose terms are products of closed-form
 moments, and sums it in closed form: its term ratio is rational in j, so
 the trace is a finite corner sum of 2F3 values over the half-line panels of
-A and B.  Where both converge they must agree within their combined error
-estimates.  A scan row comes from the closed form alone, its best estimate
-included where it fails.  The quadrature runs at the fixed settings
-measure.QUAD_* and is only the independent cross-check: the trace command,
-the tests and the acceptance suite run both.  The trace's difference from
+A and B, each distinct corner evaluated once per (mu, digits).  Where both
+converge they must agree within their combined error estimates.  A scan
+row comes from the closed form alone, its best estimate included where it
+fails.  The quadrature runs at the fixed settings measure.QUAD_* and is
+only the independent cross-check: the trace command, the tests and the
+acceptance suite run both.  The trace's difference from
 m_mu(A) m_mu(B) is the deviation of interest: provably negative for mu > 0
 on sets of positive measure, conjecturally positive for -1/2 < mu < 0, and
 zero in the classical case mu = 0.
@@ -23,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -145,23 +147,38 @@ SERIES_CHECK_DIGITS = 10  # the rerun that estimates its error runs higher
 SERIES_MAX_ROUNDS = 4     # both passes double their digits after each round
 
 
-def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
-    """sum of +-F(x y) over the corners of the half-line panels of A and B,
-    at dps digits; F vanishes at the corners on an axis."""
+@lru_cache(maxsize=256)
+def _series_params(mu: float, dps: int):
+    """The 2F3 parameters mu, mu + 1/2, p = 2 mu + 1, mu + 3/2 and the scale
+    (norm / p)^2 of F, at dps digits."""
     with mpmath.workdps(dps):
         mu = mpmath.mpf(mu)
         p = 2 * mu + 1
-        norm = norm_const_mp(mu)
+        return mu, mu + 0.5, p, mu + 1.5, (norm_const_mp(mu) / p) ** 2
+
+
+@lru_cache(maxsize=256)
+def _corner(mu: float, t, dps: int):
+    """F(t) / scale = t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) at dps
+    digits, keyed on the rounded product t so equal products share it."""
+    a1, a2, p, b, _ = _series_params(mu, dps)
+    with mpmath.workdps(dps):
+        return t ** p * mpmath.hyp2f3(a1, a2, p, b, b, -t * t)
+
+
+def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
+    """sum of +-F(x y) over the corners of the half-line panels of A and B,
+    at dps digits; F vanishes at the corners on an axis."""
+    scale = _series_params(mu, dps)[-1]
+    with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for a, b, _ in _positive_panels(A):
             for c, d, _ in _positive_panels(B):
                 for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
                                    (a, c, 1)):
                     if x > 0.0 and y > 0.0:
-                        t = mpmath.mpf(x) * y
-                        total += sign * t ** p * mpmath.hyp2f3(
-                            mu, mu + 0.5, p, mu + 1.5, mu + 1.5, -t * t)
-        return (norm / p) ** 2 * total
+                        total += sign * _corner(mu, mpmath.mpf(x) * y, dps)
+        return scale * total
 
 
 def trace_moment_series(A: IntervalSet, B: IntervalSet,
@@ -177,7 +194,10 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     F(ac).  The corner sum runs at SERIES_DPS digits and SERIES_CHECK_DIGITS
     higher, and the difference is the error estimate; past double precision
     the corners cancel, and both digit counts double, for at most
-    SERIES_MAX_ROUNDS rounds.
+    SERIES_MAX_ROUNDS rounds.  _corner caches F(t) / scale per (mu, digits,
+    t rounded at those digits) and _series_params the 2F3 parameters and
+    scale per (mu, digits), so corners shared within a row or across rows
+    are evaluated once, with the same bits as where they occur.
     """
     product = measure(A, ctx) * measure(B, ctx)
     for rounds in range(SERIES_MAX_ROUNDS):

@@ -1,8 +1,9 @@
 """Definitions that only the tests use: the direct deformed binomial, exact
 rational evaluation, the exact even-series coefficients, the moments in
 mpmath, |exp_mu(is)|^2 on the kernel with its error bound, the trace as a
-dense 2-D sum, the reflection and two sizes of an interval set, an override
-of the quadrature settings and the panel rule built one panel at a time."""
+dense 2-D sum, the moment series' corner sum with no cache, the reflection
+and two sizes of an interval set, an override of the quadrature settings
+and the panel rule built one panel at a time."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +70,25 @@ def moment_mp(A: IntervalSet, mu, n: int):
         part = (mpmath.power(b, p) - mpmath.power(a, p)) / p
         total += -part if (reflected and n % 2) else part
     return norm * total
+
+
+def corner_sum_uncached(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
+    """trace._corner_sum with every corner evaluated where it occurs: the
+    oracle of its cached corners, which must match it bit for bit."""
+    with mpmath.workdps(dps):
+        mu = mpmath.mpf(mu)
+        p = 2 * mu + 1
+        norm = norm_const_mp(mu)
+        total = mpmath.mpf(0)
+        for a, b, _ in _positive_panels(A):
+            for c, d, _ in _positive_panels(B):
+                for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
+                                   (a, c, 1)):
+                    if x > 0.0 and y > 0.0:
+                        t = mpmath.mpf(x) * y
+                        total += sign * t ** p * mpmath.hyp2f3(
+                            mu, mu + 0.5, p, mu + 1.5, mu + 1.5, -t * t)
+        return (norm / p) ** 2 * total
 
 
 def abs2_on_grid(svals, ctx) -> np.ndarray:

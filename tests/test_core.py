@@ -554,6 +554,17 @@ class TestSeriesEngine:
             exp_mu_series(200j, ctx)
         assert err.value.best is not None
 
+    def test_escalation_follows_the_rounding_bound(self):
+        # the cancellation here is 4.3e7; a trigger on the cancellation at
+        # 1e8 kept the float pass, whose bound 1.6e-3 stood against a true
+        # error of 1.8e-6.  That bound passes the kernel floor, so the sum
+        # reruns in mpmath.
+        r = even_series_result(12.0, MuContext(-0.45))
+        with mpmath.workdps(60):
+            err = abs(r.value.real - abs(series_reference_mp(12.0, -0.45)) ** 2)
+        assert r.escalated and r.cancellation < 1e8
+        assert err <= r.trunc_error + r.rounding_error < 1e-12
+
     def test_zero_term_ends_even_series_exactly(self):
         # at mu = 0 every c_j past j = 0 vanishes: no tail, whatever the
         # next ratios are (above 1 at s = 10 where the loop stops)

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -38,13 +39,25 @@ def test_every_public_name_has_a_caller():
 
 def test_import_loads_only_the_runtime_dependencies():
     # numpy and mpmath are the run-time dependencies; the test-only
-    # oracles and heavy packages stay out of a fresh import
+    # oracles and heavy packages stay out of a fresh import, and so does
+    # any work: no functools cache of the package has filled an entry
     src = str(Path(mudeform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mudeform, mudeform.cli; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    loaded = {name.split(".")[0] for name in out.split()}
+    probe = textwrap.dedent("""\
+        import sys, mudeform, mudeform.cli
+        print(*sys.modules)
+        print(*{f"{f.__module__}.{f.__qualname__}:{f.cache_info().misses}"
+                for m in list(sys.modules.values())
+                if m.__name__.startswith("mudeform")
+                for f in vars(m).values() if hasattr(f, "cache_info")})
+        """)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules, caches = out.splitlines()
+    loaded = {name.split(".")[0] for name in modules.split()}
     assert {"mudeform", "numpy", "mpmath"} <= loaded
     assert loaded.isdisjoint({"scipy", "matplotlib", "sympy", "hypothesis"})
+    misses = dict(entry.split(":") for entry in caches.split())
+    assert {"mudeform.trace._corner", "mudeform.trace._series_params",
+            "mudeform.measure._density_scale"} <= set(misses)
+    assert {name for name, n in misses.items() if n != "0"} == set()

@@ -17,13 +17,14 @@ import mudeform.trace as trace_module
 from mudeform.core import MuContext
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
-from mudeform.measure import measure
-from mudeform.trace import (DEFAULT_PAIRS, TraceEstimate, deviation_scan,
-                            evaluate_pair, rows_to_csv, rows_to_json,
-                            trace_moment_series, trace_quadrature)
+from mudeform.measure import _positive_panels, measure
+from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, TraceEstimate,
+                            deviation_scan, evaluate_pair, rows_to_csv,
+                            rows_to_json, trace_moment_series,
+                            trace_quadrature)
 
-from helpers import (dense_trace, even_coeff, moment_mp, reflected,
-                     set_quadrature, sup_abs)
+from helpers import (corner_sum_uncached, dense_trace, even_coeff,
+                     moment_mp, reflected, set_quadrature, sup_abs)
 
 A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
@@ -283,6 +284,14 @@ def bounded_pairs(draw, s_max=18.0):
     return interval_set(ra), interval_set(s_max / ra)
 
 
+def mirrored(s: IntervalSet) -> IntervalSet:
+    """The first half-line panel [a, b] of s and its reflection: a set
+    whose corners each occur twice."""
+    a, b, _ = next(_positive_panels(s))
+    return (IntervalSet.of((-b, -a), (a, b)) if a > 0.0
+            else IntervalSet.of((-b, b)))
+
+
 class TestMomentSeriesWork:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.449, 2.0), bounded_pairs())
@@ -303,17 +312,19 @@ class TestMomentSeriesWork:
         assert 0 < abs(est.value - ref) <= est.error_estimate
 
     def test_no_per_term_transcendentals(self, monkeypatch):
-        """No term loop: one 2F3 per nonzero corner and one Gamma per pass."""
+        """No term loop: one 2F3 per distinct corner product and one Gamma
+        per (mu, digits), and none when the row repeats."""
         mu = 0.413
         cases = [
             # four nonzero corners of A times two of B (the corners at 0
-            # drop), in one round of two passes
+            # drop) give eight products, seven distinct since 3 x 1 =
+            # 1.5 x 2, in one round of two passes
             (IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
-             IntervalSet.of((-1.0, 2.0)), 8, 2),
+             IntervalSet.of((-1.0, 2.0)), 7, 2),
             # a panel 1e-9 wide cancels its corners past 20 digits, so a
-            # second round runs
+            # second round runs; its four corners have three products
             (IntervalSet.of((1.0, 1.0 + 1e-9)),
-             IntervalSet.of((1.0, 1.0 + 1e-9)), 4, 4),
+             IntervalSet.of((1.0, 1.0 + 1e-9)), 3, 4),
         ]
         quads = [trace_quadrature(A, B, MuContext(mu)) for A, B, _, _ in cases]
         calls = {"gamma": 0, "hyp2f3": 0}
@@ -327,12 +338,47 @@ class TestMomentSeriesWork:
         for name in calls:
             monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
         ctx = MuContext(mu)  # its norm_const takes a Gamma of its own
-        for (A, B, corners, passes), quad in zip(cases, quads):
+        for (A, B, products, passes), quad in zip(cases, quads):
+            trace_module._corner.cache_clear()
+            trace_module._series_params.cache_clear()
             calls.update(gamma=0, hyp2f3=0)
             est = trace_moment_series(A, B, ctx)
             assert est.value == pytest.approx(
                 quad.value, abs=est.error_estimate + quad.error_estimate)
-            assert calls == {"gamma": passes, "hyp2f3": corners * passes}
+            assert calls == {"gamma": passes, "hyp2f3": products * passes}
+            calls.update(gamma=0, hyp2f3=0)
+            assert trace_moment_series(A, B, ctx) == est
+            assert calls == {"gamma": 0, "hyp2f3": 0}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-0.449, 3.0), bounded_pairs(),
+           st.sampled_from(["as drawn", "swapped", "A = B", "mirrored"]))
+    @example(0.413, (IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
+                     IntervalSet.of((-1.0, 2.0))), "as drawn")
+    @example(-0.45, (IntervalSet.of((-2.0, -1.0), (1.0, 2.0)),
+                     IntervalSet.of((-1.5, 1.5))), "as drawn")
+    def test_cached_corners_match_the_uncached_sum_bit_for_bit(
+            self, mu, pair, kind):
+        A, B = pair
+        if kind == "swapped":
+            A, B = B, A
+        elif kind == "A = B":
+            B = A
+        elif kind == "mirrored":
+            A, B = mirrored(A), mirrored(B)
+        for dps in (20, 30, 40, 50):
+            trace_module._corner_sum(A, B, mu, dps)  # warm the caches
+            assert trace_module._corner_sum(A, B, mu, dps) == \
+                corner_sum_uncached(A, B, mu, dps), dps
+
+    def test_default_scan_cache_counts(self):
+        # 12 mu x 5 pairs x 4 corners x 2 passes = 480 corners, 336 distinct
+        trace_module._corner.cache_clear()
+        trace_module._series_params.cache_clear()
+        deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
+        corner = trace_module._corner.cache_info()
+        assert (corner.misses, corner.hits) == (336, 144)
+        assert trace_module._series_params.cache_info().misses == 12 * 2
 
     def test_cancellation_past_the_last_round_fails_with_best(self, monkeypatch):
         monkeypatch.setattr(trace_module, "SERIES_MAX_ROUNDS", 1)
