@@ -12,14 +12,13 @@ from .core import (MuContext, SeriesResult, binomial_poly, deformed_binomial,
                    eta_rule, even_series_result, exp_mu_integral,
                    exp_mu_series, gamma_mu)
 from .errors import EvaluationError
-from .exact import (IdentityCheck, IdentityReport, MuPolynomial,
-                    gamma_mu_exact, p_at_exact, verify_closed_forms,
-                    verify_odd_vanishing)
+from .exact import (IdentityCheck, MuPolynomial, gamma_mu_exact, p_at_exact,
+                    verify_closed_forms, verify_odd_vanishing)
 from .intervals import IntervalSet, format_interval_set, parse_interval_set
 from .measure import measure, moment
-from .operators import (EomReport, GaussPoly, IntertwiningReport, apply_H,
-                        apply_J, apply_P, apply_Q, ccr_residual,
-                        eom_residuals, fourier_mu_numeric, intertwining_check,
+from .operators import (EomReport, GaussPoly, apply_H, apply_J, apply_P,
+                        apply_Q, ccr_residual, eom_residuals,
+                        fourier_mu_numeric, intertwining_check,
                         parse_gauss_poly)
 from .trace import (ScanRow, TraceEstimate, deviation_scan, evaluate_pair,
                     rows_to_csv, rows_to_json, trace_moment_series,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EomReport", "EvaluationError", "GaussPoly", "IdentityCheck",
-    "IdentityReport", "IntertwiningReport", "IntervalSet", "MuContext",
+    "IntervalSet", "MuContext",
     "MuPolynomial", "ScanRow", "SeriesResult", "TraceEstimate",
     "apply_H", "apply_J", "apply_P", "apply_Q",
     "binomial_poly", "ccr_residual", "deformed_binomial", "deviation_scan",

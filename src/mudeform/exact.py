@@ -28,9 +28,8 @@ integer numerators.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -369,7 +368,7 @@ def p_2n_sum_closed(n: int) -> MuRationalFunction:
     return MuRationalFunction(s.num.times_mu().scale(Fraction(2, n)), s.den)
 
 
-# --- verification reports ----------------------------------------------------
+# --- identity checks ---------------------------------------------------------
 
 @dataclass
 class IdentityCheck:
@@ -387,36 +386,16 @@ class IdentityCheck:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-@dataclass
-class IdentityReport:
-    checks: list[IdentityCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def verify_odd_vanishing(k_max: int) -> IdentityReport:
+def verify_odd_vanishing(k_max: int) -> list[IdentityCheck]:
     """Check p_{k,mu}(-1,1) == 0 exactly for every odd k <= k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    report = IdentityReport()
+    checks = []
     for k in range(1, k_max + 1, 2):
         p = p_at_exact(k)
-        report.checks.append(
-            IdentityCheck(
-                family="odd_vanishing", index=k, passed=p.is_zero, lhs=p.to_dict()
-            )
-        )
-    return report
+        checks.append(IdentityCheck(family="odd_vanishing", index=k,
+                                    passed=p.is_zero, lhs=p.to_dict()))
+    return checks
 
 
 def _sample_points(deg: int):
@@ -441,7 +420,7 @@ def _closed_form_check(family: str, n: int, index: int, lhs: MuRationalFunction,
     )
 
 
-def verify_closed_forms(n_max: int = 12) -> IdentityReport:
+def verify_closed_forms(n_max: int = 12) -> list[IdentityCheck]:
     """Compare direct expansion of p_{k,mu}(-1,1) against the three stated
     closed-form families, per n, by exact cross-multiplication.
 
@@ -451,12 +430,12 @@ def verify_closed_forms(n_max: int = 12) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    report = IdentityReport()
+    checks = []
     for n in range(1, n_max + 1):
-        report.checks.append(_closed_form_check(
+        checks.append(_closed_form_check(
             "p_4n_minus_2", n, 4 * n - 2, p_at_exact(4 * n - 2), p_4n_minus_2_closed(n)))
-        report.checks.append(_closed_form_check(
+        checks.append(_closed_form_check(
             "p_4n", n, 4 * n, p_at_exact(4 * n), p_4n_closed(n)))
-        report.checks.append(_closed_form_check(
+        checks.append(_closed_form_check(
             "p_2n_sum", n, 2 * n, p_at_exact(2 * n), p_2n_sum_closed(n)))
-    return report
+    return checks

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,38 +40,55 @@ from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _density_scale,
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
 _EPS = float(np.finfo(float).eps)  # a Python float keeps rows JSON-ready
+_TINY = sys.float_info.min  # the least normal float
 
 
 @dataclass
 class TraceEstimate:
     """A trace value with its error estimate and the factorized reference.
 
-    deviation = value - product_measures, stored exactly as that float
-    subtraction; negative deviation is the mu > 0 strictness direction,
-    positive the conjectured direction for -1/2 < mu < 0.  error_estimate
-    includes the float rounding of value and product_measures, so a
-    deviation of a few ulps is never reported as a resolved sign.
+    build forms product_measures = m(A) m(B) from the two measures, and
+    deviation is the float subtraction value - product_measures; negative
+    deviation is the mu > 0 strictness direction, positive the conjectured
+    direction for -1/2 < mu < 0.  error_estimate includes the float
+    rounding of value and product_measures, so a deviation of a few ulps is
+    never reported as a resolved sign.
     """
 
     value: float
     error_estimate: float
-    method: str  # "quadrature" | "moment_series"
+    method: str  # "quadrature" | "moment_series" | "failed"
     product_measures: float
-    deviation: float
 
     @classmethod
-    def build(cls, value: float, error: float, method: str,
-              product: float) -> "TraceEstimate":
+    def build(cls, value: float, error: float, method: str, m_a: float,
+              m_b: float) -> "TraceEstimate":
+        product = m_a * m_b
         # the ulp of 0 covers a trace that underflows to a subnormal or 0
         rounding = ROUNDING_ULPS * (_EPS * (abs(value) + abs(product))
                                     + math.ulp(0.0))
-        return cls(value=value, error_estimate=error + rounding, method=method,
-                   product_measures=product, deviation=value - product)
+        # a measure below the normal range is off by up to about its least
+        # normal float, which the other measure scales in the product
+        for m, other in ((m_a, m_b), (m_b, m_a)):
+            if m < _TINY:
+                rounding += ROUNDING_ULPS * _TINY * other
+        return cls(value, error + rounding, method, product)
+
+    @property
+    def deviation(self) -> float:
+        return self.value - self.product_measures
 
     @property
     def sign_resolved(self) -> bool:
         """True when the error is below a tenth of the deviation magnitude."""
         return self.error_estimate < abs(self.deviation) / 10.0
+
+
+def _measures(A: IntervalSet, B: IntervalSet, ctx: MuContext):
+    """m(A) and m(B) for TraceEstimate.build; both an exact 0 where A or B
+    is empty, as the trace and m(A) m(B) are then, with nothing rounded."""
+    m_a, m_b = measure(A, ctx), measure(B, ctx)
+    return (0.0, 0.0) if A.is_empty or B.is_empty else (m_a, m_b)
 
 
 def _start_panels(A: IntervalSet, B: IntervalSet) -> list[int]:
@@ -112,13 +130,14 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
     Tr is symmetric: A is the set needing fewer first panels.  Panels of
     QUAD_NODES nodes double, up to QUAD_LEVELS times, until a change from
     the second refinement on is within QUAD_REL_TOL |value| plus the floor
-    KERNEL_ABS2_FLOOR |w| @ scale; that floor plus the larger of the last
-    two changes (two levels can agree by chance) is the error estimate, and
-    non-convergence raises EvaluationError carrying the best estimate.
+    KERNEL_ABS2_FLOOR |w| @ scale + ulp(0) (sum |phi| + nodes); that floor
+    plus the larger of the last two changes (two levels can agree by
+    chance) is the error estimate, and non-convergence raises
+    EvaluationError carrying the best estimate.
     """
-    product = measure(A, ctx) * measure(B, ctx)
+    measures = _measures(A, B, ctx)
     if A.is_empty or B.is_empty:
-        return TraceEstimate.build(0.0, 0.0, "quadrature", product)
+        return TraceEstimate.build(0.0, 0.0, "quadrature", *measures)
     start, swapped = _start_panels(A, B), _start_panels(B, A)
     if sum(swapped) < sum(start):
         A, B, start = B, A, swapped
@@ -129,14 +148,16 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
                                    QUAD_NODES)
         phi, scale = _diagonal(x, B, ctx)
         value = float(w @ phi)
-        floor = KERNEL_ABS2_FLOOR * float(np.abs(w) @ scale)
+        # subnormal weights and products each round by up to ulp(0)
+        floor = (KERNEL_ABS2_FLOOR * float(np.abs(w) @ scale)
+                 + math.ulp(0.0) * (float(np.abs(phi).sum()) + x.size))
         if prev is not None:
             last, diff = diff, abs(value - prev)
             if diff <= QUAD_REL_TOL * abs(value) + floor and level > 1:
-                return TraceEstimate.build(
-                    value, max(diff, last) + floor, "quadrature", product)
+                return TraceEstimate.build(value, max(diff, last) + floor,
+                                           "quadrature", *measures)
         prev = value
-    best = TraceEstimate.build(prev, diff + floor, "quadrature", product)
+    best = TraceEstimate.build(prev, diff + floor, "quadrature", *measures)
     raise EvaluationError(
         f"trace quadrature did not converge within {QUAD_LEVELS} "
         f"subdivisions (last refinement change {diff:.3g})", best=best)
@@ -199,13 +220,13 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     scale per (mu, digits), so corners shared within a row or across rows
     are evaluated once, with the same bits as where they occur.
     """
-    product = measure(A, ctx) * measure(B, ctx)
+    measures = _measures(A, B, ctx)
     for rounds in range(SERIES_MAX_ROUNDS):
         dps = SERIES_DPS * 2 ** rounds
         low = _corner_sum(A, B, ctx.mu, dps)
         high = _corner_sum(A, B, ctx.mu, dps + SERIES_CHECK_DIGITS)
         best = TraceEstimate.build(float(high), float(abs(high - low)),
-                                   "moment_series", product)
+                                   "moment_series", *measures)
         if abs(high - low) <= _EPS * abs(high):
             return best
     raise EvaluationError(
@@ -260,7 +281,7 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
     except EvaluationError as err:
         est, note = err.best, str(err)
     if est is None:
-        est = TraceEstimate(math.nan, math.inf, "failed", math.nan, math.nan)
+        est = TraceEstimate(math.nan, math.inf, "failed", math.nan)
     return ScanRow(ctx.mu, A, B, est.method, est.value, est.error_estimate,
                    est.product_measures, est.deviation, est.sign_resolved,
                    A.contains_zero or B.contains_zero, note)

@@ -29,6 +29,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 # the default `mudeform scan --out default_scan.csv`, frozen: a change to
 # any number in it must replace the file and say why
 GOLDEN_SCAN = Path(__file__).parent / "data" / "default_scan.csv"
+# the default `mudeform verify-identities --out identities.json`, frozen
+GOLDEN_IDENTITIES = Path(__file__).parent / "data" / "identities.json"
 # every option of every command, help aside, sorted
 SURFACE = {
     "specfun": ["--config", "--mu", "--s", "--z"],
@@ -45,6 +47,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_golden(got: bytes, golden: Path, what: str) -> None:
+    """got is the golden file's bytes, or the first differing line fails."""
+    want = golden.read_bytes()
+    if got != want:
+        lines = zip_longest(got.decode().splitlines(True),
+                            want.decode().splitlines(True),
+                            fillvalue="<end of file>")
+        n, (g, w) = next((n, pair) for n, pair in enumerate(lines, 1)
+                         if pair[0] != pair[1])
+        pytest.fail(f"{what} differs from {golden.name} first at line "
+                    f"{n}:\n got  {g!r}\n want {w!r}")
 
 
 def product_line(out: str) -> tuple[float, float]:
@@ -281,15 +296,7 @@ class TestScanCommand:
         out_file = tmp_path / "default_scan.csv"
         code, _, _ = run(capsys, "scan", "--out", str(out_file))
         assert code == 0
-        got, want = out_file.read_bytes(), GOLDEN_SCAN.read_bytes()
-        if got != want:
-            lines = zip_longest(got.decode().splitlines(True),
-                                want.decode().splitlines(True),
-                                fillvalue="<end of file>")
-            n, (g, w) = next((n, pair) for n, pair in enumerate(lines, 1)
-                             if pair[0] != pair[1])
-            pytest.fail(f"the default scan differs from {GOLDEN_SCAN.name} "
-                        f"first at line {n}:\n got  {g!r}\n want {w!r}")
+        assert_golden(out_file.read_bytes(), GOLDEN_SCAN, "the default scan")
 
     def test_failed_row_bytes(self, capsys, tmp_path):
         # m(A) overflows a float at mu = 249: the row is failed, with no
@@ -310,6 +317,22 @@ class TestScanCommand:
         assert row["note"] == ("moment 0 of m_mu over [-3,-1]+[40,41] at "
                                "mu = 249.0 overflows a float")
         assert row["sign_resolved"] is False and row["contains_zero"] is False
+
+    def test_underflowed_measure_is_not_a_resolved_sign(self, capsys,
+                                                        tmp_path):
+        # m(A) = 3.05e-370 rounds to 0.0, so the float deviation is the
+        # trace, 3.2e-274, where the true deviation is about -6.0e-283:
+        # the bar must cover the product's lost m(A)
+        code, _, _ = run(capsys, "scan", "--mu-grid", "27.771160607863436",
+                         "--set-a",
+                         "[-4.340546577255391e-244,1.4094924432259323e-06]",
+                         "--set-b", "[191.18179822024757,241.27938641193214]",
+                         "--out", str(tmp_path / "s.json"))
+        assert code == 0
+        row, = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert row["product"] == 0.0 and row["deviation"] > 0.0
+        assert row["error"] > row["deviation"]
+        assert row["sign_resolved"] is False
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["scan", "--mu-grid", "0,0.5", "--set-a", "[1,2]",
@@ -391,6 +414,13 @@ class TestVerifyIdentitiesCommand:
                             "p_2n_sum"}
         odd = [c for c in payload["checks"] if c["family"] == "odd_vanishing"]
         assert [c["index"] for c in odd] == [1, 3]
+
+    def test_default_report_matches_golden_file(self, capsys, tmp_path):
+        out_file = tmp_path / "identities.json"
+        code, _, err = run(capsys, "verify-identities", "--out", str(out_file))
+        assert code == 0 and "57/57 passed" in err
+        assert_golden(out_file.read_bytes(), GOLDEN_IDENTITIES,
+                      "the default identity report")
 
     def test_stdout_json_when_no_out(self, capsys):
         code, out, _ = run(capsys, "verify-identities", "--n-max", "1",

@@ -367,6 +367,17 @@ class TestExpMuIntegral:
         with pytest.raises(ValueError):
             exp_mu_integral(1.0, MuContext(-0.1))
 
+    @pytest.mark.parametrize("mu", (1e-3, 0.5, 30.0))
+    def test_agrees_with_kernel_near_node_cap(self, mu):
+        # at s = 527 the default rule has 1199 of its 1200 nodes, where
+        # the Gauss-Jacobi end weights are smallest: the oracle keeps the
+        # bar it has at |s| <= 60 against the kernel
+        ctx = MuContext(mu)
+        for s in (300.0, 527.0):
+            got = exp_mu_integral(1j * s, ctx)
+            want = complex(exp_mu_imag_on_grid(np.array(s), ctx))
+            assert abs(got - want) <= 1e-14 * (1.0 + s) + 1e-12, s
+
     def test_default_rule_refuses_past_node_cap(self):
         # 2.2 |s| + 40 > ETA_NODES_CAP: the capped rule would alias e^(ist)
         with pytest.raises(EvaluationError, match="resolve"):

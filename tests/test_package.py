@@ -37,6 +37,33 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
+def test_every_stored_field_has_a_reader():
+    # each field of a src dataclass is read by name somewhere in src or
+    # the tests, unless a method of its class reads every field at once
+    # through vars(self) or fields(self)
+    src, tests = Path(mudeform.__file__).parent, Path(__file__).parent
+    trees = {path: ast.parse(path.read_text())
+             for path in (*src.glob("*.py"), *tests.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(trees[path]):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            if any(isinstance(node, ast.Call)
+                   and ast.unparse(node) in ("vars(self)", "fields(self)")
+                   for node in ast.walk(cls)):
+                continue
+            unread += [f"{path.stem}.{cls.name}.{node.target.id}"
+                       for node in cls.body
+                       if isinstance(node, ast.AnnAssign)
+                       and node.target.id not in read]
+    assert unread == []
+
+
 def test_import_loads_only_the_runtime_dependencies():
     # numpy and mpmath are the run-time dependencies; the test-only
     # oracles and heavy packages stay out of a fresh import, and so does

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -512,6 +513,23 @@ class TestDeviationScan:
                     "moment_series", m.value, m.error_estimate)
 
 
+    @pytest.mark.parametrize("mu, A, B", [
+        (27.771160607863436,  # m(A) = 3.05e-370 underflows to 0
+         IntervalSet.of((-4.340546577255391e-244, 1.4094924432259323e-06)),
+         IntervalSet.of((191.18179822024757, 241.27938641193214))),
+        (0.78125,  # m(A) is a subnormal with a few bits
+         IntervalSet.of((0.0, 1.9491746002675546e-126)),
+         IntervalSet.of((0.0, 18.0))),
+    ])
+    def test_measure_below_normal_range_is_no_resolved_sign(self, mu, A, B):
+        # the float m(A) is off by up to about the least normal float, so
+        # the true deviation may have either sign
+        q, m = both(A, B, mu)
+        assert measure(A, MuContext(mu)) < sys.float_info.min
+        assert not q.sign_resolved and not m.sign_resolved
+        assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
+
+
 def forbidden_quadrature(*args):
     raise AssertionError("the quadrature ran")
 
@@ -539,6 +557,16 @@ class TestOneRoutePerRow:
                      IntervalSet.of((0.0, 18.0))))
     @example(-0.45, (IntervalSet.of((0.0, 1e-320)),
                      IntervalSet.of((0.0, 18.0))))
+    @example(27.771160607863436,  # m(A) = 3.05e-370 underflows to 0
+             (IntervalSet.of((-4.340546577255391e-244,
+                              1.4094924432259323e-06)),
+              IntervalSet.of((191.18179822024757, 241.27938641193214))))
+    @example(0.78125, (IntervalSet.of((0.0, 1.9491746002675546e-126)),
+                       IntervalSet.of((0.0, 18.0))))  # a subnormal m(A)
+    @example(0.75, (IntervalSet.of((0.0, 3.898349200535109e-126)),
+                    IntervalSet.of((0.0, 9.0))))  # subnormal weights
+    @example(0.0, (IntervalSet.of((0.0, 0.25)),  # a subnormal diagonal
+                   IntervalSet.of((0.0, 4.00513294534e-312))))
     def test_rows_are_the_series_estimate(self, mu, pair):
         A, B = pair
         ctx = MuContext(mu)
@@ -555,7 +583,7 @@ class TestOneRoutePerRow:
         assert m.error_estimate <= q.error_estimate
 
     def test_series_failure_keeps_its_best(self, monkeypatch):
-        best = TraceEstimate.build(0.25, 1e-3, "moment_series", 0.5)
+        best = TraceEstimate.build(0.25, 1e-3, "moment_series", 0.5, 1.0)
 
         def series(A, B, ctx):
             raise EvaluationError("series failure injected", best=best)
