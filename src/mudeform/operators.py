@@ -24,9 +24,9 @@ MuPolynomials.
 The numeric layer evaluates these functions on grids and implements the
 deformed Fourier transform by weight-aware adaptive quadrature.  It takes
 a sequence of functions, which share one radius and one kernel matrix per
-refinement level, and each level evaluates the kernel on |k| times the
-positive half of the mirror-symmetric rule only.  Each call rounds the
-coefficients at mu once, from their exact values.
+refinement level; a level, built once per (mu, R, |k|) and kept for later
+calls, evaluates the kernel on |k| times the positive half of the
+mirror-symmetric rule only.  Each call rounds the coefficients at mu once.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from .core import MuContext, exp_mu_imag_on_grid, norm_const_mp
+from .core import (_LOG_FLOAT_MAX, MuContext, exp_mu_imag_on_grid,
+                   norm_const_mp)
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
@@ -346,15 +348,32 @@ def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
     return R
 
 
+@lru_cache(maxsize=QUAD_LEVELS - 1)
+def _fourier_level(ctx: MuContext, R: float, level: int, nodes: int,
+                   ak: bytes):
+    """Refinement level `level` of the transform on [-R, R]: the panel rule
+    (x, w) on (0, R) and the kernel exp_mu(i |k| x) on the float64 |k| in
+    ak, all read-only.  The key holds every input, so the functions of one
+    command and repeated calls share a level; the cache holds one ladder."""
+    domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
+    x, w = weighted_panel_rule(domain, ctx, 2 ** level, nodes)
+    kernel = exp_mu_imag_on_grid(np.outer(np.frombuffer(ak), x), ctx)
+    for array in (x, w, kernel):
+        array.flags.writeable = False
+    return x, w, kernel
+
+
 def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
                        ctx: MuContext) -> np.ndarray:
     """F_mu psi (k) = integral of exp_mu(-i k x) psi(x) dm_mu(x), for each
     psi in psis, as an array of shape (len(psis), len(k)).
 
     The functions share one radius R, the largest of the Gaussian envelope
-    bounds, and one kernel matrix per refinement level.  Each function's
-    coefficients are rounded at mu once per call.  The measure and the panel
-    rule on [-R, R] are mirror-symmetric, and
+    bounds, and one kernel matrix per refinement level, which
+    _fourier_level keeps for later calls at the same (mu, R, |k|).  Each
+    function's coefficients are rounded at mu once per call, and a function
+    whose values leave float range on [-R, R] fails before any level.  The
+    measure and the panel rule on [-R, R] are mirror-symmetric, and
     exp_mu(-ikx) = C(|kx|) - i S(kx) with C even and S odd, so each level
     evaluates the kernel once, on unique(|k|) times the nodes x > 0 of the
     rule on (0, R):
@@ -362,8 +381,9 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
         F(k) = C @ (w (psi(x) + psi(-x))) - i sign(k) S @ (w (psi(x) - psi(-x)))
 
     which is the full-grid sum exactly, for any k.  Panels of QUAD_NODES
-    nodes are refined, at most QUAD_LEVELS times, until successive levels
-    agree within max(QUAD_ABS_TOL, QUAD_REL_TOL max|F|) at every k, per F.
+    nodes are refined from 4 panels (level 2: coarser levels almost never
+    agree) up to level QUAD_LEVELS, until successive levels agree within
+    max(QUAD_ABS_TOL, QUAD_REL_TOL max|F|) at every k, per F.
     The weights of measure.weighted_panel_rule stay in float range, so it
     runs for every mu the kernel takes, up to 250.
     """
@@ -372,17 +392,21 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
         return np.zeros((len(psis), k.size), dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
     R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
-    domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
+    for v in values:  # Horner's partial sums are at most sum |c_n| R^n
+        logs = [math.log(abs(c)) + n * math.log(R)
+                for n, c in enumerate(v.tolist()) if c]
+        if logs and math.log(len(logs)) + max(logs) > _LOG_FLOAT_MAX:
+            raise EvaluationError(
+                f"psi leaves float range on [-R, R], R = {R:g}")
     ak, inv = np.unique(np.abs(k), return_inverse=True)
     odd_factor = -1j * np.sign(k)
     prev = None
     diff = math.inf
-    for level in range(QUAD_LEVELS + 1):
-        x, w = weighted_panel_rule(domain, ctx, 2 ** level, QUAD_NODES)
+    for level in range(2, QUAD_LEVELS + 1):
+        x, w, kernel = _fourier_level(ctx, R, level, QUAD_NODES, ak.tobytes())
         mirrored = np.concatenate((x, -x))
         both = np.array([_on_grid(v, mirrored) for v in values])
         plus, minus = both[:, :x.size], both[:, x.size:]
-        kernel = exp_mu_imag_on_grid(np.outer(ak, x), ctx)
         even = (w * (plus + minus)) @ kernel.real.T
         odd = (w * (plus - minus)) @ kernel.imag.T
         vals = even[:, inv] + odd_factor * odd[:, inv]

@@ -2,8 +2,9 @@
 rational evaluation, the exact even-series coefficients, the moments in
 mpmath, |exp_mu(is)|^2 on the kernel with its error bound, the trace as a
 dense 2-D sum, the moment series' corner sum with no cache, the reflection
-and two sizes of an interval set, an override of the quadrature settings
-and the panel rule built one panel at a time."""
+and two sizes of an interval set, an override of the quadrature settings,
+the panel rule built one panel at a time and the deformed Fourier ladder
+from level 0 with no level cache."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -15,8 +16,10 @@ from mudeform.core import KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid, norm_const_mp
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
-from mudeform.measure import (_density_scale, _gauss_rule, _positive_panels,
-                              weighted_panel_rule)
+from mudeform.measure import (QUAD_ABS_TOL, QUAD_LEVELS, QUAD_NODES,
+                              QUAD_REL_TOL, _density_scale, _gauss_rule,
+                              _positive_panels, weighted_panel_rule)
+from mudeform.operators import _on_grid, _support_radius
 
 
 def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
@@ -166,3 +169,30 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
         return np.empty(0), np.empty(0)
     x, w = np.concatenate(xs), np.concatenate(ws)
     return x[w != 0.0], w[w != 0.0]  # the nodes of weight 0 are dropped
+
+
+def fourier_uncached(psis, k, ctx):
+    """operators.fourier_mu_numeric as its ladder ran from level 0, with no
+    level cache: the values, and the level at which they converged."""
+    k = np.asarray(k, dtype=float)
+    values = [p.values_at(ctx.mu) for p in psis]
+    R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
+    ak, inv = np.unique(np.abs(k), return_inverse=True)
+    odd_factor = -1j * np.sign(k)
+    prev = None
+    for level in range(QUAD_LEVELS + 1):
+        x, w = weighted_panel_rule(IntervalSet.of((0.0, R)), ctx, 2 ** level,
+                                   QUAD_NODES)
+        mirrored = np.concatenate((x, -x))
+        both = np.array([_on_grid(v, mirrored) for v in values])
+        plus, minus = both[:, :x.size], both[:, x.size:]
+        kernel = exp_mu_imag_on_grid(np.outer(ak, x), ctx)
+        even = (w * (plus + minus)) @ kernel.real.T
+        odd = (w * (plus - minus)) @ kernel.imag.T
+        vals = even[:, inv] + odd_factor * odd[:, inv]
+        if prev is not None and np.all(
+                np.max(np.abs(vals - prev), axis=1) <= np.maximum(
+                    QUAD_ABS_TOL, QUAD_REL_TOL * np.max(np.abs(vals), axis=1))):
+            return vals, level
+        prev = vals
+    raise AssertionError("the uncached Fourier ladder did not converge")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mudeform.operators as operators_module
@@ -23,7 +23,7 @@ from mudeform.operators import (CPoly, GaussPoly, apply_H, apply_J, apply_P,
                                 fourier_mu_numeric, intertwining_check,
                                 parse_gauss_poly)
 
-from helpers import set_quadrature
+from helpers import fourier_uncached, set_quadrature
 
 G = GaussPoly.basis(0)
 XG = GaussPoly.basis(1)
@@ -35,6 +35,13 @@ def basis(n):
 
 def times_mu_poly(psi):
     return GaussPoly([CPoly(c.re * MU, c.im * MU) for c in psi.coeffs])
+
+
+@pytest.fixture(autouse=True)
+def cold_fourier_levels():
+    """Every test starts with no Fourier level cached, so its work counts
+    start cold."""
+    operators_module._fourier_level.cache_clear()
 
 
 class TestBasicOperators:
@@ -463,7 +470,7 @@ class TestFourierWork:
         assert counts[0] < counts[1]
 
     def test_failure_best_has_result_shape(self, monkeypatch):
-        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=1,
+        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=3,
                        QUAD_REL_TOL=1e-15, QUAD_ABS_TOL=1e-15)
         ks = np.linspace(-3, 3, 25)
         ctx = MuContext(0.5)
@@ -473,6 +480,38 @@ class TestFourierWork:
         with pytest.raises(EvaluationError) as pair:
             fourier_mu_numeric([apply_P(self.DEG6), self.DEG6], ks, ctx)
         assert pair.value.best.shape == (2, ks.size)
+
+    def test_check_operators_builds_each_level_once(self, tmp_path,
+                                                    monkeypatch):
+        # the default psis share their (mu, R) levels, and a repeated
+        # command rebuilds none; at mu = 2 the two psis have different R
+        calls = []
+        real_kernel = operators_module.exp_mu_imag_on_grid
+
+        def kernel(svals, ctx):
+            calls.append(ctx.mu)
+            return real_kernel(svals, ctx)
+
+        monkeypatch.setattr(operators_module, "exp_mu_imag_on_grid", kernel)
+        out = str(tmp_path / "operators.json")
+        counts = []
+        for mu in ("0.5", "0.5", "2"):
+            calls.clear()
+            assert main(["check-operators", "--mu", mu, "--out", out]) == 0
+            counts.append(len(calls))
+        assert counts == [2, 0, 4]
+
+    def test_values_past_float_range_fail_before_any_level(self, tmp_path,
+                                                           monkeypatch):
+        levels = []
+        monkeypatch.setattr(operators_module, "_fourier_level",
+                            lambda *args: levels.append(args))
+        out = tmp_path / "operators.json"
+        assert main(["check-operators", "--n-max", "0", "--psi",
+                     "(1e300x^6)*gauss", "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["intertwining"]
+        assert entry["error"].startswith("psi leaves float range on [-R, R]")
+        assert not levels
 
     @pytest.mark.parametrize("mu", (0.5, 87.0, 131.0, 200.0, 250.0))
     @pytest.mark.parametrize("literal", ("gauss", "x * gauss",
@@ -496,6 +535,35 @@ class TestFourierWork:
         assert operators_module._support_radius(values, mu, tol) == R
 
 
+COEFFS = [Fraction(sign * n, d) for sign in (1, -1) for n, d in
+          ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3))]
+
+
+class TestFourierLadder:
+    """The ladder from level 2 against the uncached one from level 0, on
+    check-operators' k and the pairs (P psi, psi) it transforms."""
+
+    K = np.linspace(-3.0, 3.0, 25)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(-0.499, 250.0, exclude_min=True),
+           coeffs=st.lists(st.sampled_from(COEFFS), min_size=1, max_size=7))
+    @example(mu=0.5, coeffs=[Fraction(1, 10 ** 300)])
+    def test_matches_the_uncached_ladder(self, mu, coeffs):
+        ctx = MuContext(mu)
+        psi = GaussPoly([CPoly(c) for c in coeffs])
+        psis = [apply_P(psi), psi]
+        ref, level = fourier_uncached(psis, self.K, ctx)
+        got = fourier_mu_numeric(psis, self.K, ctx)
+        if level >= 3:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= max(
+                    operators_module.QUAD_ABS_TOL,
+                    operators_module.QUAD_REL_TOL * np.max(np.abs(r)))
+
+
 class TestIntertwining:
     def test_mu0_gaussian(self):
         gap = intertwining_check(G, np.linspace(-3, 3, 25), MuContext(0.0))
@@ -510,7 +578,7 @@ class TestIntertwining:
         ctx = MuContext(0.5)
         ks = np.linspace(-2, 2, 9)
         gaps = []
-        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=2,
+        set_quadrature(monkeypatch, operators_module, QUAD_LEVELS=3,
                        QUAD_REL_TOL=1e-3, QUAD_ABS_TOL=1e-6)
         for nodes in (2, 4, 12):
             set_quadrature(monkeypatch, operators_module, QUAD_NODES=nodes)
