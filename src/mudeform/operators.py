@@ -357,6 +357,7 @@ def _fourier_level(ctx: MuContext, R: float, level: int, nodes: int,
     command and repeated calls share a level; the cache holds one ladder."""
     domain = IntervalSet.of((0.0, R))  # panel splitter is weight-aware at 0
     x, w = weighted_panel_rule(domain, ctx, 2 ** level, nodes)
+    x, w = x[w != 0.0], w[w != 0.0]  # underflowed weights carry nothing
     kernel = exp_mu_imag_on_grid(np.outer(np.frombuffer(ak), x), ctx)
     for array in (x, w, kernel):
         array.flags.writeable = False

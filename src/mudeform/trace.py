@@ -1,20 +1,17 @@
 """Two independent evaluators of Tr(E^Q(A) E^P(B)) and deviation scans.
 
-The trace equals the double integral of |exp_mu(i k x)|^2 over A x B against
-m_mu x m_mu.  Route one is a 1-D adaptive panel rule over A of the diagonal
-of E^P(B), in closed form by Lommel's integral; route two substitutes the
-rearranged even-power series, whose terms are products of closed-form
-moments, and sums it in closed form: its term ratio is rational in j, so
-the trace is a finite corner sum of 2F3 values over the half-line panels of
-A and B, each distinct corner evaluated once per (mu, digits).  Where both
-converge they must agree within their combined error estimates.  A scan
-row comes from the closed form alone, its best estimate included where it
-fails.  The quadrature runs at the fixed settings measure.QUAD_* and is
-only the independent cross-check: the trace command, the tests and the
-acceptance suite run both.  The trace's difference from
-m_mu(A) m_mu(B) is the deviation of interest: provably negative for mu > 0
-on sets of positive measure, conjecturally positive for -1/2 < mu < 0, and
-zero in the classical case mu = 0.
+Tr is the double integral of |exp_mu(i k x)|^2 over A x B against
+m_mu x m_mu.  The quadrature integrates over A the diagonal of E^P(B), in
+closed form by Lommel's integral.  The moment series sums the even-power
+series in closed form, a corner sum of 2F3 values over the half-line
+panels of A and B that also gives m_mu(A) m_mu(B).  Where both converge
+they must agree within their combined error estimates.  A scan row comes
+from the series alone, its best estimate included where it fails.  The
+quadrature, at the fixed settings measure.QUAD_*, is the cross-check run
+by the trace command, the tests and the acceptance suite.  Tr - m_mu(A)
+m_mu(B) is the deviation of interest: provably negative for mu > 0 on sets
+of positive measure, conjecturally positive for -1/2 < mu < 0, and zero
+in the classical case mu = 0.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import csv
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,24 +31,21 @@ from .core import (KERNEL_ABS2_FLOOR, MuContext, exp_mu_imag_on_grid,
 from .errors import EvaluationError
 from .intervals import IntervalSet, format_interval_set
 from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _density_scale,
-                      _positive_panels, measure, weighted_panel_rule)
+                      _positive_panels, weighted_panel_rule)
 
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
 _EPS = float(np.finfo(float).eps)  # a Python float keeps rows JSON-ready
-_TINY = sys.float_info.min  # the least normal float
 
 
 @dataclass
 class TraceEstimate:
-    """A trace value with its error estimate and the factorized reference.
+    """A trace value with its error estimate and m(A) m(B).
 
-    build forms product_measures = m(A) m(B) from the two measures, and
-    deviation is the float subtraction value - product_measures; negative
-    deviation is the mu > 0 strictness direction, positive the conjectured
-    direction for -1/2 < mu < 0.  error_estimate includes the float
-    rounding of value and product_measures, so a deviation of a few ulps is
-    never reported as a resolved sign.
+    product_measures is the series' corner sum, rounded once; deviation =
+    value - product_measures is negative in the proven mu > 0 direction,
+    positive in the conjectured mu < 0 one.  build adds the rounding of
+    both to error_estimate, so a few ulps are never a resolved sign.
     """
 
     value: float
@@ -61,17 +54,11 @@ class TraceEstimate:
     product_measures: float
 
     @classmethod
-    def build(cls, value: float, error: float, method: str, m_a: float,
-              m_b: float) -> "TraceEstimate":
-        product = m_a * m_b
-        # the ulp of 0 covers a trace that underflows to a subnormal or 0
+    def build(cls, value: float, error: float, method: str,
+              product: float) -> "TraceEstimate":
+        # ulp(0) covers a value or product that underflowed to 0
         rounding = ROUNDING_ULPS * (_EPS * (abs(value) + abs(product))
                                     + math.ulp(0.0))
-        # a measure below the normal range is off by up to about its least
-        # normal float, which the other measure scales in the product
-        for m, other in ((m_a, m_b), (m_b, m_a)):
-            if m < _TINY:
-                rounding += ROUNDING_ULPS * _TINY * other
         return cls(value, error + rounding, method, product)
 
     @property
@@ -84,17 +71,14 @@ class TraceEstimate:
         return self.error_estimate < abs(self.deviation) / 10.0
 
 
-def _measures(A: IntervalSet, B: IntervalSet, ctx: MuContext):
-    """m(A) and m(B) for TraceEstimate.build; both an exact 0 where A or B
-    is empty, as the trace and m(A) m(B) are then, with nothing rounded."""
-    m_a, m_b = measure(A, ctx), measure(B, ctx)
-    return (0.0, 0.0) if A.is_empty or B.is_empty else (m_a, m_b)
+def _sup(S: IntervalSet) -> float:
+    """sup |x| over S, whose intervals are sorted; 0 for the empty set."""
+    return max(-S.intervals[0][0], S.intervals[-1][1]) if S.intervals else 0.0
 
 
 def _start_panels(A: IntervalSet, B: IntervalSet) -> list[int]:
     """Level-0 panels per half-line panel of A, one per period of Phi_B."""
-    s = max(abs(v) for iv in B.intervals for v in iv)
-    return [1 + math.ceil((b - a) * s / math.pi)
+    return [1 + math.ceil((b - a) * _sup(B) / math.pi)
             for a, b, _ in _positive_panels(A)]
 
 
@@ -130,14 +114,21 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
     Tr is symmetric: A is the set needing fewer first panels.  Panels of
     QUAD_NODES nodes double, up to QUAD_LEVELS times, until a change from
     the second refinement on is within QUAD_REL_TOL |value| plus the floor
-    KERNEL_ABS2_FLOOR |w| @ scale + ulp(0) (sum |phi| + nodes); that floor
-    plus the larger of the last two changes (two levels can agree by
-    chance) is the error estimate, and non-convergence raises
-    EvaluationError carrying the best estimate.
+    KERNEL_ABS2_FLOOR |w| @ scale + ulp(0) (sum |phi| + sum |w| + nodes);
+    that floor plus the larger of the last two changes (two levels can
+    agree by chance) is the error estimate, and non-convergence raises
+    EvaluationError carrying the best estimate.  m(A) m(B) is the moment
+    series', or its best estimate's where it fails.
     """
-    measures = _measures(A, B, ctx)
-    if A.is_empty or B.is_empty:
-        return TraceEstimate.build(0.0, 0.0, "quadrature", *measures)
+    try:
+        product = trace_moment_series(A, B, ctx).product_measures
+    except EvaluationError as err:
+        if err.best is None:  # m(A) m(B) overflows a float
+            raise
+        product = err.best.product_measures
+    if math.inf in (_density_scale(ctx.mu, _sup(S)) for S in (A, B)):
+        raise EvaluationError(f"the density of m_mu on {A} or {B} at "
+                              f"mu = {ctx.mu} overflows a float")
     start, swapped = _start_panels(A, B), _start_panels(B, A)
     if sum(swapped) < sum(start):
         A, B, start = B, A, swapped
@@ -148,16 +139,18 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
                                    QUAD_NODES)
         phi, scale = _diagonal(x, B, ctx)
         value = float(w @ phi)
-        # subnormal weights and products each round by up to ulp(0)
+        # an underflowed or subnormal w or phi is off by ulp(0) per unit of
+        # the other factor, and a subnormal product w phi by ulp(0)
         floor = (KERNEL_ABS2_FLOOR * float(np.abs(w) @ scale)
-                 + math.ulp(0.0) * (float(np.abs(phi).sum()) + x.size))
+                 + math.ulp(0.0) * (float(np.abs(phi).sum())
+                                    + float(np.abs(w).sum()) + x.size))
         if prev is not None:
             last, diff = diff, abs(value - prev)
             if diff <= QUAD_REL_TOL * abs(value) + floor and level > 1:
                 return TraceEstimate.build(value, max(diff, last) + floor,
-                                           "quadrature", *measures)
+                                           "quadrature", product)
         prev = value
-    best = TraceEstimate.build(prev, diff + floor, "quadrature", *measures)
+    best = TraceEstimate.build(prev, diff + floor, "quadrature", product)
     raise EvaluationError(
         f"trace quadrature did not converge within {QUAD_LEVELS} "
         f"subdivisions (last refinement change {diff:.3g})", best=best)
@@ -180,26 +173,31 @@ def _series_params(mu: float, dps: int):
 
 @lru_cache(maxsize=256)
 def _corner(mu: float, t, dps: int):
-    """F(t) / scale = t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) at dps
+    """The pair t^p, t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) at dps
     digits, keyed on the rounded product t so equal products share it."""
     a1, a2, p, b, _ = _series_params(mu, dps)
     with mpmath.workdps(dps):
-        return t ** p * mpmath.hyp2f3(a1, a2, p, b, b, -t * t)
+        power = t ** p
+        return power, power * mpmath.hyp2f3(a1, a2, p, b, b, -t * t)
 
 
 def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
-    """sum of +-F(x y) over the corners of the half-line panels of A and B,
-    at dps digits; F vanishes at the corners on an axis."""
+    """m(A) m(B) and Tr at dps digits, the sums of +-scale t^p and +-F(t)
+    over the corners t = x y of the half-line panels of A and B."""
     scale = _series_params(mu, dps)[-1]
     with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
+        product = trace = mpmath.mpf(0)
         for a, b, _ in _positive_panels(A):
             for c, d, _ in _positive_panels(B):
-                for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
-                                   (a, c, 1)):
+                for x, y, plus in ((b, d, True), (a, d, False),
+                                   (b, c, False), (a, c, True)):
                     if x > 0.0 and y > 0.0:
-                        total += sign * _corner(mu, mpmath.mpf(x) * y, dps)
-        return scale * total
+                        power, value = _corner(mu, mpmath.mpf(x) * y, dps)
+                        if plus:  # cheaper than a product with the sign
+                            product, trace = product + power, trace + value
+                        else:
+                            product, trace = product - power, trace - value
+        return scale * product, scale * trace
 
 
 def trace_moment_series(A: IntervalSet, B: IntervalSet,
@@ -209,25 +207,33 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     With p = 2 mu + 1, M(2j) = norm x^(p+2j)/(p+2j) on [0, x] and the
     coefficient ratio c_j / c_{j-1} = (mu+j-1) / (j (2mu+j) (mu+j-1/2)) of
     core.even_series_result, the term ratio is rational in j: over
-    [0,a] x [0,b] the series is F(ab), F(t) = norm^2 t^p / p^2
-    2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2).  The kernel is even, so a
-    pair of half-line panels [a,b] x [c,d] gives F(bd) - F(ad) - F(bc) +
-    F(ac).  The corner sum runs at SERIES_DPS digits and SERIES_CHECK_DIGITS
-    higher, and the difference is the error estimate; past double precision
-    the corners cancel, and both digit counts double, for at most
-    SERIES_MAX_ROUNDS rounds.  _corner caches F(t) / scale per (mu, digits,
-    t rounded at those digits) and _series_params the 2F3 parameters and
-    scale per (mu, digits), so corners shared within a row or across rows
-    are evaluated once, with the same bits as where they occur.
+    [0,a] x [0,b] the series is F(ab), F(t) = scale t^p 2F3(mu, mu+1/2; p,
+    mu+3/2, mu+3/2; -t^2), scale = (norm / p)^2, whose j = 0 term scale t^p
+    is m([0,a]) m([0,b]).  The kernel is even, so panels [a,b] x [c,d] give
+    F(bd) - F(ad) - F(bc) + F(ac), and m(A) m(B) likewise.  Both sums run
+    at SERIES_DPS digits and SERIES_CHECK_DIGITS higher, the trace's
+    difference is the error estimate, and where the corners cancel past
+    double precision both digit counts double until both sums settle, for
+    at most SERIES_MAX_ROUNDS rounds.  _corner and _series_params cache per
+    (mu, digits), so shared corners are evaluated once, bit for bit.  A pair
+    whose largest corner's m(A) m(B) overflows a float fails before any
+    2F3, which there may take seconds or not converge.
     """
-    measures = _measures(A, B, ctx)
+    scale, ends = _series_params(ctx.mu, SERIES_DPS)[-1], (_sup(A), _sup(B))
+    if 0.0 not in ends and (  # log2 of scale t^p at t = sup|A| sup|B|
+            math.log2(scale.man) + scale.exp + (2.0 * ctx.mu + 1.0)
+            * sum(map(math.log2, ends)) >= np.finfo(float).maxexp):
+        raise EvaluationError(f"m(A) m(B) over {A} x {B} at mu = {ctx.mu} "
+                              "overflows a float")
     for rounds in range(SERIES_MAX_ROUNDS):
         dps = SERIES_DPS * 2 ** rounds
         low = _corner_sum(A, B, ctx.mu, dps)
         high = _corner_sum(A, B, ctx.mu, dps + SERIES_CHECK_DIGITS)
-        best = TraceEstimate.build(float(high), float(abs(high - low)),
-                                   "moment_series", *measures)
-        if abs(high - low) <= _EPS * abs(high):
+        (product, value), error = high, abs(high[1] - low[1])
+        best = TraceEstimate.build(float(value), float(error),
+                                   "moment_series", float(product))
+        if (error <= _EPS * abs(value)
+                and abs(product - low[0]) <= _EPS * product):
             return best
     raise EvaluationError(
         f"the moment-series corners cancel beyond "
@@ -273,7 +279,7 @@ def evaluate_pair(A: IntervalSet, B: IntervalSet, ctx: MuContext) -> ScanRow:
     """The scan row of one (A, B), from the moment series alone.
 
     Where the series raises, the row keeps its best estimate and the note
-    its message.  A series error with no best comes from m(A) or m(B)
+    its message.  A series error with no best comes from m(A) m(B)
     overflowing a float, so that row is failed, with no product either.
     """
     try:

@@ -77,21 +77,23 @@ def moment_mp(A: IntervalSet, mu, n: int):
 
 def corner_sum_uncached(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
     """trace._corner_sum with every corner evaluated where it occurs: the
-    oracle of its cached corners, which must match it bit for bit."""
+    oracle of its cached corners, m(A) m(B) and the trace, which must match
+    it bit for bit."""
     with mpmath.workdps(dps):
         mu = mpmath.mpf(mu)
         p = 2 * mu + 1
         norm = norm_const_mp(mu)
-        total = mpmath.mpf(0)
+        product = total = mpmath.mpf(0)
         for a, b, _ in _positive_panels(A):
             for c, d, _ in _positive_panels(B):
                 for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
                                    (a, c, 1)):
                     if x > 0.0 and y > 0.0:
                         t = mpmath.mpf(x) * y
+                        product += sign * t ** p
                         total += sign * t ** p * mpmath.hyp2f3(
                             mu, mu + 0.5, p, mu + 1.5, mu + 1.5, -t * t)
-        return (norm / p) ** 2 * total
+        return (norm / p) ** 2 * product, (norm / p) ** 2 * total
 
 
 def abs2_on_grid(svals, ctx) -> np.ndarray:
@@ -167,8 +169,7 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
             ws.append(wt)
     if not xs:
         return np.empty(0), np.empty(0)
-    x, w = np.concatenate(xs), np.concatenate(ws)
-    return x[w != 0.0], w[w != 0.0]  # the nodes of weight 0 are dropped
+    return np.concatenate(xs), np.concatenate(ws)  # weights of 0 included
 
 
 def fourier_uncached(psis, k, ctx):
@@ -183,6 +184,7 @@ def fourier_uncached(psis, k, ctx):
     for level in range(QUAD_LEVELS + 1):
         x, w = weighted_panel_rule(IntervalSet.of((0.0, R)), ctx, 2 ** level,
                                    QUAD_NODES)
+        x, w = x[w != 0.0], w[w != 0.0]
         mirrored = np.concatenate((x, -x))
         both = np.array([_on_grid(v, mirrored) for v in values])
         plus, minus = both[:, :x.size], both[:, x.size:]

@@ -299,8 +299,8 @@ class TestScanCommand:
         assert_golden(out_file.read_bytes(), GOLDEN_SCAN, "the default scan")
 
     def test_failed_row_bytes(self, capsys, tmp_path):
-        # m(A) overflows a float at mu = 249: the row is failed, with no
-        # product either, and the scan exits 1
+        # m(A) m(B) overflows a float at mu = 249: the row is failed, with
+        # no product either, and the scan exits 1
         code, _, _ = run(capsys, "scan", "--mu-grid", "249,1,-0.3",
                          "--set-a", "[40,41]+[-3,-1]", "--set-b", "[40,41]",
                          "--out", str(tmp_path / "s"))
@@ -314,15 +314,15 @@ class TestScanCommand:
         assert row["mu"] == 249.0 and row["method"] == "failed"
         assert all(math.isnan(row[k]) for k in ("value", "product",
                                                 "deviation"))
-        assert row["note"] == ("moment 0 of m_mu over [-3,-1]+[40,41] at "
-                               "mu = 249.0 overflows a float")
+        assert row["note"] == ("m(A) m(B) over [-3,-1]+[40,41] x [40,41] "
+                               "at mu = 249.0 overflows a float")
         assert row["sign_resolved"] is False and row["contains_zero"] is False
 
     def test_underflowed_measure_is_not_a_resolved_sign(self, capsys,
                                                         tmp_path):
-        # m(A) = 3.05e-370 rounds to 0.0, so the float deviation is the
-        # trace, 3.2e-274, where the true deviation is about -6.0e-283:
-        # the bar must cover the product's lost m(A)
+        # m(A) = 3.05e-370 rounds to 0.0 in floats, but m(A) m(B) comes
+        # from the corner sum, 3.2e-274, and the true deviation, about
+        # -6.0e-283, is a resolved negative sign
         code, _, _ = run(capsys, "scan", "--mu-grid", "27.771160607863436",
                          "--set-a",
                          "[-4.340546577255391e-244,1.4094924432259323e-06]",
@@ -330,9 +330,9 @@ class TestScanCommand:
                          "--out", str(tmp_path / "s.json"))
         assert code == 0
         row, = json.loads((tmp_path / "s.json").read_text())["rows"]
-        assert row["product"] == 0.0 and row["deviation"] > 0.0
-        assert row["error"] > row["deviation"]
-        assert row["sign_resolved"] is False
+        assert row["product"] == pytest.approx(3.2081227132828926e-274)
+        assert row["deviation"] == pytest.approx(-6.0131408e-283, rel=1e-6)
+        assert row["sign_resolved"] is True
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         argv = ["scan", "--mu-grid", "0,0.5", "--set-a", "[1,2]",

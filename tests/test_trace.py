@@ -115,7 +115,7 @@ class TestTraceQuadrature:
         )
         for mu, A, B in pairs:
             est = trace_quadrature(A, B, MuContext(mu))
-            ref = trace_module._corner_sum(A, B, mu, 60)
+            ref = trace_module._corner_sum(A, B, mu, 60)[1]
             assert abs(est.value - ref) <= est.error_estimate, mu
 
     def test_matches_the_dense_tensor_sum(self):
@@ -128,6 +128,18 @@ class TestTraceQuadrature:
                 ctx = MuContext(mu)
                 assert trace_quadrature(A, B, ctx).value == pytest.approx(
                     dense_trace(A, B, ctx), rel=1e-13), (mu, A, B)
+
+    def test_density_past_float_range_fails_fast(self):
+        # norm 90.3^(2 mu + 1) overflows a float, and so would the panel
+        # weights on A or the diagonal of E^P(A); the series evaluates the
+        # pair, whose m(A) m(B) underflows to 0
+        mu = 207.74245959834164
+        A = IntervalSet.of((87.65185171756208, 90.32701003320939))
+        B = IntervalSet.of((-0.05056059048423454, -0.03040458994043091))
+        m = trace_moment_series(A, B, MuContext(mu))
+        assert m.value == m.product_measures == 0.0
+        with pytest.raises(EvaluationError, match="density of m_mu"):
+            trace_quadrature(A, B, MuContext(mu))
 
     def test_nonconvergence_carries_best(self, monkeypatch):
         set_quadrature(monkeypatch, trace_module, QUAD_NODES=1,
@@ -173,7 +185,7 @@ class TestTraceQuadrature:
             calls.clear()
             est = trace_quadrature(A, B, MuContext(mu))
             assert len(calls) == 2 * 3, mu
-            ref = trace_module._corner_sum(A, B, mu, 60)
+            ref = trace_module._corner_sum(A, B, mu, 60)[1]
             assert abs(est.value - ref) <= est.error_estimate, mu
 
     def test_far_and_near_origin_pairs_resolve_by_both_routes(self):
@@ -381,6 +393,25 @@ class TestMomentSeriesWork:
         assert (corner.misses, corner.hits) == (336, 144)
         assert trace_module._series_params.cache_info().misses == 12 * 2
 
+    def test_product_settles_as_well_as_the_trace(self, monkeypatch):
+        # near mu = -1/2 the corners of m(A) m(B) cancel about 1/p^2 times
+        # worse than the trace's: at 20 and 30 digits the trace agrees to
+        # 2e-19 and the product only to 4e-15, so a second round runs
+        mu, A = -0.499, IntervalSet.of((1.0, 1.1))
+        digits, real = [], trace_module._corner_sum
+
+        def corner_sum(A, B, mu, dps):
+            digits.append(dps)
+            return real(A, B, mu, dps)
+
+        monkeypatch.setattr(trace_module, "_corner_sum", corner_sum)
+        est = trace_moment_series(A, A, MuContext(mu))
+        assert digits == [20, 30, 40, 50]
+        with mpmath.workdps(60):
+            ref = moment_mp(A, mu, 0) ** 2
+            assert abs(est.product_measures - ref) <= mpmath.mpf(
+                math.ulp(float(ref))) / 2
+
     def test_cancellation_past_the_last_round_fails_with_best(self, monkeypatch):
         monkeypatch.setattr(trace_module, "SERIES_MAX_ROUNDS", 1)
         narrow = IntervalSet.of((1.0, 1.0 + 1e-9))
@@ -523,11 +554,70 @@ class TestDeviationScan:
     ])
     def test_measure_below_normal_range_is_no_resolved_sign(self, mu, A, B):
         # the float m(A) is off by up to about the least normal float, so
-        # the true deviation may have either sign
+        # its deviation may have either sign; the corner sum's m(A) m(B) is
+        # not.  At mu = 27.77 the series resolves the true deviation,
+        # -6.0e-283 at 60 digits; at mu = 0.78125 the deviation is below 60
+        # digits of the trace.  The quadrature's value underflows to 0
         q, m = both(A, B, mu)
         assert measure(A, MuContext(mu)) < sys.float_info.min
-        assert not q.sign_resolved and not m.sign_resolved
+        assert not q.sign_resolved
+        if mu > 1.0:
+            assert m.sign_resolved and m.deviation < 0
+        else:
+            assert not m.sign_resolved
         assert abs(q.value - m.value) <= q.error_estimate + m.error_estimate
+
+
+@st.composite
+def far_scale_sets(draw):
+    """One or two intervals starting at +-10^U(-60,3), each of width
+    |start| 10^U(-2,1)."""
+    ivs = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.sampled_from((-1.0, 1.0))) * 10 ** draw(st.floats(-60, 3))
+        ivs.append((lo, lo + abs(lo) * 10 ** draw(st.floats(-2, 1))))
+    try:
+        return IntervalSet(tuple(ivs))
+    except ValueError:  # overlapping intervals
+        assume(False)
+
+
+MU_BANDS = ((-0.499, 0.5), (0.0, 5.0), (5.0, 40.0), (40.0, 250.0))
+
+
+class TestSignsOfTheScan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MU_BANDS).flatmap(lambda band: st.floats(*band)),
+           far_scale_sets(), far_scale_sets())
+    @example(-0.1599158957095021,  # the float m(A) is 1.96e-14 high
+             IntervalSet.of((-1.1588656788094234e-60, -1.147119330260918e-60)),
+             IntervalSet.of((-1.2902498249367968e-56, 5.24196384257809e-57),
+                            (3.5798633523211467e-31, 4.768574952511319e-31)))
+    @example(3.763425525967843,  # the float m(B) is 6.6e-14 low
+             IntervalSet.of((349.811846599259, 450.4481832128851)),
+             IntervalSet.of((-9.09078812938197e-34, 6.475628435115975e-33)))
+    @example(27.771160607863436,  # the float m(A) = 3.05e-370 is 0
+             IntervalSet.of((-4.340546577255391e-244, 1.4094924432259323e-06)),
+             IntervalSet.of((191.18179822024757, 241.27938641193214)))
+    @example(0.13539382872607647,
+             IntervalSet.of((3.621891184052775e-52, 1.6666769148290353e-51)),
+             IntervalSet.of((4.062983690184053e-25, 8.900766593191876e-25)))
+    @example(0.5512747352360842,  # once a resolved +1.77e-96
+             IntervalSet.of((-3.590604881882216e-36, -3.3064087193195454e-36),
+                            (-3.192643996357261e-36, -1.8914672563096384e-36)),
+             IntervalSet.of((0.00026657200453867935, 0.0002774568716030373),
+                            (0.0011212700910871664, 0.001658324428567638)))
+    def test_no_wrong_resolved_sign_and_an_exact_product(self, mu, A, B):
+        # the sign of a resolved row is the proven one for mu > 0 and the
+        # conjectured one for mu < 0, and m(A) m(B) is rounded once from
+        # the exact product
+        row = evaluate_pair(A, B, MuContext(mu))
+        assert not row.sign_resolved or (row.deviation < 0) == (mu > 0)
+        if row.method != "failed":
+            with mpmath.workdps(60):
+                ref = moment_mp(A, mu, 0) * moment_mp(B, mu, 0)
+                assert abs(row.product - ref) <= mpmath.mpf(
+                    math.ulp(float(ref))) / 2
 
 
 def forbidden_quadrature(*args):
@@ -583,7 +673,7 @@ class TestOneRoutePerRow:
         assert m.error_estimate <= q.error_estimate
 
     def test_series_failure_keeps_its_best(self, monkeypatch):
-        best = TraceEstimate.build(0.25, 1e-3, "moment_series", 0.5, 1.0)
+        best = TraceEstimate.build(0.25, 1e-3, "moment_series", 0.5)
 
         def series(A, B, ctx):
             raise EvaluationError("series failure injected", best=best)
