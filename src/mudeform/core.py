@@ -255,6 +255,7 @@ def exp_mu_series(z: complex, ctx: MuContext) -> SeriesResult:
 
 # --- eta_mu: Gauss-Jacobi rule ------------------------------------------------
 
+@lru_cache(maxsize=256)
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """n-point Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1,1].
 
@@ -262,7 +263,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     from the three-term recurrence of the (monic) Jacobi polynomials; the
     weights come from the first eigenvector components scaled by the total
     weight mass 2^(alpha+beta+1) B(alpha+1, beta+1).  alpha = beta = 0 is
-    Gauss-Legendre.
+    Gauss-Legendre.  The rule is cached, its arrays read-only.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -288,6 +289,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     mass = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
                     + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
     weights = mass * vecs[0, :] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -315,11 +317,6 @@ def eta_rule(ctx: MuContext, n_nodes: int) -> JacobiRule:
     return JacobiRule(nodes=nodes, weights=raw / mass, raw_mass=mass)
 
 
-@lru_cache(maxsize=64)
-def _cached_eta_rule(mu: float, n_nodes: int) -> JacobiRule:
-    return eta_rule(MuContext(mu), n_nodes)
-
-
 ETA_NODES_CAP = 1200
 
 
@@ -339,8 +336,8 @@ def default_eta_nodes(s_max: float) -> int:
 
 def exp_mu_integral(z: complex, ctx: MuContext) -> complex:
     """exp_mu(z) via the integral representation against eta_mu (mu > 0),
-    on the cached rule of default_eta_nodes(|z|) nodes."""
-    rule = _cached_eta_rule(ctx.mu, default_eta_nodes(abs(z)))
+    on the rule of default_eta_nodes(|z|) nodes."""
+    rule = eta_rule(ctx, default_eta_nodes(abs(z)))
     return complex(np.sum(rule.weights * np.exp(complex(z) * rule.nodes)))
 
 

@@ -21,9 +21,10 @@ The expansion runs on integers.  Since (mu + i + 1/2) = (2 mu + 2 i + 1)/2,
 each summand is a rational scalar over a power of two times the product of
 two contiguous ranges of the odd factors (2 mu + 2 i + 1).  Those range
 products are built once per sum and shared by its terms, and terms with equal
-ranges are merged before they are expanded.  Products of MuPolynomials and
-their evaluation at a Fraction likewise clear denominators and work on the
-integer numerators.
+ranges are merged before they are expanded.  A MuPolynomial itself is
+integer numerators over one denominator: its arithmetic and its evaluation
+at a Fraction work on those integers, and only its coeffs view builds
+Fractions.
 """
 
 from __future__ import annotations
@@ -37,23 +38,29 @@ HALF = Fraction(1, 2)
 
 
 class MuPolynomial:
-    """Dense polynomial in mu with Fraction coefficients (index = power)."""
+    """Dense polynomial in mu (index = power) with the rational coefficients
+    c_i = nums[i] / den: integers over one positive den, in lowest terms and
+    with no trailing zero, so equal polynomials hold equal integers."""
 
-    __slots__ = ("coeffs", "_integers")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._integers = None
+        den = math.lcm(1, *(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def _integer_form(self) -> tuple[list[int], int]:
-        """The integer numerators over their lcm, c_i = n_i / L, cleared
-        once per polynomial."""
-        if self._integers is None:
-            self._integers = _cleared(self.coeffs)
-        return self._integers
+    @classmethod
+    def _of(cls, nums, den: int) -> "MuPolynomial":
+        """The polynomial with coefficients nums[i] / den, for den > 0."""
+        poly = cls.__new__(cls)
+        poly._set(list(nums), den)
+        return poly
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        self.nums, self.den = tuple(n // g for n in nums), den // g
 
     @classmethod
     def const(cls, c) -> "MuPolynomial":
@@ -65,62 +72,66 @@ class MuPolynomial:
         return cls((Fraction(c), Fraction(1)))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, MuPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, MuPolynomial) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "MuPolynomial") -> "MuPolynomial":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a, b = ([n * (den // p.den) for n in p.nums] for p in (self, other))
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return MuPolynomial(out)
+        for i, n in enumerate(b):
+            a[i] += n
+        return MuPolynomial._of(a, den)
 
     def __sub__(self, other: "MuPolynomial") -> "MuPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "MuPolynomial":
-        return MuPolynomial(tuple(-c for c in self.coeffs))
+        return MuPolynomial._of([-n for n in self.nums], self.den)
 
     def __mul__(self, other: "MuPolynomial") -> "MuPolynomial":
         if self.is_zero or other.is_zero:
             return MuPolynomial()
-        a, da = self._integer_form()
-        b, db = other._integer_form()
-        den = da * db
-        return MuPolynomial([Fraction(c, den) for c in _convolve(a, b)])
+        return MuPolynomial._of(_convolve(self.nums, other.nums),
+                                self.den * other.den)
 
     def scale(self, q) -> "MuPolynomial":
         q = Fraction(q)
-        return MuPolynomial(tuple(q * c for c in self.coeffs))
+        return MuPolynomial._of([n * q.numerator for n in self.nums],
+                                self.den * q.denominator)
 
     def times_mu(self) -> "MuPolynomial":
         """Multiply by the variable mu itself."""
         if self.is_zero:
             return self
-        return MuPolynomial((Fraction(0),) + self.coeffs)
+        return MuPolynomial._of((0,) + self.nums, self.den)
 
     def evaluate(self, mu):
         """Horner evaluation; exact when mu is a Fraction, where it runs on
-        integers: P(p/q) = (sum_i n_i p^i q^(d-i)) / (L q^d), c_i = n_i/L."""
+        the integers: P(p/q) = (sum_i n_i p^i q^(d-i)) / (den q^d)."""
         if not isinstance(mu, Fraction):
             acc = type(mu)(0)
             for c in reversed(self.coeffs):
@@ -128,13 +139,12 @@ class MuPolynomial:
             return acc
         if self.is_zero:
             return Fraction(0)
-        nums, den = self._integer_form()
         p, q = mu.numerator, mu.denominator
-        acc, q_pow = nums[-1], 1
-        for n in reversed(nums[:-1]):
+        acc, q_pow = self.nums[-1], 1
+        for n in reversed(self.nums[:-1]):
             q_pow *= q
             acc = acc * p + n * q_pow
-        return Fraction(acc, den * q_pow)
+        return Fraction(acc, self.den * q_pow)
 
     def coeff_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -157,12 +167,6 @@ class MuPolynomial:
 
 ONE = MuPolynomial.const(1)
 MU = MuPolynomial((0, 1))
-
-
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the lcm L of the denominators: c_i = n_i / L."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -309,13 +313,11 @@ def _factored_sum(terms) -> MuRationalFunction:
         acc += [0] * (len(term) - len(acc))
         for i, c in enumerate(term):
             acc[i] += scale * c
-    total = MuPolynomial([Fraction(c, common) for c in acc])
+    total = MuPolynomial._of(acc, common)
     if total.is_zero:
         return MuRationalFunction(total)
-    scale = 2 ** d_max
     return MuRationalFunction(
-        total, MuPolynomial([Fraction(c, scale)
-                             for c in range_product(0, d_max)]))
+        total, MuPolynomial._of(range_product(0, d_max), 2 ** d_max))
 
 
 @lru_cache(maxsize=None)

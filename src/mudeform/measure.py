@@ -63,13 +63,6 @@ def measure(A: IntervalSet, ctx: MuContext) -> float:
     return moment(A, ctx, 0)
 
 
-@lru_cache(maxsize=256)
-def _gauss_rule(n: int, beta: float = 0.0):
-    """The n-point rule for (1+t)^beta on [-1,1]: Gauss-Legendre at beta = 0;
-    at beta = 2 mu, mapped onto [0,h], exact against the x^(2 mu) factor."""
-    return gauss_jacobi(n, 0.0, beta)
-
-
 # the fixed settings of both adaptive quadratures on these panel rules,
 # trace.trace_quadrature and operators.fourier_mu_numeric
 QUAD_NODES = 12
@@ -101,7 +94,7 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
     width over b times (x / b)^(2 mu) on a Legendre weight.  A node whose
     weight underflowed to 0 is kept, as is a negative Jacobi weight.
     """
-    t, w = _gauss_rule(nodes_per_panel)
+    t, w = gauss_jacobi(nodes_per_panel, 0.0, 0.0)
     p = 2.0 * ctx.mu + 1.0
     pieces = list(_positive_panels(A))
     counts = np.broadcast_to(panels_per_interval, (len(pieces),))
@@ -111,7 +104,7 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
         edges = np.linspace(a, b, panels + 1)
         edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # as a >= 0
         if 2.0 * edges[0] < edges[1]:
-            t0, w0 = _gauss_rule(nodes_per_panel, 2.0 * ctx.mu)
+            t0, w0 = gauss_jacobi(nodes_per_panel, 0.0, 2.0 * ctx.mu)
             for end, sign in ((edges[1], 1.0), (edges[0], -1.0)):
                 if end > 0.0:
                     x = 0.5 * end * (1.0 + t0)

@@ -19,7 +19,7 @@ reflection term shifts the odd rows down in x and up in mu, times 2 kappa
 (psi - J psi keeps only odd powers, so dividing by x is exact), and 1/i
 swaps re and im.  Equality and the coefficient views read the canonical
 form, trimmed and in lowest terms; CPoly is one coefficient as two
-MuPolynomials.
+MuPolynomials, which hold the rows' integers and evaluate them.
 
 The numeric layer evaluates these functions on grids and implements the
 deformed Fourier transform by weight-aware adaptive quadrature.  It takes
@@ -101,22 +101,6 @@ def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return num // g, den // g
 
 
-def _exact_value(n: int, row: np.ndarray, den: int, mu: Fraction) -> complex:
-    """c_n = sum_j (a_j + i b_j) mu^j / den at mu = p/q, by Horner on
-    integers, (sum_j a_j p^j q^(m-1-j)) / (den q^(m-1)), rounded once."""
-    p, q = mu.numerator, mu.denominator
-    (re, im), *rest = reversed(row.tolist())
-    q_pow = 1
-    for a, b in rest:
-        q_pow *= q
-        re, im = re * p + a * q_pow, im * p + b * q_pow
-    try:
-        return complex(re / (den * q_pow), im / (den * q_pow))
-    except OverflowError:
-        raise EvaluationError(f"the coefficient of x^{n} at mu = {mu} leaves "
-                              "float range") from None
-
-
 def _on_grid(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(sum_n values[n] x^n) exp(-x^2/2), by Horner."""
     acc = np.zeros(x.shape, dtype=complex)
@@ -138,14 +122,14 @@ class GaussPoly:
     def __init__(self, coeffs=()):
         """From CPoly coefficients, lowest power of x first."""
         coeffs = list(coeffs)
-        cells = {(n, j, s): q for n, c in enumerate(coeffs)
-                 for s, part in enumerate((c.re, c.im))
-                 for j, q in enumerate(part.coeffs)}
-        self.den = math.lcm(1, *(q.denominator for q in cells.values()))
-        self.num = _zeros(len(coeffs), 1 + max((j for _, j, _ in cells),
-                                               default=-1))
-        for cell, q in cells.items():
-            self.num[cell] = q.numerator * (self.den // q.denominator)
+        parts = [(n, s, part) for n, c in enumerate(coeffs)
+                 for s, part in enumerate((c.re, c.im))]
+        self.den = math.lcm(1, *(part.den for *_, part in parts))
+        self.num = _zeros(len(coeffs), 1 + max(
+            (part.degree for *_, part in parts), default=-1))
+        for n, s, part in parts:
+            self.num[n, :len(part.nums), s] = [
+                v * (self.den // part.den) for v in part.nums]
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int = 1) -> "GaussPoly":
@@ -171,7 +155,7 @@ class GaussPoly:
     @property
     def coeffs(self) -> tuple[CPoly, ...]:
         num, den = _canonical(self.num, self.den)
-        return tuple(CPoly(*(MuPolynomial([Fraction(v, den) for v in part])
+        return tuple(CPoly(*(MuPolynomial._of(part, den)
                              for part in row.T.tolist())) for row in num)
 
     def coeff(self, n: int) -> CPoly:
@@ -203,12 +187,17 @@ class GaussPoly:
                              self.den * den)
 
     def values_at(self, mu) -> np.ndarray:
-        """The coefficients at mu as complex floats, each exact at
-        Fraction(mu) and rounded once."""
-        num, den = _canonical(self.num, self.den)
-        mu = Fraction(mu)
-        return np.array([_exact_value(n, row, den, mu)
-                         for n, row in enumerate(num)], dtype=complex)
+        """The coefficients at mu as complex floats, CPoly.evaluate of each:
+        exact at Fraction(mu), on the integers of its MuPolynomials, and
+        rounded once."""
+        mu, values = Fraction(mu), []
+        for n, c in enumerate(self.coeffs):
+            try:
+                values.append(c.evaluate(mu))
+            except OverflowError:
+                raise EvaluationError(f"the coefficient of x^{n} at mu = {mu} "
+                                      "leaves float range") from None
+        return np.array(values, dtype=complex)
 
     def evaluate(self, x: np.ndarray, mu: float) -> np.ndarray:
         """psi on a grid, its coefficients evaluated at mu."""

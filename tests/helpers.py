@@ -12,13 +12,14 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from mudeform.core import KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid, norm_const_mp
+from mudeform.core import (KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid,
+                           gauss_jacobi, norm_const_mp)
 from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
                             _binom_factored, _prod)
 from mudeform.intervals import IntervalSet
 from mudeform.measure import (QUAD_ABS_TOL, QUAD_LEVELS, QUAD_NODES,
-                              QUAD_REL_TOL, _density_scale, _gauss_rule,
-                              _positive_panels, weighted_panel_rule)
+                              QUAD_REL_TOL, _density_scale, _positive_panels,
+                              weighted_panel_rule)
 from mudeform.operators import _on_grid, _support_radius
 
 
@@ -153,14 +154,14 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
             if lo == hi:
                 continue
             if 2.0 * lo < hi:  # nearer 0 than its width: [0,hi] minus [0,lo]
-                t, w = _gauss_rule(nodes_per_panel, 2.0 * ctx.mu)
+                t, w = gauss_jacobi(nodes_per_panel, 0.0, 2.0 * ctx.mu)
                 parts = [(hi, 1.0)] + ([(lo, -1.0)] if lo > 0.0 else [])
                 x = np.concatenate([0.5 * end * (1.0 + t) for end, _ in parts])
                 wt = np.concatenate([
                     sign * w * (0.5 * (end / b)) ** p * scale
                     for end, sign in parts])
             else:
-                t, w = _gauss_rule(nodes_per_panel)
+                t, w = gauss_jacobi(nodes_per_panel, 0.0, 0.0)
                 half = 0.5 * ((hi - lo) / b)
                 x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
                 wt = w * half * (lo / b + half * (1.0 + t)) ** (2.0 * ctx.mu) \

@@ -1,6 +1,7 @@
 """CLI: commands, exit-status contract, config precedence, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -445,6 +446,9 @@ class TestVerifyIdentitiesCommand:
         assert proc.returncode == 0, proc.stderr
         assert "151/151 passed" in proc.stderr
         assert json.loads(proc.stdout)["all_passed"] is True
+        # the report of the exact layer, byte for byte
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "4dfc7ac91f1fc3b41b916d84f98260a2939cd0b74682627816b435a468011919")
 
 
 class TestCheckOperatorsCommand:

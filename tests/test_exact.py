@@ -1,5 +1,6 @@
 """Exact-algebra layer: polynomials, rational functions, identity proofs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,21 +119,40 @@ class TestMuPolynomial:
         assert repr(p.evaluate(x)) == repr(horner(p.coeffs, x))
 
     def test_denominators_cleared_once(self, monkeypatch):
-        calls = []
-
-        def counted(coeffs):
-            calls.append(coeffs)
-            return real(coeffs)
-
-        real = exact._cleared
-        monkeypatch.setattr(exact, "_cleared", counted)
+        # the constructor clears them; a product then builds no Fraction,
+        # and an exact value builds one, its result
         p = MuPolynomial((Q(1, 3), Q(-2, 5), Q(7, 6), Q(1, 4)))
         points = [Q(i, 7) for i in range(p.degree + 1)]
-        assert [p.evaluate(x) for x in points] == [horner(p.coeffs, x)
-                                                   for x in points]
-        assert len(calls) == 1
-        assert (p * p).degree == 2 * p.degree
-        assert len(calls) == 1
+        expected = [horner(p.coeffs, x) for x in points]
+        square = fraction_product(p.coeffs, p.coeffs)
+        built = []
+        real_new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        values = [p.evaluate(x) for x in points]
+        assert len(built) == len(points)
+        product = p * p
+        assert len(built) == len(points)
+        monkeypatch.undo()
+        assert values == expected
+        assert product.coeffs == square
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficients)
+    def test_canonical_integers(self, a):
+        # lowest terms over a positive denominator, no trailing zero, so
+        # equal polynomials hold equal integers
+        p = MuPolynomial(a)
+        assert p.den > 0 and (not p.nums or p.nums[-1] != 0)
+        assert math.gcd(p.den, *p.nums) == 1
+        assert p.coeffs + (Q(0),) * (len(a) - len(p.nums)) == tuple(a)
+        twice = p.scale(3).scale(Q(1, 3))
+        assert (twice.nums, twice.den) == (p.nums, p.den)
+        assert hash(twice) == hash(p)
 
 
 class TestMuRationalFunction:

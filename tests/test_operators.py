@@ -445,7 +445,7 @@ class TestFourierWork:
 
     def test_coefficients_evaluated_once_per_call(self, monkeypatch):
         calls, levels, counts = [], [], []
-        real_value = operators_module._exact_value
+        real_value = CPoly.evaluate
         real_rule = operators_module.weighted_panel_rule
 
         def value(*args):
@@ -456,7 +456,7 @@ class TestFourierWork:
             levels.append(args)
             return real_rule(*args)
 
-        monkeypatch.setattr(operators_module, "_exact_value", value)
+        monkeypatch.setattr(CPoly, "evaluate", value)
         monkeypatch.setattr(operators_module, "weighted_panel_rule", rule)
         psis = [apply_P(self.DEG6), self.DEG6]
         ks = np.linspace(-3, 3, 25)
@@ -739,6 +739,27 @@ class TestEvaluate:
         mu = 0.8
         naive = ((1 + 2j) * xs ** 2 - 0.5 * xs + 3) * np.exp(-xs ** 2 / 2)
         assert np.max(np.abs(psi.evaluate(xs, mu) - naive)) < 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(gauss_literals(), st.integers(-330, 330),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(("x * gauss", None), 0, 1e300)
+    @example(("(1 + 2x^3) * gauss", None), -330, 5e-324)
+    def test_values_at_is_each_coefficient_evaluated(self, drawn, exp10, mu):
+        # CPoly.evaluate of each coefficient, exact at Fraction(mu) and
+        # rounded once, to the last bit; P and H put mu into them
+        scale = Fraction(10) ** exp10
+        psi = parse_gauss_poly(drawn[0]).scale_complex(scale, 0)
+        for phi in (psi, apply_P(psi), apply_H(psi)):
+            try:
+                expected = [c.evaluate(mu) for c in phi.coeffs]
+            except OverflowError:
+                with pytest.raises(EvaluationError, match="float range"):
+                    phi.values_at(mu)
+                continue
+            assert [(v.real.hex(), v.imag.hex())
+                    for v in phi.values_at(mu).tolist()] == [
+                (v.real.hex(), v.imag.hex()) for v in expected]
 
     def test_mu_dependent_coefficients(self):
         hg = apply_H(G)  # (mu + 1/2) g

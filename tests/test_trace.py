@@ -421,6 +421,26 @@ class TestMomentSeriesWork:
         assert best is not None and best.method == "moment_series"
         assert best.value == pytest.approx(1.9479303671449378e-19, rel=1e-3)
 
+    def test_quadrature_takes_the_failed_series_best_product(self,
+                                                             monkeypatch):
+        # at 6 and 8 digits, one round, the corners of [1,2] x [0.5,1.5]
+        # cancel past double precision; the quadrature still reports the
+        # best estimate's m(A) m(B), about 1e-10 relative off the full one
+        ctx = MuContext(0.3)
+        full = trace_moment_series(A12, B0515, ctx)
+        for name, value in (("SERIES_DPS", 6), ("SERIES_CHECK_DIGITS", 2),
+                            ("SERIES_MAX_ROUNDS", 1)):
+            monkeypatch.setattr(trace_module, name, value)
+        with pytest.raises(EvaluationError, match="corners cancel") as err:
+            trace_moment_series(A12, B0515, ctx)
+        best = err.value.best.product_measures
+        assert best != full.product_measures
+        assert best == pytest.approx(full.product_measures, rel=1e-9)
+        est = trace_quadrature(A12, B0515, ctx)
+        assert est.product_measures == best
+        assert abs(est.value - full.value) <= (est.error_estimate
+                                               + full.error_estimate)
+
 
 class TestCrossMethodProperties:
     MU_SET = (-0.25, 0.0, 0.25, 0.5, 1.0, 2.0)
