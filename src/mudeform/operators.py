@@ -190,10 +190,10 @@ class GaussPoly:
         """The coefficients at mu as complex floats, CPoly.evaluate of each:
         exact at Fraction(mu), on the integers of its MuPolynomials, and
         rounded once."""
-        mu, values = Fraction(mu), []
+        exact, values = Fraction(mu), []
         for n, c in enumerate(self.coeffs):
             try:
-                values.append(c.evaluate(mu))
+                values.append(c.evaluate(exact))
             except OverflowError:
                 raise EvaluationError(f"the coefficient of x^{n} at mu = {mu} "
                                       "leaves float range") from None

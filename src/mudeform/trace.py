@@ -4,14 +4,16 @@ Tr is the double integral of |exp_mu(i k x)|^2 over A x B against
 m_mu x m_mu.  The quadrature integrates over A the diagonal of E^P(B), in
 closed form by Lommel's integral.  The moment series sums the even-power
 series in closed form, a corner sum of 2F3 values over the half-line
-panels of A and B that also gives m_mu(A) m_mu(B).  Where both converge
-they must agree within their combined error estimates.  A scan row comes
-from the series alone, its best estimate included where it fails.  The
-quadrature, at the fixed settings measure.QUAD_*, is the cross-check run
-by the trace command, the tests and the acceptance suite.  Tr - m_mu(A)
-m_mu(B) is the deviation of interest: provably negative for mu > 0 on sets
-of positive measure, conjecturally positive for -1/2 < mu < 0, and zero
-in the classical case mu = 0.
+panels of A and B that also gives m_mu(A) m_mu(B).  A fixed-point
+summator of its own sums each 2F3 up to t = prec bits, mpmath.hyp2f3
+beyond.  Where both converge they must agree within their combined error
+estimates.  A scan row comes from the series alone, its best estimate
+included where it fails.  The quadrature, at the fixed settings
+measure.QUAD_*, is the cross-check run by the trace command, the tests
+and the acceptance suite.  Tr - m_mu(A) m_mu(B) is the deviation of
+interest: provably negative for mu > 0 on sets of positive measure,
+conjecturally positive for -1/2 < mu < 0, and zero in the classical case
+mu = 0.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .core import (KERNEL_ABS2_FLOOR, MuContext, exp_mu_imag_on_grid,
                    norm_const_mp)
@@ -172,12 +176,70 @@ def _series_params(mu: float, dps: int):
 
 
 @lru_cache(maxsize=256)
+def _ratio_table(mu: float) -> list:
+    """A box holding (W, R), R[j] = floor(r_j 2^W) for the term ratios
+    r_j = term_{j+1} / (z term_j) of the corner 2F3 at mu; _fixed_2f3 grows
+    R and W as its calls need more terms or bits."""
+    return [(0, ())]
+
+
+def _ratios(mu: float, bits: int, start: int, stop: int) -> tuple:
+    """floor(r_j 2^bits) for start <= j < stop, exact in mu = m/q:
+    r_j = 2q (m+jq) (2m+(2j+1)q) / ((2m+(j+1)q) (2m+(2j+3)q)^2 (j+1))."""
+    m, q = mu.as_integer_ratio()
+    return tuple((2 * q * (m + j * q) * (2 * m + (2 * j + 1) * q) << bits)
+                 // ((2 * m + (j + 1) * q) * (2 * m + (2 * j + 3) * q) ** 2
+                     * (j + 1))
+                 for j in range(start, stop))
+
+
+def _fixed_2f3(mu: float, t):
+    """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) at the working
+    precision, summed as mpmath's hypsum does, in integers at wp bits.
+
+    The terms peak below about e^(2t), so wp carries ceil(2t / ln 2) bits
+    beyond mpmath's 50 from the start.  As in hypsum the sum stops at the
+    first term below 2^(25 - wp), reruns with twice the guard where it
+    cancels to within 30 bits of it (F > 0, a trace of a positive kernel,
+    so the reruns end), and is rounded once.  The ratios come from one
+    table per mu at W >= wp bits, shifted to floor(r_j 2^wp), which is the
+    same for every W, so the order of calls cannot change a result.
+    """
+    prec, z = mpmath.mp.prec, (-t * t)._mpf_
+    box = _ratio_table(mu)
+    guard = 50 + math.ceil(2.0 * float(t) / math.log(2.0))
+    while True:
+        wp = prec + guard
+        bits, table = box[0]
+        if bits < wp:  # rebuild with room for the rerun's doubled guard
+            bits, table = 2 * wp, ()
+        shift, double = bits - wp, 2 * wp
+        Z, high = libmp.to_fixed(z, wp), 1 << 25
+        S = T = 1 << wp
+        for j in count():
+            if j == len(table):
+                table += _ratios(mu, bits, j, j + 32)
+                box[0] = (bits, table)
+            T = T * Z * (table[j] >> shift) >> double
+            S += T
+            if -high < T < high:
+                break
+        if wp - S.bit_length() < guard - 30:
+            return mpmath.mp.make_mpf(libmp.from_man_exp(S, -wp, prec, "n"))
+        guard *= 2
+
+
+@lru_cache(maxsize=256)
 def _corner(mu: float, t, dps: int):
     """The pair t^p, t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) at dps
-    digits, keyed on the rounded product t so equal products share it."""
+    digits, keyed on the rounded product t so equal products share it.
+    Up to t = prec bits _fixed_2f3 sums the 2F3; beyond, mpmath.hyp2f3
+    does, which from t of about 1.5 prec on uses its asymptotics."""
     a1, a2, p, b, _ = _series_params(mu, dps)
     with mpmath.workdps(dps):
         power = t ** p
+        if t <= mpmath.mp.prec:
+            return power, power * _fixed_2f3(mu, t)
         return power, power * mpmath.hyp2f3(a1, a2, p, b, b, -t * t)
 
 
@@ -215,7 +277,9 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     difference is the error estimate, and where the corners cancel past
     double precision both digit counts double until both sums settle, for
     at most SERIES_MAX_ROUNDS rounds.  _corner and _series_params cache per
-    (mu, digits), so shared corners are evaluated once, bit for bit.  A pair
+    (mu, digits), so shared corners are evaluated once, bit for bit.  Up
+    to t = prec bits _fixed_2f3 sums a corner's 2F3 in integers, from one
+    table of exact term ratios per mu; beyond, mpmath.hyp2f3 does.  A pair
     whose largest corner's m(A) m(B) overflows a float fails before any
     2F3, which there may take seconds or not converge.
     """

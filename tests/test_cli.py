@@ -522,8 +522,14 @@ class TestCheckOperatorsCommand:
         assert len(payload["equations_of_motion"]) == 2
         bad, good = payload["intertwining"]
         assert bad == {"psi": "1e400 * gauss", "mu": 0.5, "error":
-                       "the coefficient of x^1 at mu = 1/2 leaves float range"}
+                       "the coefficient of x^1 at mu = 0.5 leaves float range"}
         assert good["max_discrepancy"] < 1e-9
+        # the message gives mu as passed, not as the Fraction of its float
+        proc = run_module("check-operators", "--mu", "0.1", "--n-max", "0",
+                          "--psi", "1e400 * gauss")
+        assert json.loads(proc.stdout)["intertwining"] == [
+            {"psi": "1e400 * gauss", "mu": 0.1, "error":
+             "the coefficient of x^1 at mu = 0.1 leaves float range"}]
 
     def test_transform_runs_past_the_float_range_of_the_density(self):
         # from mu of about 93 on, |x|^(2 mu) on the quadrature's [0, R]

@@ -86,5 +86,6 @@ def test_import_loads_only_the_runtime_dependencies():
     assert loaded.isdisjoint({"scipy", "matplotlib", "sympy", "hypothesis"})
     misses = dict(entry.split(":") for entry in caches.split())
     assert {"mudeform.trace._corner", "mudeform.trace._series_params",
+            "mudeform.trace._ratio_table",
             "mudeform.measure._density_scale"} <= set(misses)
     assert {name for name, n in misses.items() if n != "0"} == set()

@@ -325,22 +325,27 @@ class TestMomentSeriesWork:
         assert 0 < abs(est.value - ref) <= est.error_estimate
 
     def test_no_per_term_transcendentals(self, monkeypatch):
-        """No term loop: one 2F3 per distinct corner product and one Gamma
-        per (mu, digits), and none when the row repeats."""
-        mu = 0.413
+        """No term loop outside the 2F3: one fixed-point sum per distinct
+        corner product up to t = prec bits, one mpmath.hyp2f3 beyond, one
+        Gamma per (mu, digits), and none when the row repeats."""
         cases = [
             # four nonzero corners of A times two of B (the corners at 0
             # drop) give eight products, seven distinct since 3 x 1 =
             # 1.5 x 2, in one round of two passes
-            (IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
-             IntervalSet.of((-1.0, 2.0)), 7, 2),
+            (0.413, IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
+             IntervalSet.of((-1.0, 2.0)), (7, 0), 2),
             # a panel 1e-9 wide cancels its corners past 20 digits, so a
             # second round runs; its four corners have three products
-            (IntervalSet.of((1.0, 1.0 + 1e-9)),
-             IntervalSet.of((1.0, 1.0 + 1e-9)), 3, 4),
+            (0.413, IntervalSet.of((1.0, 1.0 + 1e-9)),
+             IntervalSet.of((1.0, 1.0 + 1e-9)), (3, 0), 4),
+            # t of about 5e5 is past every pass's prec: mpmath sums the
+            # four corners, by its asymptotics, in two rounds
+            (-0.45, IntervalSet.of((1000.0, 1001.0)),
+             IntervalSet.of((500.0, 501.0)), (0, 4), 4),
         ]
-        quads = [trace_quadrature(A, B, MuContext(mu)) for A, B, _, _ in cases]
-        calls = {"gamma": 0, "hyp2f3": 0}
+        quads = [trace_quadrature(A, B, MuContext(mu))
+                 for mu, A, B, _, _ in cases]
+        calls = dict.fromkeys(("gamma", "fixed", "hyp2f3"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -348,20 +353,23 @@ class TestMomentSeriesWork:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("gamma", "hyp2f3"):
             monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
-        ctx = MuContext(mu)  # its norm_const takes a Gamma of its own
-        for (A, B, products, passes), quad in zip(cases, quads):
+        monkeypatch.setattr(trace_module, "_fixed_2f3",
+                            counted("fixed", trace_module._fixed_2f3))
+        for (mu, A, B, (fixed, hyp), passes), quad in zip(cases, quads):
+            ctx = MuContext(mu)  # its norm_const takes a Gamma of its own
             trace_module._corner.cache_clear()
             trace_module._series_params.cache_clear()
-            calls.update(gamma=0, hyp2f3=0)
+            calls.update(gamma=0, fixed=0, hyp2f3=0)
             est = trace_moment_series(A, B, ctx)
             assert est.value == pytest.approx(
                 quad.value, abs=est.error_estimate + quad.error_estimate)
-            assert calls == {"gamma": passes, "hyp2f3": products * passes}
-            calls.update(gamma=0, hyp2f3=0)
+            assert calls == {"gamma": passes, "fixed": fixed * passes,
+                             "hyp2f3": hyp * passes}
+            calls.update(gamma=0, fixed=0, hyp2f3=0)
             assert trace_moment_series(A, B, ctx) == est
-            assert calls == {"gamma": 0, "hyp2f3": 0}
+            assert calls == {"gamma": 0, "fixed": 0, "hyp2f3": 0}
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-0.449, 3.0), bounded_pairs(),
@@ -384,8 +392,13 @@ class TestMomentSeriesWork:
             assert trace_module._corner_sum(A, B, mu, dps) == \
                 corner_sum_uncached(A, B, mu, dps), dps
 
-    def test_default_scan_cache_counts(self):
-        # 12 mu x 5 pairs x 4 corners x 2 passes = 480 corners, 336 distinct
+    def test_default_scan_cache_counts(self, monkeypatch):
+        # 12 mu x 5 pairs x 4 corners x 2 passes = 480 corners, 336
+        # distinct, every one with t <= prec, so none reaches mpmath.hyp2f3
+        def forbidden(*args):
+            raise AssertionError("mpmath.hyp2f3 ran")
+
+        monkeypatch.setattr(mpmath, "hyp2f3", forbidden)
         trace_module._corner.cache_clear()
         trace_module._series_params.cache_clear()
         deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
@@ -440,6 +453,68 @@ class TestMomentSeriesWork:
         assert est.product_measures == best
         assert abs(est.value - full.value) <= (est.error_estimate
                                                + full.error_estimate)
+
+
+def clear_series_caches():
+    for cache in (trace_module._corner, trace_module._series_params,
+                  trace_module._ratio_table):
+        cache.cache_clear()
+
+
+def corner_t(digits: int, frac: float):
+    """t from 1e-30 (frac = 0) up to prec bits (frac = 1), log-uniform."""
+    with mpmath.workdps(digits):
+        return mpmath.mpf(1e-30) ** (1 - frac) * mpmath.mp.prec ** frac
+
+
+corner_mu = st.floats(-0.4999, 250.0)
+
+
+class TestFixedPoint2F3:
+    """trace._fixed_2f3, which sums the corners' 2F3 up to t = prec bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corner_mu, st.floats(0.0, 1.0), st.sampled_from([20, 30, 40, 50]))
+    @example(0.0, 1.0, 20)
+    @example(0.5, 0.9, 30)
+    @example(1.0, 1.0, 50)
+    @example(5e-324, 1.0, 40)
+    @example(-0.4999, 1.0, 20)
+    @example(-0.4999, 0.95, 50)
+    @example(249.9, 1.0, 50)
+    def test_rounds_the_sum_to_nearest(self, mu, frac, digits):
+        # mpmath.hyp2f3 40 digits higher, on the same rounded z
+        t = corner_t(digits, frac)
+        with mpmath.workdps(digits):
+            z, got = -t * t, trace_module._fixed_2f3(mu, t)
+        with mpmath.workdps(digits + 40):
+            m = mpmath.mpf(mu)
+            ref = mpmath.hyp2f3(m, m + 0.5, 2 * m + 1, m + 1.5, m + 1.5, z)
+        with mpmath.workdps(digits):
+            assert got == +ref
+
+    @settings(max_examples=30, deadline=None)
+    @given(corner_mu, st.floats(0.0, 1.0))
+    @example(-0.45, 1.0)
+    @example(249.9, 1.0)
+    def test_earlier_calls_cannot_change_a_result(self, mu, frac):
+        # a 20-digit call leaves a ratio table wide enough for 50 digits
+        t = corner_t(20, frac)
+        results = []
+        for history in ((), (20,)):
+            trace_module._ratio_table.cache_clear()
+            for digits in history + (50,):
+                with mpmath.workdps(digits):
+                    value = trace_module._fixed_2f3(mu, t)
+            results.append(value)
+        assert results[0] == results[1]
+
+    def test_reverse_order_gives_the_same_rows(self):
+        clear_series_caches()
+        forward = rows_to_csv(deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS))
+        clear_series_caches()
+        assert rows_to_csv(deviation_scan(DEFAULT_MU_GRID[::-1],
+                                          DEFAULT_PAIRS[::-1])) == forward
 
 
 class TestCrossMethodProperties:
