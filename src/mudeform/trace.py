@@ -1,19 +1,20 @@
 """Two independent evaluators of Tr(E^Q(A) E^P(B)) and deviation scans.
 
-Tr is the double integral of |exp_mu(i k x)|^2 over A x B against
-m_mu x m_mu.  The quadrature integrates over A the diagonal of E^P(B), in
-closed form by Lommel's integral.  The moment series sums the even-power
-series in closed form, a corner sum of 2F3 values over the half-line
-panels of A and B that also gives m_mu(A) m_mu(B).  A fixed-point
-summator of its own sums each 2F3 up to t = prec bits, mpmath.hyp2f3
-beyond.  Where both converge they must agree within their combined error
+Tr is the double integral of |exp_mu(i k x)|^2 over A x B against m_mu x
+m_mu.  The quadrature integrates over A the diagonal of E^P(B), in closed
+form by Lommel's integral.  The moment series sums the even-power series in
+closed form, a corner sum of 2F3 values over the half-line panels of A and
+B that also gives m_mu(A) m_mu(B).  Its hot path works on libmp values at
+an explicit precision, with no mpf object per corner, and sums each 2F3 in
+fixed point up to t = prec bits; mpmath.hyp2f3 sums beyond, directly (at
+times misrounding by ulps) up to t of about 724 and asymptotically above.
+Where both routes converge they must agree within their combined error
 estimates.  A scan row comes from the series alone, its best estimate
 included where it fails.  The quadrature, at the fixed settings
-measure.QUAD_*, is the cross-check run by the trace command, the tests
-and the acceptance suite.  Tr - m_mu(A) m_mu(B) is the deviation of
-interest: provably negative for mu > 0 on sets of positive measure,
-conjecturally positive for -1/2 < mu < 0, and zero in the classical case
-mu = 0.
+measure.QUAD_*, is the cross-check run by the trace command, the tests and
+the acceptance suite.  The deviation of interest, Tr - m_mu(A) m_mu(B), is
+provably negative for mu > 0 on sets of positive measure, conjecturally
+positive for -1/2 < mu < 0, and zero in the classical case mu = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 
 import mpmath
 import numpy as np
@@ -40,6 +40,7 @@ from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _density_scale,
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
 _EPS = float(np.finfo(float).eps)  # a Python float keeps rows JSON-ready
+_MAXEXP = np.finfo(float).maxexp  # m(A) m(B) at or past 2^_MAXEXP overflows
 
 
 @dataclass
@@ -177,9 +178,8 @@ def _series_params(mu: float, dps: int):
 
 @lru_cache(maxsize=256)
 def _ratio_table(mu: float) -> list:
-    """A box holding (W, R), R[j] = floor(r_j 2^W) for the term ratios
-    r_j = term_{j+1} / (z term_j) of the corner 2F3 at mu; _fixed_2f3 grows
-    R and W as its calls need more terms or bits."""
+    """A box holding (W, R), R[j] = floor(r_j 2^W) for the corner 2F3's term
+    ratios r_j = term_{j+1} / (z term_j) at mu, grown by _fixed_2f3."""
     return [(0, ())]
 
 
@@ -189,13 +189,12 @@ def _ratios(mu: float, bits: int, start: int, stop: int) -> tuple:
     m, q = mu.as_integer_ratio()
     return tuple((2 * q * (m + j * q) * (2 * m + (2 * j + 1) * q) << bits)
                  // ((2 * m + (j + 1) * q) * (2 * m + (2 * j + 3) * q) ** 2
-                     * (j + 1))
-                 for j in range(start, stop))
+                     * (j + 1)) for j in range(start, stop))
 
 
-def _fixed_2f3(mu: float, t):
-    """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) at the working
-    precision, summed as mpmath's hypsum does, in integers at wp bits.
+def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
+    """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) in libmp at prec bits,
+    summed as mpmath's hypsum does, in integers at wp bits.
 
     The terms peak below about e^(2t), so wp carries ceil(2t / ln 2) bits
     beyond mpmath's 50 from the start.  As in hypsum the sum stops at the
@@ -203,63 +202,67 @@ def _fixed_2f3(mu: float, t):
     cancels to within 30 bits of it (F > 0, a trace of a positive kernel,
     so the reruns end), and is rounded once.  The ratios come from one
     table per mu at W >= wp bits, shifted to floor(r_j 2^wp), which is the
-    same for every W, so the order of calls cannot change a result.
+    same for every W, so the order of calls cannot change a result.  As
+    |r_j z| < t^2 / (j+1)^2, |term_j| < (e t / j)^(2j) <= 4^-j from j = 2et
+    on, so the sum stops within the max(2et, wp / 2) ratios tabled first.
     """
-    prec, z = mpmath.mp.prec, (-t * t)._mpf_
-    box = _ratio_table(mu)
-    guard = 50 + math.ceil(2.0 * float(t) / math.log(2.0))
+    z = libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n")
+    ft, box = libmp.to_float(t, rnd="n"), _ratio_table(mu)
+    guard = 50 + math.ceil(2.0 * ft / math.log(2.0))
     while True:
         wp = prec + guard
         bits, table = box[0]
         if bits < wp:  # rebuild with room for the rerun's doubled guard
             bits, table = 2 * wp, ()
-        shift, double = bits - wp, 2 * wp
-        Z, high = libmp.to_fixed(z, wp), 1 << 25
+        if len(table) < (need := max(math.ceil(2 * math.e * ft), wp // 2)):
+            table += _ratios(mu, bits, len(table), need)
+            box[0] = (bits, table)
+        shift, double, Z = bits - wp, 2 * wp, libmp.to_fixed(z, wp)
         S = T = 1 << wp
-        for j in count():
-            if j == len(table):
-                table += _ratios(mu, bits, j, j + 32)
-                box[0] = (bits, table)
-            T = T * Z * (table[j] >> shift) >> double
+        for R in table:
+            T = T * Z * (R >> shift) >> double
             S += T
-            if -high < T < high:
+            if -(1 << 25) < T < 1 << 25:  # a term below 2^(25 - wp)
                 break
         if wp - S.bit_length() < guard - 30:
-            return mpmath.mp.make_mpf(libmp.from_man_exp(S, -wp, prec, "n"))
+            return libmp.from_man_exp(S, -wp, prec, "n")
         guard *= 2
 
 
 @lru_cache(maxsize=256)
-def _corner(mu: float, t, dps: int):
-    """The pair t^p, t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) at dps
-    digits, keyed on the rounded product t so equal products share it.
-    Up to t = prec bits _fixed_2f3 sums the 2F3; beyond, mpmath.hyp2f3
-    does, which from t of about 1.5 prec on uses its asymptotics."""
-    a1, a2, p, b, _ = _series_params(mu, dps)
-    with mpmath.workdps(dps):
-        power = t ** p
-        if t <= mpmath.mp.prec:
-            return power, power * _fixed_2f3(mu, t)
-        return power, power * mpmath.hyp2f3(a1, a2, p, b, b, -t * t)
+def _corner(mu: float, t: tuple, dps: int):
+    """t^p and t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) in libmp at dps
+    digits, keyed on the rounded product t so equal products share them:
+    by _fixed_2f3 up to t = prec bits, by mpmath.hyp2f3 beyond, directly
+    (misrounding by ulps at times) below t = 724 and asymptotically above."""
+    (a1, a2, p, b, _), prec = _series_params(mu, dps), libmp.dps_to_prec(dps)
+    power = libmp.mpf_pow(t, p._mpf_, prec, "n")
+    if libmp.mpf_le(t, libmp.from_int(prec)):
+        value = _fixed_2f3(mu, t, prec)
+    else:
+        with mpmath.workdps(dps):
+            t = mpmath.mp.make_mpf(t)
+            value = mpmath.hyp2f3(a1, a2, p, b, b, -t * t)._mpf_
+    return power, libmp.mpf_mul(power, value, prec, "n")
 
 
 def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
-    """m(A) m(B) and Tr at dps digits, the sums of +-scale t^p and +-F(t)
-    over the corners t = x y of the half-line panels of A and B."""
-    scale = _series_params(mu, dps)[-1]
-    with mpmath.workdps(dps):
-        product = trace = mpmath.mpf(0)
-        for a, b, _ in _positive_panels(A):
-            for c, d, _ in _positive_panels(B):
-                for x, y, plus in ((b, d, True), (a, d, False),
-                                   (b, c, False), (a, c, True)):
-                    if x > 0.0 and y > 0.0:
-                        power, value = _corner(mu, mpmath.mpf(x) * y, dps)
-                        if plus:  # cheaper than a product with the sign
-                            product, trace = product + power, trace + value
-                        else:
-                            product, trace = product - power, trace - value
-        return scale * product, scale * trace
+    """m(A) m(B) and Tr as mpf at dps digits, the sums of +-scale t^p and
+    +-F(t) over the corners t = x y of the half-line panels of A and B."""
+    scale, prec = _series_params(mu, dps)[-1]._mpf_, libmp.dps_to_prec(dps)
+    product = trace = libmp.fzero
+    for a, b, _ in _positive_panels(A):
+        for c, d, _ in _positive_panels(B):
+            for x, y, add in ((b, d, libmp.mpf_add), (a, d, libmp.mpf_sub),
+                              (b, c, libmp.mpf_sub), (a, c, libmp.mpf_add)):
+                if x > 0.0 and y > 0.0:  # x y, exact in 106 bits, rounded
+                    (m, u), (n, v) = x.as_integer_ratio(), y.as_integer_ratio()
+                    power, value = _corner(mu, libmp.from_man_exp(
+                        m * n, 1 - (u * v).bit_length(), prec, "n"), dps)
+                    product = add(product, power, prec, "n")
+                    trace = add(trace, value, prec, "n")
+    return (mpmath.mp.make_mpf(libmp.mpf_mul(scale, product, prec, "n")),
+            mpmath.mp.make_mpf(libmp.mpf_mul(scale, trace, prec, "n")))
 
 
 def trace_moment_series(A: IntervalSet, B: IntervalSet,
@@ -276,17 +279,14 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     at SERIES_DPS digits and SERIES_CHECK_DIGITS higher, the trace's
     difference is the error estimate, and where the corners cancel past
     double precision both digit counts double until both sums settle, for
-    at most SERIES_MAX_ROUNDS rounds.  _corner and _series_params cache per
-    (mu, digits), so shared corners are evaluated once, bit for bit.  Up
-    to t = prec bits _fixed_2f3 sums a corner's 2F3 in integers, from one
-    table of exact term ratios per mu; beyond, mpmath.hyp2f3 does.  A pair
-    whose largest corner's m(A) m(B) overflows a float fails before any
-    2F3, which there may take seconds or not converge.
+    at most SERIES_MAX_ROUNDS rounds.  A pair whose largest corner's
+    m(A) m(B) overflows a float fails before any 2F3, which there may take
+    seconds or not converge.
     """
     scale, ends = _series_params(ctx.mu, SERIES_DPS)[-1], (_sup(A), _sup(B))
     if 0.0 not in ends and (  # log2 of scale t^p at t = sup|A| sup|B|
             math.log2(scale.man) + scale.exp + (2.0 * ctx.mu + 1.0)
-            * sum(map(math.log2, ends)) >= np.finfo(float).maxexp):
+            * sum(map(math.log2, ends)) >= _MAXEXP):
         raise EvaluationError(f"m(A) m(B) over {A} x {B} at mu = {ctx.mu} "
                               "overflows a float")
     for rounds in range(SERIES_MAX_ROUNDS):

@@ -13,6 +13,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 import mudeform.trace as trace_module
 from mudeform.core import MuContext
@@ -378,6 +379,17 @@ class TestMomentSeriesWork:
                      IntervalSet.of((-1.0, 2.0))), "as drawn")
     @example(-0.45, (IntervalSet.of((-2.0, -1.0), (1.0, 2.0)),
                      IntervalSet.of((-1.5, 1.5))), "as drawn")
+    # corners past t = prec, where mpmath.hyp2f3 sums
+    @example(-0.45, (IntervalSet.of((1000.0, 1001.0)),
+                     IntervalSet.of((500.0, 501.0))), "as drawn")
+    # corner products of about 1e-400, below float range
+    @example(0.413, (IntervalSet.of((1e-200, 2e-200)),
+                     IntervalSet.of((1e-200, 3e-200))), "as drawn")
+    @example(0.0, (A12, B0515), "as drawn")
+    @example(5e-324, (A12, B0515), "as drawn")
+    # an endpoint at 0, whose corners drop
+    @example(0.7, (IntervalSet.of((0.0, 2.0)), IntervalSet.of((-1.0, 1.5))),
+             "as drawn")
     def test_cached_corners_match_the_uncached_sum_bit_for_bit(
             self, mu, pair, kind):
         A, B = pair
@@ -391,6 +403,26 @@ class TestMomentSeriesWork:
             trace_module._corner_sum(A, B, mu, dps)  # warm the caches
             assert trace_module._corner_sum(A, B, mu, dps) == \
                 corner_sum_uncached(A, B, mu, dps), dps
+
+    def test_cold_corner_sum_enters_workdps_only_for_the_parameters(
+            self, monkeypatch):
+        # every corner has t <= prec, so the corners are libmp values summed
+        # by _fixed_2f3 at an explicit precision, with no mpmath context
+        entered, real = [], mpmath.workdps
+
+        def workdps(dps):
+            entered.append(dps)
+            return real(dps)
+
+        monkeypatch.setattr(mpmath, "workdps", workdps)
+        clear_series_caches()
+        A = IntervalSet.of((-3.0, -2.0), (0.5, 1.5))
+        B = IntervalSet.of((-1.0, 2.0))
+        for dps in (20, 30, 20):
+            trace_module._corner_sum(A, B, 0.413, dps)
+        assert entered == [20, 30]
+        assert trace_module._series_params.cache_info().misses == 2
+        assert trace_module._corner.cache_info().misses == 2 * 7
 
     def test_default_scan_cache_counts(self, monkeypatch):
         # 12 mu x 5 pairs x 4 corners x 2 passes = 480 corners, 336
@@ -467,6 +499,36 @@ def corner_t(digits: int, frac: float):
         return mpmath.mpf(1e-30) ** (1 - frac) * mpmath.mp.prec ** frac
 
 
+def kernel_sum(mu: float, t, digits: int):
+    """_fixed_2f3 at digits on the libmp t, with the unrounded integer sum S
+    and the wp of its last pass, read at the one libmp.from_man_exp call
+    that rounds S."""
+    seen, real = [], libmp.from_man_exp
+
+    def from_man_exp(man, exp, *rest):
+        seen.append((man, -exp))
+        return real(man, exp, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(libmp, "from_man_exp", from_man_exp)
+        value = trace_module._fixed_2f3(mu, t, libmp.dps_to_prec(digits))
+    (S, wp), = seen
+    return value, S, wp
+
+
+def replayed_terms(mu: float, t, digits: int, wp: int) -> list:
+    """The integer terms of the kernel's pass at wp bits, each ratio read
+    as floor(r_j 2^wp) from trace._ratios itself, with no table."""
+    prec = libmp.dps_to_prec(digits)
+    Z = libmp.to_fixed(libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n"), wp)
+    terms = [1 << wp]
+    while abs(terms[-1]) >= 1 << 25:  # the first term is 2^wp
+        j = len(terms) - 1
+        terms.append(terms[-1] * Z * trace_module._ratios(mu, wp, j, j + 1)[0]
+                     >> 2 * wp)
+    return terms
+
+
 corner_mu = st.floats(-0.4999, 250.0)
 
 
@@ -486,7 +548,8 @@ class TestFixedPoint2F3:
         # mpmath.hyp2f3 40 digits higher, on the same rounded z
         t = corner_t(digits, frac)
         with mpmath.workdps(digits):
-            z, got = -t * t, trace_module._fixed_2f3(mu, t)
+            z, got = -t * t, mpmath.mp.make_mpf(trace_module._fixed_2f3(
+                mu, t._mpf_, mpmath.mp.prec))
         with mpmath.workdps(digits + 40):
             m = mpmath.mpf(mu)
             ref = mpmath.hyp2f3(m, m + 0.5, 2 * m + 1, m + 1.5, m + 1.5, z)
@@ -498,16 +561,34 @@ class TestFixedPoint2F3:
     @example(-0.45, 1.0)
     @example(249.9, 1.0)
     def test_earlier_calls_cannot_change_a_result(self, mu, frac):
-        # a 20-digit call leaves a ratio table wide enough for 50 digits
-        t = corner_t(20, frac)
+        # a 20-digit call leaves a ratio table wide enough for 50 digits;
+        # the unrounded sum S and its wp must not depend on it either
+        t = corner_t(20, frac)._mpf_
         results = []
         for history in ((), (20,)):
             trace_module._ratio_table.cache_clear()
             for digits in history + (50,):
-                with mpmath.workdps(digits):
-                    value = trace_module._fixed_2f3(mu, t)
-            results.append(value)
+                result = kernel_sum(mu, t, digits)
+            results.append(result)
         assert results[0] == results[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(corner_mu, st.floats(0.0, 1.0))
+    @example(-0.45, 1.0)
+    @example(0.0, 0.5)
+    @example(249.9, 1.0)
+    def test_every_ratio_read_is_its_floor_at_wp_bits(self, mu, frac):
+        # a cold 20-digit call tables the ratios at W = 2 wp bits, and a
+        # 50-digit call after it reads the same table at a larger wp
+        t = corner_t(20, frac)._mpf_
+        trace_module._ratio_table.cache_clear()
+        for digits in (20, 50):
+            _, S, wp = kernel_sum(mu, t, digits)
+            terms = replayed_terms(mu, t, digits, wp)
+            assert S == sum(terms)
+            W, table = trace_module._ratio_table(mu)[0]
+            assert [table[j] >> (W - wp) for j in range(len(terms) - 1)] \
+                == list(trace_module._ratios(mu, wp, 0, len(terms) - 1))
 
     def test_reverse_order_gives_the_same_rows(self):
         clear_series_caches()
