@@ -17,14 +17,15 @@ what makes exact summation of deformed binomials cheap: common denominators
 are short products of known linear factors, and the longest such prefix is
 already the lowest denominator wherever the closed forms hold.
 
-The expansion runs on integers.  Since (mu + i + 1/2) = (2 mu + 2 i + 1)/2,
-each summand is a rational scalar over a power of two times the product of
-two contiguous ranges of the odd factors (2 mu + 2 i + 1).  Those range
-products are built once per sum and shared by its terms, and terms with equal
-ranges are merged before they are expanded.  A MuPolynomial itself is
-integer numerators over one denominator: its arithmetic and its evaluation
-at a Fraction work on those integers, and only its coeffs view builds
-Fractions.
+The layer runs on integers.  gamma_mu(n) is 2^n floor(n/2)! times the
+factors i < ceil(n/2), so in a deformed binomial the 2^k cancels against
+2^j 2^(k-j) and the scalar is an integer.  Since (mu + i + 1/2) =
+(2 mu + 2 i + 1)/2, each summand is that integer over a power of two times
+two contiguous ranges of the odd factors (2 mu + 2 i + 1), built once per
+sum; terms with equal ranges are merged, and the sum runs over one power of
+two.  The closed forms are products of integer factors, and the sampled
+check evaluates at integer points.  A MuPolynomial is integer numerators
+over one denominator; only its coeffs view builds Fractions.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-HALF = Fraction(1, 2)
+from functools import lru_cache, reduce
 
 
 class MuPolynomial:
@@ -179,10 +178,11 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _prod(factors) -> MuPolynomial:
-    acc = ONE
-    for f in factors:
-        acc = acc * f
+def _horner(nums, t: int) -> int:
+    """The integer polynomial with coefficients nums at the integer t."""
+    acc = 0
+    for n in reversed(nums):
+        acc = acc * t + n
     return acc
 
 
@@ -194,8 +194,8 @@ class MuRationalFunction:
     def __init__(self, num: MuPolynomial, den: MuPolynomial = ONE):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        lead = den.lead
-        if lead != 1:
+        if den.nums[-1] != den.den:  # not monic already
+            lead = den.lead
             num = num.scale(Fraction(1) / lead)
             den = den.scale(Fraction(1) / lead)
         self.num = num
@@ -248,72 +248,68 @@ def gamma_mu_exact(n: int) -> MuPolynomial:
     return _GAMMA_POLYS[n]
 
 
-def _gamma_factored(n: int) -> tuple[Fraction, int]:
-    """gamma_mu(n) = scalar * prod_{i=0}^{e-1} (mu + i + 1/2), as (scalar, e).
-
-    An odd step m of the recursion contributes 2 (mu + (m-1)/2 + 1/2), so the
-    factor indices stay contiguous, and an even step m the constant m: the
-    scalar is 2^n floor(n/2)! and e is ceil(n/2).
-    """
-    return Fraction(2 ** n * math.factorial(n // 2)), (n + 1) // 2
-
-
 def _binom_factored(k: int, j: int):
     """Deformed binomial gamma(k)/(gamma(j)gamma(k-j)) in factored form.
 
     Returns (scalar, num_range, den_range) where the ranges are half-open
-    index ranges of (mu + i + 1/2) factors.  The prefix structure of the
-    gamma factors makes numerator and denominator ranges disjoint, so the
-    result is automatically in lowest terms.
+    index ranges of (mu + i + 1/2) factors.  As gamma_mu(n) = 2^n
+    floor(n/2)! times the factors [0, ceil(n/2)), the 2^k cancels: the
+    scalar is the integer floor(k/2)! / (floor(j/2)! floor((k-j)/2)!), that
+    is C(floor(k/2), floor(j/2)), or (k/2) C(k/2 - 1, floor(j/2)) for even k
+    and odd j.  The prefix structure makes numerator and denominator ranges
+    disjoint, so the result is automatically in lowest terms.
     """
-    sk, ek = _gamma_factored(k)
-    sj, ej = _gamma_factored(j)
-    si, ei = _gamma_factored(k - j)
-    lo, hi = min(ej, ei), max(ej, ei)
-    return sk / (sj * si), (hi, ek), (0, lo)
+    half, lo, hi = k // 2, (j + 1) // 2, (k - j + 1) // 2
+    if k % 2 or not j % 2:
+        scalar = math.comb(half, j // 2)
+    else:
+        scalar = half * math.comb(half - 1, j // 2)
+    return scalar, (max(lo, hi), (k + 1) // 2), (0, min(lo, hi))
 
 
 def _factored_sum(terms) -> MuRationalFunction:
-    """Exact sum of (scalar, num_range, den_range) triples.
+    """Exact sum of (scalar, num_range, den_range) triples, integer scalars.
 
     The common denominator is the longest factor prefix among the terms,
     [0, d_max).  With (mu + i + 1/2) = (2 mu + 2 i + 1)/2, each term is
     scalar / 2^m times an integer polynomial R(n_lo, n_hi) R(d_hi, d_max),
     where R(a, b) = prod_{i=a}^{b-1} (2 mu + 2 i + 1) is built from
     R(a+1, b) by one linear step and kept for the call.  Terms with the same
-    ranges are merged before expanding, and the integer sum runs over one
-    common denominator.  The prefix [0, d_max) stays the denominator (1 for
-    a zero sum): exact, and in lowest terms wherever the closed forms hold,
-    as their d_max denominator roots are half-integers, their numerator
-    roots integers.
+    ranges are merged before expanding.  The only denominators are those
+    powers of two, so the integer sum runs over the largest, 2^top, with
+    each merged weight w / 2^m as the integer w << (top - m).  The prefix
+    [0, d_max) stays the denominator (1 for a zero sum): exact, and in
+    lowest terms wherever the closed forms hold, as their d_max denominator
+    roots are half-integers, their numerator roots integers.
     """
     d_max = max((t[2][1] for t in terms), default=0)
-    merged: dict[tuple[int, int, int], Fraction] = {}
+    merged: dict[tuple[int, int, int], int] = {}
     for scalar, (n_lo, n_hi), (_, d_hi) in terms:
         key = (n_lo, n_hi, d_hi)
         merged[key] = merged.get(key, 0) + scalar
-    weights = {(n_lo, n_hi, d_hi): w / 2 ** (n_hi - n_lo + d_max - d_hi)
-               for (n_lo, n_hi, d_hi), w in merged.items() if w}
-    common = math.lcm(*(w.denominator for w in weights.values()))
+    top = max((n_hi - n_lo + d_max - d_hi for n_lo, n_hi, d_hi in merged),
+              default=0)
     products: dict[tuple[int, int], list[int]] = {}
 
     def range_product(a: int, b: int) -> list[int]:
-        top = a
-        while top < b and (top, b) not in products:
-            top += 1
-        poly = products.get((top, b), [1])
-        for i in range(top - 1, a - 1, -1):
+        start = a
+        while start < b and (start, b) not in products:
+            start += 1
+        poly = products.get((start, b), [1])
+        for i in range(start - 1, a - 1, -1):
             poly = products[i, b] = _convolve(poly, [2 * i + 1, 2])
         return poly
 
     acc: list[int] = []
-    for (n_lo, n_hi, d_hi), w in weights.items():
+    for (n_lo, n_hi, d_hi), w in merged.items():
+        if not w:
+            continue
         term = _convolve(range_product(n_lo, n_hi), range_product(d_hi, d_max))
-        scale = w.numerator * (common // w.denominator)
+        scale = w << (top - (n_hi - n_lo + d_max - d_hi))
         acc += [0] * (len(term) - len(acc))
         for i, c in enumerate(term):
             acc[i] += scale * c
-    total = MuPolynomial._of(acc, common)
+    total = MuPolynomial._of(acc, 1 << top)
     if total.is_zero:
         return MuRationalFunction(total)
     return MuRationalFunction(
@@ -341,24 +337,25 @@ def p_at_exact(k: int) -> MuRationalFunction:
 
 # --- the closed-form families stated for p_{k,mu}(-1,1) ---------------------
 
-def p_4n_minus_2_closed(n: int) -> MuRationalFunction:
-    """mu * 2^(2n-1) * prod_{k=n+1}^{2n-1}(mu+k-1) / prod_{k=1}^{n}(mu+k-1/2)."""
+def _product_form(n: int, shift: int, power: int) -> MuRationalFunction:
+    """mu 2^power prod_{k=n+1}^{2n-1} (mu+k+shift) / prod_{k=1}^{n} (mu+k-1/2)
+    on integer factors, the denominator as prod (2k - 1 + 2 mu) over 2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = _prod(MuPolynomial.mu_plus(k - 1) for k in range(n + 1, 2 * n))
-    num = num.times_mu().scale(Fraction(2) ** (2 * n - 1))
-    den = _prod(MuPolynomial.mu_plus(k - HALF) for k in range(1, n + 1))
-    return MuRationalFunction(num, den)
+    num = reduce(_convolve, ([k + shift, 1] for k in range(n + 1, 2 * n)), [1])
+    den = reduce(_convolve, ([2 * k - 1, 2] for k in range(1, n + 1)), [1])
+    return MuRationalFunction(MuPolynomial._of([0] + [c << power for c in num], 1),
+                              MuPolynomial._of(den, 1 << n))
+
+
+def p_4n_minus_2_closed(n: int) -> MuRationalFunction:
+    """mu * 2^(2n-1) * prod_{k=n+1}^{2n-1}(mu+k-1) / prod_{k=1}^{n}(mu+k-1/2)."""
+    return _product_form(n, -1, 2 * n - 1)
 
 
 def p_4n_closed(n: int) -> MuRationalFunction:
     """mu * 2^(2n) * prod_{k=n+1}^{2n-1}(mu+k) / prod_{k=1}^{n}(mu+k-1/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    num = _prod(MuPolynomial.mu_plus(k) for k in range(n + 1, 2 * n))
-    num = num.times_mu().scale(Fraction(2) ** (2 * n))
-    den = _prod(MuPolynomial.mu_plus(k - HALF) for k in range(1, n + 1))
-    return MuRationalFunction(num, den)
+    return _product_form(n, 0, 2 * n)
 
 
 def p_2n_sum_closed(n: int) -> MuRationalFunction:
@@ -367,7 +364,8 @@ def p_2n_sum_closed(n: int) -> MuRationalFunction:
         raise ValueError("n must be >= 1")
     terms = [_binom_factored(2 * n, 2 * k + 1) for k in range(n)]
     s = _factored_sum(terms)
-    return MuRationalFunction(s.num.times_mu().scale(Fraction(2, n)), s.den)
+    return MuRationalFunction(
+        MuPolynomial._of([0] + [2 * c for c in s.num.nums], n * s.num.den), s.den)
 
 
 # --- identity checks ---------------------------------------------------------
@@ -400,17 +398,19 @@ def verify_odd_vanishing(k_max: int) -> list[IdentityCheck]:
     return checks
 
 
-def _sample_points(deg: int):
-    # deg+1 distinct rational points; positive integers avoid every pole,
-    # since all denominators vanish only at negative half-integers.
-    return [Fraction(t) for t in range(1, deg + 2)]
-
-
 def _closed_form_check(family: str, n: int, index: int, lhs: MuRationalFunction,
                        rhs: MuRationalFunction) -> IdentityCheck:
+    """lhs == rhs by cross-multiplication and, apart from it, at the integer
+    points 1..deg+1, where each polynomial is an integer (Horner) over its
+    integer den: lhs.num rhs.den == rhs.num lhs.den with those cleared.  No
+    point is a pole, as all denominators vanish at negative half-integers."""
     symbolic = lhs.cross_equal(rhs)
     deg = max(lhs.num.degree, lhs.den.degree, rhs.num.degree, rhs.den.degree)
-    sampled = all(lhs.evaluate(pt) == rhs.evaluate(pt) for pt in _sample_points(deg))
+    left, right = rhs.num.den * lhs.den.den, lhs.num.den * rhs.den.den
+    sampled = all(
+        _horner(lhs.num.nums, t) * _horner(rhs.den.nums, t) * left
+        == _horner(rhs.num.nums, t) * _horner(lhs.den.nums, t) * right
+        for t in range(1, deg + 2))
     return IdentityCheck(
         family=family,
         index=index,

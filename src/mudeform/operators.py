@@ -318,15 +318,16 @@ def eom_residuals(psi: GaussPoly, kappa=Fraction(1)) -> EomReport:
 
 # --- numeric deformed Fourier transform ---------------------------------------
 
-def _support_radius(values: np.ndarray, mu: float, abs_tol: float) -> float:
+def _support_radius(values: np.ndarray, mu: float, log_norm: float,
+                    abs_tol: float) -> float:
     """R with norm_const max|c_n| (1+R)^(deg+1) e^{-R^2/2} max(1, R^{2 mu})
     below a tenth of abs_tol, for the coefficients c_n at mu of a nonzero
-    psi, compared in logs: beyond R the Gaussian envelope is negligible.  R
-    is past the envelope's peak, R^2 >= 2 mu + deg + 1, so a tiny norm_const
-    cannot pass an R on its rising side."""
+    psi and log_norm = log norm_const(mu), compared in logs: beyond R the
+    Gaussian envelope is negligible.  R is past the envelope's peak,
+    R^2 >= 2 mu + deg + 1, so a tiny norm_const cannot pass an R on its
+    rising side."""
     log_ratio = (math.log(max(max(map(abs, values.tolist())), 1e-300))
-                 + float(mpmath.log(norm_const_mp(mu)))
-                 - math.log(0.1 * abs_tol))
+                 + log_norm - math.log(0.1 * abs_tol))
     R = 2.0
     while R < 40.0:
         if R * R >= 2.0 * mu + len(values) and (
@@ -381,7 +382,9 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
     if k.size == 0 or all(p.is_zero for p in psis):
         return np.zeros((len(psis), k.size), dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
-    R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
+    log_norm = float(mpmath.log(norm_const_mp(ctx.mu)))  # once per call
+    R = max(_support_radius(v, ctx.mu, log_norm, QUAD_ABS_TOL)
+            for v in values if v.size)
     for v in values:  # Horner's partial sums are at most sum |c_n| R^n
         logs = [math.log(abs(c)) + n * math.log(R)
                 for n, c in enumerate(v.tolist()) if c]

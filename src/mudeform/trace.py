@@ -192,6 +192,19 @@ def _ratios(mu: float, bits: int, start: int, stop: int) -> tuple:
                      * (j + 1)) for j in range(start, stop))
 
 
+def _stop_bound(et: float, wp: int) -> int:
+    """An index past the first j with 2j ln(j / et) >= h = (wp - 25) ln 2,
+    from where the term bound (e t / j)^(2j) is below 2^(25 - wp).  That
+    function is convex and increasing past j = t, and already >= h at the
+    start e et + (wp - 25) / 2, so each of three Newton steps, j <- (j +
+    h / 2) / (1 + ln(j / et)), stays at or above its root, which lies
+    beyond the climb j <= e t; + 1 covers rounding."""
+    h, J = (wp - 25) * math.log(2), math.e * et + (wp - 25) / 2
+    for _ in range(3):
+        J = (J + h / 2) / (1 + math.log(J / et))
+    return math.ceil(J) + 1
+
+
 def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
     """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) in libmp at prec bits,
     summed as mpmath's hypsum does, in integers at wp bits.
@@ -203,8 +216,11 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
     so the reruns end), and is rounded once.  The ratios come from one
     table per mu at W >= wp bits, shifted to floor(r_j 2^wp), which is the
     same for every W, so the order of calls cannot change a result.  As
-    |r_j z| < t^2 / (j+1)^2, |term_j| < (e t / j)^(2j) <= 4^-j from j = 2et
-    on, so the sum stops within the max(2et, wp / 2) ratios tabled first.
+    |r_j z| < t^2 / (j+1)^2, |term_j| < (e t / j)^(2j), so the sum stops
+    within _stop_bound(e t, wp) ratios (a t below float range counts as
+    1e-300, which bounds it).  A table that runs out first is grown to that
+    bound and the pass restarts; one that runs out at the bound is a fault,
+    and raises.
     """
     z = libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n")
     ft, box = libmp.to_float(t, rnd="n"), _ratio_table(mu)
@@ -214,9 +230,6 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
         bits, table = box[0]
         if bits < wp:  # rebuild with room for the rerun's doubled guard
             bits, table = 2 * wp, ()
-        if len(table) < (need := max(math.ceil(2 * math.e * ft), wp // 2)):
-            table += _ratios(mu, bits, len(table), need)
-            box[0] = (bits, table)
         shift, double, Z = bits - wp, 2 * wp, libmp.to_fixed(z, wp)
         S = T = 1 << wp
         for R in table:
@@ -224,6 +237,14 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
             S += T
             if -(1 << 25) < T < 1 << 25:  # a term below 2^(25 - wp)
                 break
+        else:  # grow the table to the bound and sum again
+            need = _stop_bound(math.e * max(ft, 1e-300), wp)
+            if len(table) >= need:
+                raise RuntimeError(f"2F3 ratio table of {len(table)} entries "
+                                   f"ran out before a term fell below "
+                                   f"2^(25 - {wp})")
+            box[0] = (bits, table + _ratios(mu, bits, len(table), need))
+            continue
         if wp - S.bit_length() < guard - 30:
             return libmp.from_man_exp(S, -wp, prec, "n")
         guard *= 2

@@ -14,8 +14,7 @@ import numpy as np
 
 from mudeform.core import (KERNEL_ABS2_FLOOR, exp_mu_imag_on_grid,
                            gauss_jacobi, norm_const_mp)
-from mudeform.exact import (HALF, MuPolynomial, MuRationalFunction,
-                            _binom_factored, _prod)
+from mudeform.exact import MuPolynomial, MuRationalFunction, _binom_factored
 from mudeform.intervals import IntervalSet
 from mudeform.measure import (QUAD_ABS_TOL, QUAD_LEVELS, QUAD_NODES,
                               QUAD_REL_TOL, _density_scale, _positive_panels,
@@ -29,9 +28,11 @@ def binom_mu_exact(k: int, j: int) -> MuRationalFunction:
     if not 0 <= j <= k:
         raise ValueError(f"need 0 <= j <= k, got k={k}, j={j}")
     scalar, num_range, den_range = _binom_factored(k, j)
-    num = _prod(MuPolynomial.mu_plus(i + HALF)
-                for i in range(*num_range)).scale(scalar)
-    den = _prod(MuPolynomial.mu_plus(i + HALF) for i in range(*den_range))
+    num, den = MuPolynomial.const(scalar), MuPolynomial.const(1)
+    for i in range(*num_range):
+        num = num * MuPolynomial.mu_plus(i + Fraction(1, 2))
+    for i in range(*den_range):
+        den = den * MuPolynomial.mu_plus(i + Fraction(1, 2))
     return MuRationalFunction(num, den)
 
 
@@ -178,7 +179,9 @@ def fourier_uncached(psis, k, ctx):
     level cache: the values, and the level at which they converged."""
     k = np.asarray(k, dtype=float)
     values = [p.values_at(ctx.mu) for p in psis]
-    R = max(_support_radius(v, ctx.mu, QUAD_ABS_TOL) for v in values if v.size)
+    log_norm = float(mpmath.log(norm_const_mp(ctx.mu)))
+    R = max(_support_radius(v, ctx.mu, log_norm, QUAD_ABS_TOL)
+            for v in values if v.size)
     ak, inv = np.unique(np.abs(k), return_inverse=True)
     odd_factor = -1j * np.sign(k)
     prev = None

@@ -450,6 +450,15 @@ class TestVerifyIdentitiesCommand:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "4dfc7ac91f1fc3b41b916d84f98260a2939cd0b74682627816b435a468011919")
 
+    def test_large_budget_report_file(self, capsys, tmp_path):
+        # the --out file of the same budget, byte for byte
+        out_file = tmp_path / "ids.json"
+        code, _, err = run(capsys, "verify-identities", "--k-max", "121",
+                           "--n-max", "30", "--out", str(out_file))
+        assert code == 0 and "151/151 passed" in err
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "f304c7bfd440445415ef9de1a5a4f55c1c9c5bb6389d56d295dd08fb8e84b22b")
+
 
 class TestCheckOperatorsCommand:
     def test_default_passes(self, capsys, tmp_path):

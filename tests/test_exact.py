@@ -237,9 +237,11 @@ class TestBinomExact:
 
     def test_against_definitional_ratio(self):
         # binom must equal gamma(k)/(gamma(j) gamma(k-j)) built from the
-        # plain recursion polynomials, by cross-multiplication.
-        for k in (3, 7, 10, 15):
+        # plain recursion polynomials, by cross-multiplication; the powers
+        # of two cancel, so every factored scalar is an int
+        for k in range(41):
             for j in range(k + 1):
+                assert type(exact._binom_factored(k, j)[0]) is int, (k, j)
                 b = binom_mu_exact(k, j)
                 lhs = b.num * (gamma_mu_exact(j) * gamma_mu_exact(k - j))
                 rhs = b.den * gamma_mu_exact(k)
@@ -336,6 +338,44 @@ class TestClosedForms:
         # results are labelled per n (per-n evidence, not a general proof)
         assert all(c.n is not None for c in checks)
         assert all(c.sampled_equal for c in checks)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda f, n: MuRationalFunction(f.num.scale(Q(n + 1, n)), f.den),
+        lambda f, n: MuRationalFunction(f.num + exact.ONE, f.den),
+    ], ids=["scaled", "constant_term"])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_sampled_check_fails_on_a_wrong_closed_form(self, monkeypatch,
+                                                        mutate, n):
+        lhs, wrong = p_at_exact(4 * n), mutate(p_4n_closed(n), n)
+        check = exact._closed_form_check("p_4n", n, 4 * n, lhs, wrong)
+        assert check.sampled_equal is False and check.passed is False
+        # the sampled check fails on its own, with the symbolic one forced
+        monkeypatch.setattr(MuRationalFunction, "cross_equal",
+                            lambda self, other: True)
+        check = exact._closed_form_check("p_4n", n, 4 * n, lhs, wrong)
+        assert check.sampled_equal is False and check.passed is False
+        right = exact._closed_form_check("p_4n", n, 4 * n, lhs, p_4n_closed(n))
+        assert right.sampled_equal is True and right.passed is True
+
+    def test_proof_path_builds_no_fraction(self, monkeypatch):
+        # expansion, closed forms and both comparisons run on integers;
+        # only the report's strings (to_dict, stubbed here) build Fractions
+        expected = [c.to_dict() for c in verify_closed_forms(6)]
+        p_at_exact.cache_clear()
+        built = []
+        real_new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        monkeypatch.setattr(MuRationalFunction, "to_dict", lambda self: {})
+        assert all(c.passed for c in verify_closed_forms(6))
+        assert all(c.passed for c in verify_odd_vanishing(13))
+        assert built == []
+        monkeypatch.undo()
+        assert [c.to_dict() for c in verify_closed_forms(6)] == expected
 
     def test_larger_budgets(self):
         assert all(c.passed for c in verify_closed_forms(20))

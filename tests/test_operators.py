@@ -351,8 +351,9 @@ def dense_fourier(psis, k, ctx):
     shared radius, the per-function stopping rule and the transform's
     quadrature settings."""
     om = operators_module
-    R = max(om._support_radius(p.values_at(ctx.mu), ctx.mu, om.QUAD_ABS_TOL)
-            for p in psis)
+    log_norm = float(mpmath.log(norm_const_mp(ctx.mu)))
+    R = max(om._support_radius(p.values_at(ctx.mu), ctx.mu, log_norm,
+                               om.QUAD_ABS_TOL) for p in psis)
     prev = None
     for level in range(om.QUAD_LEVELS + 1):
         x, w = weighted_panel_rule(IntervalSet.of((-R, R)), ctx, 2 ** level,
@@ -532,7 +533,8 @@ class TestFourierWork:
                        * mpmath.mpf(R) ** (2 * mu) < 0.1 * tol):
                 R *= 1.25
         assert R < 40.0
-        assert operators_module._support_radius(values, mu, tol) == R
+        log_norm = float(mpmath.log(norm_const_mp(mu)))
+        assert operators_module._support_radius(values, mu, log_norm, tol) == R
 
 
 COEFFS = [Fraction(sign * n, d) for sign in (1, -1) for n, d in

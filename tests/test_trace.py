@@ -590,6 +590,27 @@ class TestFixedPoint2F3:
             assert [table[j] >> (W - wp) for j in range(len(terms) - 1)] \
                 == list(trace_module._ratios(mu, wp, 0, len(terms) - 1))
 
+    @settings(max_examples=30, deadline=None)
+    @given(corner_mu, st.floats(0.0, 1.0), st.sampled_from([20, 50]))
+    @example(-0.45, 1.0, 50)
+    @example(0.0, 0.0, 20)
+    @example(249.9, 1.0, 20)
+    def test_the_stop_bound_covers_every_ratio_read(self, mu, frac, digits):
+        # a cold call tables no more ratios than _stop_bound, and it reads
+        # every ratio that the sum needs from them
+        t = corner_t(digits, frac)._mpf_
+        trace_module._ratio_table.cache_clear()
+        _, _, wp = kernel_sum(mu, t, digits)
+        reads = len(replayed_terms(mu, t, digits, wp)) - 1
+        tabled = len(trace_module._ratio_table(mu)[0][1])
+        bound = trace_module._stop_bound(math.e * libmp.to_float(t), wp)
+        assert reads <= tabled <= bound
+
+    def test_a_corner_below_float_range_sums_to_one(self):
+        # t = 2^-1100 is 0.0 as a float; 2F3(...; -t^2) rounds to one
+        t = libmp.from_man_exp(1, -1100)
+        assert trace_module._fixed_2f3(0.25, t, 70) == libmp.fone
+
     def test_reverse_order_gives_the_same_rows(self):
         clear_series_caches()
         forward = rows_to_csv(deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS))
