@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact, operators
-from .core import (MuContext, SeriesResult, eta_rule_exists,
+from .core import (MuContext, SeriesResult, _check_mu, eta_rule_exists,
                    even_series_result, exp_mu_integral, exp_mu_series)
 from .errors import EvaluationError
 from .intervals import format_interval_set, parse_interval_set
@@ -59,14 +59,20 @@ class RunConfig:
     out: str | None = None
     plot: str | None = None
     config: str | None = None
+    # check-operators' psi literals, parsed once here, where a malformed
+    # one is a usage error
+    _gauss_polys: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
+        if self.command == "check-operators":
+            self._gauss_polys = tuple(map(operators.parse_gauss_poly,
+                                          self.psi))
         if self.mu_grid is not None and not self.mu_grid:
             raise ValueError(f"{self.command} needs at least one mu in "
                              "mu_grid, got none")
         mus = (() if self.mu is None else (self.mu,)) + (self.mu_grid or ())
         for mu in mus:
-            MuContext(mu)  # raises ValueError naming a bad mu
+            _check_mu(mu)
         for name, low in _MIN_BUDGETS.get(self.command, {}).items():
             value = getattr(self, name)
             if value is not None and value < low:
@@ -76,6 +82,8 @@ class RunConfig:
     def echo(self) -> dict:
         out = {}
         for f in fields(self):
+            if not f.init:
+                continue
             v = getattr(self, f.name)
             if isinstance(v, Fraction):
                 v = str(v)
@@ -134,8 +142,8 @@ _CONVERTERS = {
     "set_b": _checked(parse_interval_set),
     "z": lambda v: _parse_complex(v) if isinstance(v, str) else complex(v),
     "s": float,
-    "psi": lambda v: tuple(map(_checked(operators.parse_gauss_poly),
-                               v if isinstance(v, (list, tuple)) else (v,))),
+    "psi": lambda v: tuple(map(str, v if isinstance(v, (list, tuple))
+                               else (v,))),
     "n_max": int,
     "k_max": int,
     "kappa": _fraction,
@@ -318,7 +326,7 @@ def cmd_check_operators(cfg: RunConfig) -> int:
         ccr.append({"basis": n, "residual_zero": residual.is_zero})
     ccr_ok = all(c["residual_zero"] for c in ccr)
 
-    psis = [(text, operators.parse_gauss_poly(text)) for text in cfg.psi]
+    psis = list(zip(cfg.psi, cfg._gauss_polys))
     eom_entries = []
     for text, psi in psis:
         rep = operators.eom_residuals(psi, kappa=kappa)

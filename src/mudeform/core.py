@@ -41,6 +41,12 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_mu(mu: float) -> None:
+    """Raise ValueError naming mu unless it is finite and above MU_MIN."""
+    if not (math.isfinite(mu) and mu > MU_MIN):
+        raise ValueError(f"need finite mu > -1/2 + 1e-6, got {mu}")
+
+
 @dataclass(frozen=True)
 class MuContext:
     """Deformation parameter mu and the normalization constant of m_mu.
@@ -53,8 +59,7 @@ class MuContext:
     norm_const: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > MU_MIN):
-            raise ValueError(f"need finite mu > -1/2 + 1e-6, got {self.mu}")
+        _check_mu(self.mu)
         # at 113 bits, then rounded once to nearest: within 1 ulp wherever
         # the constant is a normal float
         with mpmath.workprec(113):

@@ -146,7 +146,14 @@ class MuPolynomial:
         return Fraction(acc, self.den * q_pow)
 
     def coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """Each coefficient as str of its Fraction: "n/d" in lowest terms,
+        or "n" where d = 1."""
+        out = []
+        for n in self.nums:
+            g = math.gcd(n, self.den)
+            d = self.den // g
+            out.append(f"{n // g}/{d}" if d > 1 else str(n // g))
+        return out
 
     def __repr__(self):
         if self.is_zero:

@@ -10,16 +10,15 @@ under
 kappa = 1 makes i[P,Q] = I + 2 mu J hold identically; kappa is exposed so
 that a doubled reflection term can be shown to break it on odd functions.
 
-A GaussPoly holds p on integers: x^n mu^j has the coefficient
-(num[n, j, 0] + i num[n, j, 1]) / den, with Python ints in a numpy object
-array over one integer den.  Every operator is exact integer arithmetic on
-that array, the same for every mu: Q shifts the x index up, J negates the
-odd rows, the derivative (p' - x p) has row n = (n+1) c[n+1] - c[n-1], the
-reflection term shifts the odd rows down in x and up in mu, times 2 kappa
-(psi - J psi keeps only odd powers, so dividing by x is exact), and 1/i
-swaps re and im.  Equality and the coefficient views read the canonical
-form, trimmed and in lowest terms; CPoly is one coefficient as two
-MuPolynomials, which hold the rows' integers and evaluate them.
+A GaussPoly holds p as its nonzero terms on integers: num = {(n, j): (a, b)}
+stands for (a + i b) x^n mu^j / den, with Python ints over one positive
+integer den.  Every operator is one pass over the terms, the same for every
+mu: Q raises n, J negates the odd n, the derivative (p' - x p) sends a term
+c x^n to n c x^(n-1) - c x^(n+1), the reflection term sends an odd n to
+2 kappa mu c x^(n-1) (psi - J psi keeps only odd powers, so dividing by x
+is exact), and 1/i takes a + i b to b - i a.  Terms that cancel are
+dropped; equality and the coefficient views read the terms in lowest
+terms.  CPoly is one coefficient as two MuPolynomials.
 
 The numeric layer evaluates these functions on grids and implements the
 deformed Fourier transform by weight-aware adaptive quadrature.  It takes
@@ -37,6 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
@@ -71,36 +71,6 @@ class CPoly:
 CPoly.ZERO = CPoly()
 
 
-def _zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols, 2), dtype=object)
-
-
-def _shifted(num: np.ndarray, rows: int = 0, cols: int = 0) -> np.ndarray:
-    """num times x^rows mu^cols: zeros padded below both indices."""
-    out = _zeros(num.shape[0] + rows, num.shape[1] + cols)
-    out[rows:, cols:] = num
-    return out
-
-
-def _times(num: np.ndarray, a: int, b: int) -> np.ndarray:
-    """num times the complex integer a + i b."""
-    swapped = num[..., ::-1] * np.array([-b, b], dtype=object)
-    return swapped + a * num if a else swapped
-
-
-def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """Trim the zero rows and columns at the top and divide out the gcd of
-    den and every numerator, so equal functions get equal arrays."""
-    nonzero = num != 0
-    rows = np.flatnonzero(nonzero.any(axis=(1, 2)))
-    if not rows.size:
-        return _zeros(0, 0), 1
-    cols = np.flatnonzero(nonzero.any(axis=(0, 2)))
-    num = num[:rows[-1] + 1, :cols[-1] + 1]
-    g = math.gcd(den, *num.flat)
-    return num // g, den // g
-
-
 def _on_grid(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(sum_n values[n] x^n) exp(-x^2/2), by Horner."""
     acc = np.zeros(x.shape, dtype=complex)
@@ -111,28 +81,26 @@ def _on_grid(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class GaussPoly:
     """psi(x) = (sum_n c_n x^n) exp(-x^2/2), with the exact coefficients
-    c_n = sum_j (num[n, j, 0] + i num[n, j, 1]) mu^j / den.
+    c_n = sum_j (a + i b) mu^j / den over the terms num = {(n, j): (a, b)}.
 
-    The operators leave num as they build it, with zero rows or columns at
-    the top and a factor common to den; equality, the degree, the
-    coefficients and their values read the canonical form."""
+    Every term is nonzero, but den may share a factor with all of them;
+    equality and the coefficients read the form in lowest terms."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         """From CPoly coefficients, lowest power of x first."""
         coeffs = list(coeffs)
-        parts = [(n, s, part) for n, c in enumerate(coeffs)
-                 for s, part in enumerate((c.re, c.im))]
-        self.den = math.lcm(1, *(part.den for *_, part in parts))
-        self.num = _zeros(len(coeffs), 1 + max(
-            (part.degree for *_, part in parts), default=-1))
-        for n, s, part in parts:
-            self.num[n, :len(part.nums), s] = [
-                v * (self.den // part.den) for v in part.nums]
+        den = math.lcm(1, *(p.den for c in coeffs for p in (c.re, c.im)))
+        self.num, self.den = {}, den
+        for n, c in enumerate(coeffs):
+            re, im = ([v * (den // p.den) for v in p.nums]
+                      for p in (c.re, c.im))
+            self.num.update(((n, j), ab) for j, ab in enumerate(
+                zip_longest(re, im, fillvalue=0)) if any(ab))
 
     @classmethod
-    def _of(cls, num: np.ndarray, den: int = 1) -> "GaussPoly":
+    def _of(cls, num: dict, den: int = 1) -> "GaussPoly":
         psi = cls.__new__(cls)
         psi.num, psi.den = num, den
         return psi
@@ -140,60 +108,70 @@ class GaussPoly:
     @classmethod
     def basis(cls, n: int) -> "GaussPoly":
         """x^n exp(-x^2/2)."""
-        num = _zeros(n + 1, 1)
-        num[n, 0, 0] = 1
-        return cls._of(num)
+        return cls._of({(n, 0): (1, 0)})
 
     @property
     def degree(self) -> int:
-        return len(_canonical(self.num, self.den)[0]) - 1
+        return max((n for n, _ in self.num), default=-1)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.num != 0).any()
+        return not self.num
+
+    def _lowest(self) -> tuple[dict, int]:
+        """The terms and den with their common factor divided out."""
+        g = math.gcd(self.den, *(v for ab in self.num.values() for v in ab))
+        return ({key: (a // g, b // g) for key, (a, b) in self.num.items()},
+                self.den // g)
 
     @property
     def coeffs(self) -> tuple[CPoly, ...]:
-        num, den = _canonical(self.num, self.den)
-        return tuple(CPoly(*(MuPolynomial._of(part, den)
-                             for part in row.T.tolist())) for row in num)
+        terms, den = self._lowest()
+        rows = [[[], []] for _ in range(self.degree + 1)]
+        for (n, j), ab in terms.items():
+            for part, v in zip(rows[n], ab):
+                part.extend([0] * (j + 1 - len(part)))
+                part[j] = v
+        return tuple(CPoly(*(MuPolynomial._of(part, den) for part in row))
+                     for row in rows)
 
     def coeff(self, n: int) -> CPoly:
         coeffs = self.coeffs
         return coeffs[n] if 0 <= n < len(coeffs) else CPoly.ZERO
 
     def __eq__(self, other):
-        if not isinstance(other, GaussPoly):
-            return False
-        (a, da), (b, db) = (_canonical(p.num, p.den) for p in (self, other))
-        return da == db and a.tolist() == b.tolist()
+        return (isinstance(other, GaussPoly)
+                and self._lowest() == other._lowest())
 
-    def __add__(self, other: "GaussPoly", sign: int = 1) -> "GaussPoly":
-        den = math.lcm(self.den, other.den)
-        a, b = self.num, other.num
-        out = _zeros(max(len(a), len(b)), max(a.shape[1], b.shape[1]))
-        out[:len(a), :a.shape[1]] = a * (den // self.den)
-        out[:len(b), :b.shape[1]] += b * (sign * (den // other.den))
-        return GaussPoly._of(out, den)
+    def __add__(self, other: "GaussPoly") -> "GaussPoly":
+        return _combine((self, 1, 0), (other, 1, 0))
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        return self.__add__(other, -1)
+        return _combine((self, 1, 0), (other, -1, 0))
 
     def scale_complex(self, re, im) -> "GaussPoly":
         """Multiply by the constant re + i*im (exact rationals)."""
         re, im = Fraction(re), Fraction(im)
         den = math.lcm(re.denominator, im.denominator)
-        return GaussPoly._of(_times(self.num, int(re * den), int(im * den)),
-                             self.den * den)
+        scaled = _combine((self, int(re * den), int(im * den)))
+        return GaussPoly._of(scaled.num, scaled.den * den)
 
     def values_at(self, mu) -> np.ndarray:
         """The coefficients at mu as complex floats, CPoly.evaluate of each:
-        exact at Fraction(mu), on the integers of its MuPolynomials, and
-        rounded once."""
-        exact, values = Fraction(mu), []
-        for n, c in enumerate(self.coeffs):
+        at mu = p/q each is the exact integer quotient
+        sum_j (a + i b) p^j q^(top-j) / (den q^top), rounded once."""
+        p, q = Fraction(mu).as_integer_ratio()
+        top = max((j for _, j in self.num), default=0)
+        powers = [p ** j * q ** (top - j) for j in range(top + 1)]
+        sums = [[0, 0] for _ in range(self.degree + 1)]
+        for (n, j), (a, b) in self.num.items():
+            acc = sums[n]
+            acc[0] += a * powers[j]
+            acc[1] += b * powers[j]
+        den, values = self.den * q ** top, []
+        for n, (a, b) in enumerate(sums):
             try:
-                values.append(c.evaluate(exact))
+                values.append(complex(a / den, b / den))
             except OverflowError:
                 raise EvaluationError(f"the coefficient of x^{n} at mu = {mu} "
                                       "leaves float range") from None
@@ -207,70 +185,89 @@ class GaussPoly:
         return f"GaussPoly({list(self.coeffs)!r})"
 
 
+def _collect(pieces, den: int) -> GaussPoly:
+    """The GaussPoly over den whose term at each key is the sum of the
+    (key, a, b) in pieces, the terms that cancel dropped."""
+    out = {}
+    for key, a, b in pieces:
+        c, d = out.get(key, (0, 0))
+        out[key] = (a + c, b + d)
+    return GaussPoly._of({k: v for k, v in out.items() if v[0] or v[1]}, den)
+
+
+def _combine(*parts) -> GaussPoly:
+    """The sum of (c + i d) psi over the (psi, c, d) in parts."""
+    den = math.lcm(*(psi.den for psi, _, _ in parts))
+    pieces = []
+    for psi, c, d in parts:
+        c, d = c * (den // psi.den), d * (den // psi.den)
+        pieces += [(key, a * c - b * d, a * d + b * c)
+                   for key, (a, b) in psi.num.items()]
+    return _collect(pieces, den)
+
+
 def apply_Q(psi: GaussPoly) -> GaussPoly:
     """Multiplication by x: shift all coefficients up one degree."""
-    return GaussPoly._of(_shifted(psi.num, rows=1), psi.den)
+    return GaussPoly._of({(n + 1, j): v for (n, j), v in psi.num.items()},
+                         psi.den)
 
 
 def apply_J(psi: GaussPoly) -> GaussPoly:
     """Parity: c_n -> (-1)^n c_n (the Gaussian factor is even)."""
-    num = psi.num.copy()
-    num[1::2] *= -1
-    return GaussPoly._of(num, psi.den)
+    return GaussPoly._of({(n, j): (-a, -b) if n & 1 else (a, b)
+                          for (n, j), (a, b) in psi.num.items()}, psi.den)
 
 
 def apply_P(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
     """(1/i)(psi' + kappa mu (psi - J psi)/x).
 
-    (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2} has row n (n+1) c[n+1] - c[n-1].
-    The reflection difference keeps the odd rows, doubled, so dividing by x
-    is an exact shift down one row: row n gains 2 kappa mu c[n+1] for odd
-    n+1.  kappa defaults to the value consistent with i[P,Q] = I + 2 mu J.
+    (p e^{-x^2/2})' = (p' - x p) e^{-x^2/2}: the term (n, j) gives
+    n c x^(n-1) mu^j and -c x^(n+1) mu^j.  The reflection difference keeps
+    the odd powers, doubled, so dividing by x is exact: an odd n also gives
+    2 kappa c x^(n-1) mu^(j+1).  1/i takes a + i b to b - i a.  kappa
+    defaults to the value consistent with i[P,Q] = I + 2 mu J.
     """
     kappa = Fraction(kappa)
-    c = psi.num
-    rows, cols = c.shape[:2]
-    if not rows:
-        return psi
-    scaled = c * kappa.denominator if kappa.denominator > 1 else c
-    out = _zeros(rows + 1, cols + 1)
-    out[:rows - 1, :cols] = (np.arange(1, rows, dtype=object)[:, None, None]
-                             * scaled[1:])
-    out[1:, :cols] -= scaled
-    out[:rows - 1:2, 1:] += c[1::2] * (2 * kappa.numerator)
-    return GaussPoly._of(_times(out, 0, -1), psi.den * kappa.denominator)
+    q, two_p = kappa.denominator, 2 * kappa.numerator
+    pieces = []  # f c / i = f b - i f a for c = a + i b
+    for (n, j), (a, b) in psi.num.items():
+        pieces.append(((n + 1, j), -q * b, q * a))
+        if n:
+            pieces.append(((n - 1, j), n * q * b, -n * q * a))
+        if n & 1:
+            pieces.append(((n - 1, j + 1), two_p * b, -two_p * a))
+    return _collect(pieces, psi.den * q)
 
 
 def apply_H(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
     """H = (Q^2 + P^2)/2, composed exactly."""
     qq = apply_Q(apply_Q(psi))
     pp = apply_P(apply_P(psi, kappa), kappa)
-    return (qq + pp).scale_complex(Fraction(1, 2), 0)
+    total = qq + pp
+    return GaussPoly._of(total.num, 2 * total.den)
 
 
 def ccr_residual(psi: GaussPoly, kappa=Fraction(1)) -> GaussPoly:
     """i(P(Q psi) - Q(P psi)) - psi - 2 mu J psi; identically zero iff the
     deformed canonical commutation relation holds on psi."""
-    comm = apply_P(apply_Q(psi), kappa) - apply_Q(apply_P(psi, kappa))
-    j_psi = apply_J(psi)
-    two_mu_j = GaussPoly._of(2 * _shifted(j_psi.num, cols=1), j_psi.den)
-    return comm.scale_complex(0, 1) - psi - two_mu_j
+    mu_j = GaussPoly._of({(n, j + 1): v for (n, j), v
+                          in apply_J(psi).num.items()}, psi.den)
+    return _combine((apply_P(apply_Q(psi), kappa), 0, 1),
+                    (apply_Q(apply_P(psi, kappa)), 0, -1),
+                    (psi, -1, 0), (mu_j, -2, 0))
 
 
 def _fit_constant(target: GaussPoly, reference: GaussPoly):
     """The unique complex constant c with target = c * reference, or None.
 
-    The first nonzero entry r of reference and the entry t of target at the
-    same place fix the candidate c = t/r = t conj(r)/|r|^2, a complex
-    rational; target == c * reference is then checked on the whole array.
+    Any term r of reference and the term t of target at the same place fix
+    the candidate c = t/r = t conj(r)/|r|^2, a complex rational; target ==
+    c * reference is then checked on every term.
     """
-    hits = np.argwhere((reference.num != 0).any(axis=2))
-    if not len(hits):
+    if reference.is_zero:
         return None
-    n, j = hits[0]
-    ra, rb = reference.num[n, j]
-    t = target.num
-    ta, tb = t[n, j] if n < t.shape[0] and j < t.shape[1] else (0, 0)
+    key, (ra, rb) = next(iter(reference.num.items()))
+    ta, tb = target.num.get(key, (0, 0))
     norm = (ra * ra + rb * rb) * target.den
     c = (Fraction((ta * ra + tb * rb) * reference.den, norm),
          Fraction((tb * ra - ta * rb) * reference.den, norm))

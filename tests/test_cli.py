@@ -18,8 +18,7 @@ from test_core import series_reference_mp
 
 import mudeform.operators as operators_module
 import mudeform.trace as trace_module
-from mudeform.cli import (RunConfig, build_parser, cmd_check_operators, main,
-                          resolve_config, write_deviation_plot)
+from mudeform.cli import RunConfig, build_parser, main, write_deviation_plot
 from mudeform.core import MuContext, exp_mu_series
 from mudeform.intervals import IntervalSet
 from mudeform.trace import ScanRow, deviation_scan
@@ -32,6 +31,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 GOLDEN_SCAN = Path(__file__).parent / "data" / "default_scan.csv"
 # the default `mudeform verify-identities --out identities.json`, frozen
 GOLDEN_IDENTITIES = Path(__file__).parent / "data" / "identities.json"
+# the default `mudeform check-operators --out check_operators.json`, frozen
+GOLDEN_OPERATORS = Path(__file__).parent / "data" / "check_operators.json"
 # every option of every command, help aside, sorted
 SURFACE = {
     "specfun": ["--config", "--mu", "--s", "--z"],
@@ -560,16 +561,64 @@ class TestCheckOperatorsCommand:
 
     def test_each_psi_parsed_once_by_the_command(self, tmp_path,
                                                 monkeypatch):
-        psis = ("gauss", "(1 + 2x^3) * gauss")
-        cfg = resolve_config(build_parser().parse_args(
-            ["check-operators", "--n-max", "1", "--psi", psis[0],
-             "--psi", psis[1], "--out", str(tmp_path / "ops.json")]))
+        # each literal is parsed once per run, where the flag is read, and
+        # the command works on that parse; the defaults are parsed too
         calls = []
         parse = operators_module.parse_gauss_poly
         monkeypatch.setattr(operators_module, "parse_gauss_poly",
                             lambda text: calls.append(text) or parse(text))
-        assert cmd_check_operators(cfg) == 0
-        assert calls == list(psis)
+        out = str(tmp_path / "ops.json")
+        for psis in (("gauss", "(1 + 2x^3) * gauss"), ()):
+            calls.clear()
+            flags = [arg for text in psis for arg in ("--psi", text)]
+            assert main(["check-operators", "--n-max", "1", *flags,
+                         "--out", out]) == 0
+            assert calls == list(psis or RunConfig.psi)
+            assert [e["psi"] for e in json.loads(
+                Path(out).read_text())["equations_of_motion"]] == calls
+
+    def test_one_mu_context_per_command(self, tmp_path, monkeypatch):
+        # the config check of mu builds no context: the command's is the
+        # only one, and a bad mu is still named
+        built = []
+        init = MuContext.__post_init__
+        monkeypatch.setattr(MuContext, "__post_init__",
+                            lambda ctx: built.append(ctx.mu) or init(ctx))
+        out = str(tmp_path / "ops.json")
+        for mu in ("0.731", "-0.3", "2"):
+            built.clear()
+            assert main(["check-operators", "--mu", mu, "--out", out]) == 0
+            assert built == [float(mu)]
+        built.clear()
+        with pytest.raises(ValueError, match="got -0.5"):
+            RunConfig("check-operators", mu=-0.5)
+        assert built == []
+
+    def test_default_report_matches_golden_file(self, capsys, tmp_path):
+        out_file = tmp_path / "check_operators.json"
+        code, _, _ = run(capsys, "check-operators", "--out", str(out_file))
+        assert code == 0
+        assert_golden(out_file.read_bytes(), GOLDEN_OPERATORS,
+                      "the default operator report")
+
+    @pytest.mark.parametrize("flags, digest", [
+        (("--mu", "2"),
+         "6f179e43c29dd600186a3c37a630737f42e662d2bff69f1504835f4e5a6e409b"),
+        (("--mu", "-0.3", "--psi",
+          "(1/3x^6 - 3x^5 - 1/3x^4 - x^2 - 2) * gauss"),
+         "4a82c345657c88eb3db55340f3b451c96945ab8e13f22cbb07ddec3e6a5e4b6b"),
+        (("--kappa", "2"),
+         "08e663075d1c1abec2a439ab2488e62e7212ec6eeff708bf43bb73349c4e1b88"),
+        (("--kappa", "1/3", "--n-max", "4"),
+         "52962bad9e7238fb996cede98ea1026c8abf50c042ebddd8e192b6f17ecbda0d"),
+    ], ids=["mu2", "degree6", "kappa2", "kappa1/3"])
+    def test_report_byte_for_byte(self, capsys, tmp_path, flags, digest):
+        # the whole --out file, intertwining floats included
+        out_file = tmp_path / "ops.json"
+        code, _, _ = run(capsys, "check-operators", *flags,
+                         "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 class TestConfigPrecedence:

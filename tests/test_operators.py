@@ -445,19 +445,21 @@ class TestFourierWork:
             assert np.array_equal(svals, np.outer(np.unique(np.abs(ks)), x))
 
     def test_coefficients_evaluated_once_per_call(self, monkeypatch):
+        # values_at rounds every coefficient of one function at mu
         calls, levels, counts = [], [], []
-        real_value = CPoly.evaluate
+        real_values = GaussPoly.values_at
         real_rule = operators_module.weighted_panel_rule
 
-        def value(*args):
-            calls.append(args)
-            return real_value(*args)
+        def values(psi, mu):
+            out = real_values(psi, mu)
+            calls.extend(out.tolist())
+            return out
 
         def rule(*args):
             levels.append(args)
             return real_rule(*args)
 
-        monkeypatch.setattr(CPoly, "evaluate", value)
+        monkeypatch.setattr(GaussPoly, "values_at", values)
         monkeypatch.setattr(operators_module, "weighted_panel_rule", rule)
         psis = [apply_P(self.DEG6), self.DEG6]
         ks = np.linspace(-3, 3, 25)
