@@ -454,27 +454,42 @@ _SIGNED_ATOM = (rf"(?x) (?P<sign> [+-]? ) \s*"
                 rf" (?: (?P<real> {_REAL} ) (?P<imag> i )? | i )")
 
 
+def _rational(real: str) -> tuple[int, int]:
+    """A real of the grammar as integers n / d."""
+    num, slash, den = real.partition("/")
+    if slash:  # int() takes the whitespace around either side
+        return int(num), int(den)
+    mantissa, _, exp = real.strip().lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)
+    n = int(whole + frac)
+    return (n * 10 ** shift, 1) if shift >= 0 else (n, 10 ** -shift)
+
+
 def parse_gauss_poly(text: str) -> GaussPoly:
     """Parse a literal like "(1 + 2x^3) * gauss" or "(1+2i)x^2 + 3x + 1 *
     gauss" by the grammar above.  Bare "gauss" is the unit Gaussian, and
-    equal powers of x add."""
+    equal powers of x add.  The atoms are summed as integers over the lcm
+    of their denominators and the result put in lowest terms."""
     literal = re.fullmatch(_LITERAL, text)
     if literal is None:
         raise ValueError(f"not a gauss-poly literal: {text!r}")
-    coeffs: dict[int, list[Fraction]] = {}
-    try:
-        for term in re.finditer(_SIGNED_TERM, literal["poly"] or "1"):
-            mono = term["mono"] or term["lone"]
-            power = int(mono.partition("^")[2] or 1) if mono else 0
-            acc = coeffs.setdefault(power, [Fraction(0), Fraction(0)])
-            for atom in re.finditer(_SIGNED_ATOM, term["coeff"] or "1"):
-                real = atom["real"]
-                value = Fraction("".join(real.split())) if real else 1
-                if (term["sign"] + atom["sign"]).count("-") == 1:
-                    value = -value
-                acc[real is None or atom["imag"] is not None] += value
-    except ZeroDivisionError:
-        raise ValueError(
-            f"zero denominator in gauss-poly literal {text!r}") from None
-    return GaussPoly([CPoly(*coeffs.get(n, (0, 0)))
-                      for n in range(max(coeffs) + 1)])
+    atoms = []  # (key, a, b, d) for the signed atom (a + i b) x^n / d
+    for term in re.finditer(_SIGNED_TERM, literal["poly"] or "1"):
+        mono = term["mono"] or term["lone"]
+        power = int(mono.partition("^")[2] or 1) if mono else 0
+        for atom in re.finditer(_SIGNED_ATOM, term["coeff"] or "1"):
+            real = atom["real"]
+            n, d = _rational(real) if real else (1, 1)
+            if not d:
+                raise ValueError(
+                    f"zero denominator in gauss-poly literal {text!r}")
+            if (term["sign"] + atom["sign"]).count("-") == 1:
+                n = -n
+            imaginary = real is None or atom["imag"] is not None
+            atoms.append(((power, 0), 0 if imaginary else n,
+                          n if imaginary else 0, d))
+    den = math.lcm(*(d for *_, d in atoms))
+    return GaussPoly._of(*_collect(
+        [(key, a * (den // d), b * (den // d)) for key, a, b, d in atoms],
+        den)._lowest())

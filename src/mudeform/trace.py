@@ -8,6 +8,12 @@ B that also gives m_mu(A) m_mu(B).  Its hot path works on libmp values at
 an explicit precision, with no mpf object per corner, and sums each 2F3 in
 fixed point up to t = prec bits; mpmath.hyp2f3 sums beyond, directly (at
 times misrounding by ulps) up to t of about 724 and asymptotically above.
+The corners t = x y are the same at every mu, so a scan does their mu-free
+work once: the corner list per (A, B, prec), and z = -t^2, float(t), the
+first guard and log t per (t, prec).  Per (mu, t, digits) only t^p and the
+2F3's terms are computed, and per row the checks on the two corner sums,
+also on libmp values.  Every cache is bounded, and holds bit for bit what
+the same call would compute cold.
 Where both routes converge they must agree within their combined error
 estimates.  A scan row comes from the series alone, its best estimate
 included where it fails.  The quadrature, at the fixed settings
@@ -205,26 +211,35 @@ def _stop_bound(et: float, wp: int) -> int:
     return math.ceil(J) + 1
 
 
+@lru_cache(maxsize=256)
+def _fixed_start(t: tuple, prec: int) -> tuple:
+    """The mu-free start of _fixed_2f3 at the corner t: z = -t^2 at prec
+    bits, float(t) rounded to nearest, and the first guard."""
+    ft = libmp.to_float(t, rnd="n")
+    return (libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n"), ft,
+            50 + math.ceil(2.0 * ft / math.log(2.0)))
+
+
 def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
     """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) in libmp at prec bits,
     summed as mpmath's hypsum does, in integers at wp bits.
 
     The terms peak below about e^(2t), so wp carries ceil(2t / ln 2) bits
-    beyond mpmath's 50 from the start.  As in hypsum the sum stops at the
-    first term below 2^(25 - wp), reruns with twice the guard where it
-    cancels to within 30 bits of it (F > 0, a trace of a positive kernel,
-    so the reruns end), and is rounded once.  The ratios come from one
-    table per mu at W >= wp bits, shifted to floor(r_j 2^wp), which is the
-    same for every W, so the order of calls cannot change a result.  As
-    |r_j z| < t^2 / (j+1)^2, |term_j| < (e t / j)^(2j), so the sum stops
-    within _stop_bound(e t, wp) ratios (a t below float range counts as
-    1e-300, which bounds it).  A table that runs out first is grown to that
-    bound and the pass restarts; one that runs out at the bound is a fault,
-    and raises.
+    beyond mpmath's 50 from the start.  z = -t^2, float(t) and that first
+    guard are the same at every mu, and are read from _fixed_start, cached
+    per (t, prec); the term loop is all that runs per mu.  As in hypsum
+    the sum stops at the first term below 2^(25 - wp), reruns with twice
+    the guard where it cancels to within 30 bits of it (F > 0, a trace of
+    a positive kernel, so the reruns end), and is rounded once.  The
+    ratios come from one table per mu at W >= wp bits, shifted to
+    floor(r_j 2^wp), which is the same for every W, so the order of calls
+    cannot change a result.  As |r_j z| < t^2 / (j+1)^2, |term_j| <
+    (e t / j)^(2j), so the sum stops within _stop_bound(e t, wp) ratios (a
+    t below float range counts as 1e-300, which bounds it).  A table that
+    runs out first is grown to that bound and the pass restarts; one that
+    runs out at the bound is a fault, and raises.
     """
-    z = libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n")
-    ft, box = libmp.to_float(t, rnd="n"), _ratio_table(mu)
-    guard = 50 + math.ceil(2.0 * ft / math.log(2.0))
+    (z, ft, guard), box = _fixed_start(t, prec), _ratio_table(mu)
     while True:
         wp = prec + guard
         bits, table = box[0]
@@ -251,13 +266,26 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
+def _log(t: tuple, prec: int) -> tuple:
+    """log t at prec + 10 bits, as libmp.mpf_pow takes it for t^p."""
+    return libmp.mpf_log(t, prec + 10, "n")
+
+
+@lru_cache(maxsize=256)
 def _corner(mu: float, t: tuple, dps: int):
     """t^p and t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) in libmp at dps
     digits, keyed on the rounded product t so equal products share them:
     by _fixed_2f3 up to t = prec bits, by mpmath.hyp2f3 beyond, directly
-    (misrounding by ulps at times) below t = 724 and asymptotically above."""
+    (misrounding by ulps at times) below t = 724 and asymptotically above.
+
+    t^p is libmp.mpf_pow's.  For p neither an integer nor a half-integer
+    that is exp(p log t), whose log t, the same at every mu, is cached per
+    (t, prec); other p call mpf_pow and take no log."""
     (a1, a2, p, b, _), prec = _series_params(mu, dps), libmp.dps_to_prec(dps)
-    power = libmp.mpf_pow(t, p._mpf_, prec, "n")
+    if p._mpf_[2] < -1:  # mpf_pow's general branch, step for step
+        power = libmp.mpf_exp(libmp.mpf_mul(p._mpf_, _log(t, prec)), prec, "n")
+    else:
+        power = libmp.mpf_pow(t, p._mpf_, prec, "n")
     if libmp.mpf_le(t, libmp.from_int(prec)):
         value = _fixed_2f3(mu, t, prec)
     else:
@@ -267,23 +295,40 @@ def _corner(mu: float, t: tuple, dps: int):
     return power, libmp.mpf_mul(power, value, prec, "n")
 
 
-def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
-    """m(A) m(B) and Tr as mpf at dps digits, the sums of +-scale t^p and
-    +-F(t) over the corners t = x y of the half-line panels of A and B."""
-    scale, prec = _series_params(mu, dps)[-1]._mpf_, libmp.dps_to_prec(dps)
-    product = trace = libmp.fzero
+@lru_cache(maxsize=256)
+def _corners(A: IntervalSet, B: IntervalSet, prec: int) -> tuple:
+    """The corners of the half-line panels of A and B, the same at every
+    mu: each product t = x y (exact in 106 bits) rounded once at prec bits,
+    with libmp.mpf_add or mpf_sub for its sign.  Corners at 0 drop."""
+    corners = []
     for a, b, _ in _positive_panels(A):
         for c, d, _ in _positive_panels(B):
             for x, y, add in ((b, d, libmp.mpf_add), (a, d, libmp.mpf_sub),
                               (b, c, libmp.mpf_sub), (a, c, libmp.mpf_add)):
-                if x > 0.0 and y > 0.0:  # x y, exact in 106 bits, rounded
+                if x > 0.0 and y > 0.0:
                     (m, u), (n, v) = x.as_integer_ratio(), y.as_integer_ratio()
-                    power, value = _corner(mu, libmp.from_man_exp(
-                        m * n, 1 - (u * v).bit_length(), prec, "n"), dps)
-                    product = add(product, power, prec, "n")
-                    trace = add(trace, value, prec, "n")
+                    corners.append((libmp.from_man_exp(
+                        m * n, 1 - (u * v).bit_length(), prec, "n"), add))
+    return tuple(corners)
+
+
+def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
+    """m(A) m(B) and Tr as mpf at dps digits, the sums of +-scale t^p and
+    +-F(t) over the corners t = x y of the half-line panels of A and B,
+    whose list is built once per (A, B, prec)."""
+    scale, prec = _series_params(mu, dps)[-1]._mpf_, libmp.dps_to_prec(dps)
+    product = trace = libmp.fzero
+    for t, add in _corners(A, B, prec):
+        power, value = _corner(mu, t, dps)
+        product = add(product, power, prec, "n")
+        trace = add(trace, value, prec, "n")
     return (mpmath.mp.make_mpf(libmp.mpf_mul(scale, product, prec, "n")),
             mpmath.mp.make_mpf(libmp.mpf_mul(scale, trace, prec, "n")))
+
+
+def _gap(x: tuple, y: tuple, prec: int) -> tuple:
+    """|x - y| at prec bits, rounded as abs(mpf - mpf) rounds it."""
+    return libmp.mpf_abs(libmp.mpf_sub(x, y, prec, "n"), prec, "n")
 
 
 def trace_moment_series(A: IntervalSet, B: IntervalSet,
@@ -304,21 +349,28 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     m(A) m(B) overflows a float fails before any 2F3, which there may take
     seconds or not converge.
     """
-    scale, ends = _series_params(ctx.mu, SERIES_DPS)[-1], (_sup(A), _sup(B))
+    _, man, exp, _ = _series_params(ctx.mu, SERIES_DPS)[-1]._mpf_  # scale
+    ends = _sup(A), _sup(B)
     if 0.0 not in ends and (  # log2 of scale t^p at t = sup|A| sup|B|
-            math.log2(scale.man) + scale.exp + (2.0 * ctx.mu + 1.0)
+            math.log2(man) + exp + (2.0 * ctx.mu + 1.0)
             * sum(map(math.log2, ends)) >= _MAXEXP):
         raise EvaluationError(f"m(A) m(B) over {A} x {B} at mu = {ctx.mu} "
                               "overflows a float")
+    # the checks make the libmp calls of mpf arithmetic, at its precision
+    wp, eps = mpmath.mp.prec, libmp.from_float(_EPS)
     for rounds in range(SERIES_MAX_ROUNDS):
         dps = SERIES_DPS * 2 ** rounds
         low = _corner_sum(A, B, ctx.mu, dps)
-        high = _corner_sum(A, B, ctx.mu, dps + SERIES_CHECK_DIGITS)
-        (product, value), error = high, abs(high[1] - low[1])
-        best = TraceEstimate.build(float(value), float(error),
-                                   "moment_series", float(product))
-        if (error <= _EPS * abs(value)
-                and abs(product - low[0]) <= _EPS * product):
+        product, value = (x._mpf_ for x in _corner_sum(
+            A, B, ctx.mu, dps + SERIES_CHECK_DIGITS))
+        error = _gap(value, low[1]._mpf_, wp)
+        best = TraceEstimate.build(
+            libmp.to_float(value, rnd="n"), libmp.to_float(error, rnd="n"),
+            "moment_series", libmp.to_float(product, rnd="n"))
+        if (libmp.mpf_le(error, libmp.mpf_mul(libmp.mpf_abs(value, wp, "n"),
+                                               eps, wp, "n"))
+                and libmp.mpf_le(_gap(product, low[0]._mpf_, wp),
+                                 libmp.mpf_mul(product, eps, wp, "n"))):
             return best
     raise EvaluationError(
         f"the moment-series corners cancel beyond "

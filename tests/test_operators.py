@@ -711,6 +711,15 @@ class TestParser:
         psi = parse_gauss_poly("x + x * gauss")
         assert psi.coeff(1) == CPoly(2)
 
+    def test_atoms_add_over_one_denominator_in_lowest_terms(self):
+        # x^2 takes 1/6 + 1/2 = 2/3 and 1/3 i, x cancels, 3/9 is 1/3: the
+        # terms over den = 3, the form GaussPoly gives its coefficients
+        psi = parse_gauss_poly("(1/6 + 1/3i)x^2 + 1/2 x^2 - 0.25x + 1/4 x"
+                               " + 3/9 * gauss")
+        assert (psi.num, psi.den) == ({(2, 0): (2, 1), (0, 0): (1, 0)}, 3)
+        lowest = GaussPoly(psi.coeffs)
+        assert (psi.num, psi.den) == (lowest.num, lowest.den)
+
     def test_rejections(self):
         # numbers need a sign between them and every sign needs a term; each
         # error, a zero denominator's included, names the literal

@@ -404,6 +404,27 @@ class TestMomentSeriesWork:
             assert trace_module._corner_sum(A, B, mu, dps) == \
                 corner_sum_uncached(A, B, mu, dps), dps
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.5, 250.0, exclude_min=True), st.floats(0.0, 1.0),
+           st.integers(20, 60))
+    @example(0.0, 0.5, 20)      # p = 1, 2 and 3: mpf_pow's integer branch
+    @example(0.5, 1.0, 30)
+    @example(1.0, 0.2, 60)
+    @example(-0.25, 0.5, 20)    # p = 1/2, 3/2 and 5/2: its square roots
+    @example(0.25, 0.9, 40)
+    @example(0.75, 0.0, 50)
+    @example(0.413, 0.5, 20)    # its general branch, exp(p log t)
+    @example(0.413, 1.0, 60)
+    def test_corner_power_is_mpf_pow_bit_for_bit(self, mu, frac, digits):
+        # t from 1e-300 to 2 prec bits, past the fixed-point range; the
+        # corner's t^p, with its cached log t, is mpf_pow's to the last bit
+        with mpmath.workdps(digits):
+            t = (mpmath.mpf(1e-300) ** (1 - frac)
+                 * (2 * mpmath.mp.prec) ** frac)._mpf_
+        p = trace_module._series_params(mu, digits)[2]._mpf_
+        power, _ = trace_module._corner.__wrapped__(mu, t, digits)
+        assert power == libmp.mpf_pow(t, p, libmp.dps_to_prec(digits), "n")
+
     def test_cold_corner_sum_enters_workdps_only_for_the_parameters(
             self, monkeypatch):
         # every corner has t <= prec, so the corners are libmp values summed
@@ -431,12 +452,23 @@ class TestMomentSeriesWork:
             raise AssertionError("mpmath.hyp2f3 ran")
 
         monkeypatch.setattr(mpmath, "hyp2f3", forbidden)
-        trace_module._corner.cache_clear()
-        trace_module._series_params.cache_clear()
+        clear_series_caches()
         deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
         corner = trace_module._corner.cache_info()
         assert (corner.misses, corner.hits) == (336, 144)
         assert trace_module._series_params.cache_info().misses == 12 * 2
+        # the mu-free work runs once per scan: one corner list per (pair,
+        # prec), and one z, float(t) and first guard per distinct (t, prec),
+        # 28 of them (the 20 corners of the 5 pairs have 14 products, at
+        # each of 2 precs); so is log t, read at the 7 mu (-0.45 to 0.05)
+        # whose p = 2 mu + 1 is neither an integer nor a half-integer
+        assert trace_module._corners.cache_info().misses == 5 * 2
+        assert trace_module._fixed_start.cache_info().misses == 28
+        log = trace_module._log.cache_info()
+        assert (log.misses, log.hits + log.misses) == (28, 7 * 28)
+        clear_series_caches()
+        assert [f.cache_info().currsize for f in series_caches()] == \
+            [0] * len(series_caches())
 
     def test_product_settles_as_well_as_the_trace(self, monkeypatch):
         # near mu = -1/2 the corners of m(A) m(B) cancel about 1/p^2 times
@@ -487,9 +519,15 @@ class TestMomentSeriesWork:
                                                + full.error_estimate)
 
 
+def series_caches() -> list:
+    """Every cache of the trace module: the corners and their mu-free parts,
+    the parameters and the ratio tables."""
+    return [f for f in vars(trace_module).values()
+            if hasattr(f, "cache_clear")]
+
+
 def clear_series_caches():
-    for cache in (trace_module._corner, trace_module._series_params,
-                  trace_module._ratio_table):
+    for cache in series_caches():
         cache.cache_clear()
 
 
@@ -617,6 +655,25 @@ class TestFixedPoint2F3:
         clear_series_caches()
         assert rows_to_csv(deviation_scan(DEFAULT_MU_GRID[::-1],
                                           DEFAULT_PAIRS[::-1])) == forward
+
+    def test_rows_do_not_depend_on_the_cache_state(self):
+        # 30 mu with 3 decimals, none a multiple of 1/8, so every corner
+        # takes a general power and a fresh ratio table; the 180 rows
+        # overflow the 256-entry corner cache, so the reversed scan meets
+        # both warm and evicted corners, and the cold one clears every
+        # cache before each mu
+        grid = tuple(round(-0.437 + 0.079 * k, 3) for k in range(30))
+        assert all(Fraction(mu).denominator > 8 for mu in grid)
+        pairs = DEFAULT_PAIRS + ((IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
+                                  IntervalSet.of((-1.0, 2.0))),)
+        clear_series_caches()
+        forward = rows_to_csv(deviation_scan(grid, pairs))
+        assert rows_to_csv(deviation_scan(grid[::-1], pairs)) == forward
+        cold = []
+        for mu in sorted(grid):
+            clear_series_caches()
+            cold += deviation_scan((mu,), pairs)
+        assert rows_to_csv(cold) == forward
 
 
 class TestCrossMethodProperties:
