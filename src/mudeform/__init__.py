@@ -15,7 +15,6 @@ from .errors import EvaluationError
 from .exact import (IdentityCheck, MuPolynomial, gamma_mu_exact, p_at_exact,
                     verify_closed_forms, verify_odd_vanishing)
 from .intervals import IntervalSet, format_interval_set, parse_interval_set
-from .measure import measure, moment
 from .operators import (EomReport, GaussPoly, apply_H, apply_J, apply_P,
                         apply_Q, ccr_residual, eom_residuals,
                         fourier_mu_numeric, intertwining_check,
@@ -35,7 +34,7 @@ __all__ = [
     "eom_residuals", "eta_rule", "evaluate_pair", "even_series_result",
     "exp_mu_integral", "exp_mu_series", "format_interval_set",
     "fourier_mu_numeric", "gamma_mu", "gamma_mu_exact", "intertwining_check",
-    "measure", "moment", "p_at_exact", "parse_gauss_poly",
-    "parse_interval_set", "rows_to_csv", "rows_to_json", "trace_moment_series",
-    "trace_quadrature", "verify_closed_forms", "verify_odd_vanishing",
+    "p_at_exact", "parse_gauss_poly", "parse_interval_set", "rows_to_csv",
+    "rows_to_json", "trace_moment_series", "trace_quadrature",
+    "verify_closed_forms", "verify_odd_vanishing",
 ]

@@ -229,8 +229,9 @@ def cmd_specfun(cfg: RunConfig) -> int:
 
 
 def _sets_from_config(cfg: RunConfig):
-    A = parse_interval_set(cfg.set_a) if cfg.set_a else None
-    B = parse_interval_set(cfg.set_b) if cfg.set_b else None
+    # a blank literal is the empty set, not an absent one
+    A = parse_interval_set(cfg.set_a) if cfg.set_a is not None else None
+    B = parse_interval_set(cfg.set_b) if cfg.set_b is not None else None
     return A, B
 
 

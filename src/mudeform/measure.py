@@ -1,9 +1,8 @@
-"""The measure m_mu on interval sets: closed-form moments and panel rules.
+"""The measure m_mu on interval sets: half-line panels and panel rules.
 
-dm_mu(x) = norm_const |x|^(2 mu) dx.  All moments reduce to the
-antiderivative x^(2 mu + n + 1)/(2 mu + n + 1) on the half-line panels of a
-set, with sign (-1)^n on reflected negative panels; the exponent is always
-positive for mu > -1/2, so no panel ever needs a principal value.
+dm_mu(x) = norm_const |x|^(2 mu) dx, with norm_const the 113-bit constant
+of MuContext.  A set splits at the origin into half-line panels, reflected
+below 0, so every integral against m_mu runs over [a, b] with 0 <= a < b.
 
 Panel rules are weight-aware at the origin: a panel nearer 0 than its width
 uses Gauss-Jacobi nodes exact against the x^(2 mu) factor, which matters for
@@ -19,8 +18,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .core import MuContext, gauss_jacobi, norm_const_mp
-from .errors import EvaluationError
+from .core import MuContext, gauss_jacobi
 from .intervals import IntervalSet
 
 
@@ -40,29 +38,6 @@ def _positive_panels(A: IntervalSet):
             yield 0.0, hi, False
 
 
-def moment(A: IntervalSet, ctx: MuContext, n: int = 0) -> float:
-    """The n-th moment of m_mu over A in floats, by closed-form antiderivative;
-    the float p = 2 mu + n + 1 puts a relative error of eps p |ln b| on b^p."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    p = 2.0 * ctx.mu + n + 1.0
-    total = 0.0
-    for a, b, reflected in _positive_panels(A):
-        try:
-            part = (b ** p - a ** p) / p
-        except OverflowError:
-            raise EvaluationError(
-                f"moment {n} of m_mu over {A} at mu = {ctx.mu} overflows "
-                "a float") from None
-        total += -part if (reflected and n % 2) else part
-    return ctx.norm_const * total
-
-
-def measure(A: IntervalSet, ctx: MuContext) -> float:
-    """m_mu(A) >= 0."""
-    return moment(A, ctx, 0)
-
-
 # the fixed settings of both adaptive quadratures on these panel rules,
 # trace.trace_quadrature and operators.fourier_mu_numeric
 QUAD_NODES = 12
@@ -72,11 +47,11 @@ QUAD_ABS_TOL = 1e-12
 
 
 @lru_cache(maxsize=256)
-def _density_scale(mu: float, end: float) -> float:
-    """norm_const end^(2 mu + 1) for end > 0, at 113 bits and rounded once:
-    in float range where norm_const and end^(2 mu) alone may not be."""
+def _density_scale(ctx: MuContext, end: float) -> float:
+    """ctx.norm_const end^(2 mu + 1) for end > 0, at 113 bits and rounded
+    once: in float range where norm_const and end^(2 mu) alone may not be."""
     with mpmath.workprec(113):
-        value = norm_const_mp(mu) * mpmath.power(end, 2 * mpmath.mpf(mu) + 1)
+        value = ctx.norm_const * mpmath.power(end, 2 * mpmath.mpf(ctx.mu) + 1)
     with mpmath.workprec(53):
         return float(+value)
 
@@ -89,7 +64,7 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
     one count for all or one per _positive_panels entry, less any of zero
     width.  A first panel [e, h] nearer 0 than its width is [0, h] minus
     [0, e] by the Jacobi rule exact for |x|^(2 mu); the rest get
-    Gauss-Legendre, in one array pass.  Each weight is _density_scale(mu, b)
+    Gauss-Legendre, in one array pass.  Each weight is _density_scale(ctx, b)
     times ratios to b: (end / 2b)^(2 mu + 1) on a Jacobi weight, the half
     width over b times (x / b)^(2 mu) on a Legendre weight.  A node whose
     weight underflowed to 0 is kept, as is a negative Jacobi weight.
@@ -100,7 +75,7 @@ def weighted_panel_rule(A: IntervalSet, ctx: MuContext, panels_per_interval,
     counts = np.broadcast_to(panels_per_interval, (len(pieces),))
     xs, ws = [np.empty(0)], [np.empty(0)]  # an empty A gives an empty rule
     for (a, b, reflected), panels in zip(pieces, counts):
-        scale = _density_scale(ctx.mu, b)
+        scale = _density_scale(ctx, b)
         edges = np.linspace(a, b, panels + 1)
         edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # as a >= 0
         if 2.0 * edges[0] < edges[1]:

@@ -41,8 +41,7 @@ from itertools import zip_longest
 import mpmath
 import numpy as np
 
-from .core import (_LOG_FLOAT_MAX, MuContext, exp_mu_imag_on_grid,
-                   norm_const_mp)
+from .core import _LOG_FLOAT_MAX, MuContext, exp_mu_imag_on_grid
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
@@ -319,8 +318,8 @@ def _support_radius(values: np.ndarray, mu: float, log_norm: float,
                     abs_tol: float) -> float:
     """R with norm_const max|c_n| (1+R)^(deg+1) e^{-R^2/2} max(1, R^{2 mu})
     below a tenth of abs_tol, for the coefficients c_n at mu of a nonzero
-    psi and log_norm = log norm_const(mu), compared in logs: beyond R the
-    Gaussian envelope is negligible.  R is past the envelope's peak,
+    psi and log_norm = log MuContext.norm_const, compared in logs: beyond R
+    the Gaussian envelope is negligible.  R is past the envelope's peak,
     R^2 >= 2 mu + deg + 1, so a tiny norm_const cannot pass an R on its
     rising side."""
     log_ratio = (math.log(max(max(map(abs, values.tolist())), 1e-300))
@@ -379,7 +378,7 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
     if k.size == 0 or all(p.is_zero for p in psis):
         return np.zeros((len(psis), k.size), dtype=complex)
     values = [p.values_at(ctx.mu) for p in psis]
-    log_norm = float(mpmath.log(norm_const_mp(ctx.mu)))  # once per call
+    log_norm = float(mpmath.log(ctx.norm_const))  # once per call
     R = max(_support_radius(v, ctx.mu, log_norm, QUAD_ABS_TOL)
             for v in values if v.size)
     for v in values:  # Horner's partial sums are at most sum |c_n| R^n

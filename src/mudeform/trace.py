@@ -108,7 +108,7 @@ def _diagonal(x: np.ndarray, B: IntervalSet, ctx: MuContext):
                     E.imag, T, out=np.full_like(T, 1.0 / p),
                     where=T >= math.sqrt(_EPS))
                 abs2 = E.real ** 2 + E.imag ** 2
-                corner = _density_scale(ctx.mu, t)  # norm_const t^p
+                corner = _density_scale(ctx, t)  # norm_const t^p
                 phi += sign * corner * (abs2 - cross)
                 scale += corner * (abs2 + np.abs(cross))
     return phi, scale
@@ -137,7 +137,7 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
         if err.best is None:  # m(A) m(B) overflows a float
             raise
         product = err.best.product_measures
-    if math.inf in (_density_scale(ctx.mu, _sup(S)) for S in (A, B)):
+    if math.inf in (_density_scale(ctx, _sup(S)) for S in (A, B)):
         raise EvaluationError(f"the density of m_mu on {A} or {B} at "
                               f"mu = {ctx.mu} overflows a float")
     start, swapped = _start_panels(A, B), _start_panels(B, A)

@@ -149,7 +149,7 @@ def panel_rule_by_panel(A: IntervalSet, ctx, panels_per_interval,
     p = 2.0 * ctx.mu + 1.0
     xs, ws = [], []
     for (a, b, reflected), panels in zip(pieces, counts):
-        scale = _density_scale(ctx.mu, b)  # norm_const b^p
+        scale = _density_scale(ctx, b)  # norm_const b^p
         edges = np.linspace(a, b, panels + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
             if lo == hi:
@@ -179,7 +179,7 @@ def fourier_uncached(psis, k, ctx):
     level cache: the values, and the level at which they converged."""
     k = np.asarray(k, dtype=float)
     values = [p.values_at(ctx.mu) for p in psis]
-    log_norm = float(mpmath.log(norm_const_mp(ctx.mu)))
+    log_norm = float(mpmath.log(ctx.norm_const))
     R = max(_support_radius(v, ctx.mu, log_norm, QUAD_ABS_TOL)
             for v in values if v.size)
     ak, inv = np.unique(np.abs(k), return_inverse=True)

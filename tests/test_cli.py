@@ -16,6 +16,7 @@ import mpmath
 import pytest
 from test_core import series_reference_mp
 
+import mudeform.core as core_module
 import mudeform.operators as operators_module
 import mudeform.trace as trace_module
 from mudeform.cli import RunConfig, build_parser, main, write_deviation_plot
@@ -272,6 +273,43 @@ class TestTraceCommand:
                              "--set-a", "[2,1]", "--set-b", "[0,1]")
         assert code == 2 and out == ""
         assert "usage" in err and "error" in err
+
+    @pytest.mark.parametrize("mu, A, B, digest", [
+        ("0.25", "[1,2]", "[0.5,1.5]",
+         "e33364e6eb19316c69dddc8e91daa5f147575662bda74c114f917b0274e2145d"),
+        ("-0.3", "[-1,2]", "[0.01,1.5]+[3,4]",
+         "ed194cc842323b93035f2245a9a40927cb53e5715698ccc83c6eae683fe77689"),
+        ("60.1", "[10,11]", "[5,6]",
+         "5582c641d871f680e9e955dbbc42a4fba164bdbac2a23f286caeefb2bfd3160c"),
+        ("2", "[3,9]", "[-2,8]",
+         "05326032978f64a4b47f9ed41356b707cde3cba5daa458adaf61f2d71330998b"),
+        ("200", "[30,31]", "[20,21]",
+         "bd889877e01a2e74be0863df7e0fbbe633d40d1d443858f34e8268f0b65cadac"),
+    ], ids=["mu0.25", "mu-0.3-union", "mu60.1", "mu2-across-0", "mu200"])
+    def test_stdout_byte_for_byte(self, capsys, mu, A, B, digest):
+        # both routes' lines, the quadrature's included: its weights and
+        # its diagonal go through measure._density_scale.  At mu = 200
+        # norm_const is far below float range
+        code, out, _ = run(capsys, "trace", "--mu", mu, "--set-a", A,
+                           "--set-b", B)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", (("trace", "--mu", "0.5"),
+                                     ("scan", "--mu-grid", "0.5")))
+def test_blank_set_is_the_empty_set(capsys, tmp_path, command):
+    # the grammar reads a blank literal as the empty set, and so does each
+    # command that takes a set, from a flag and from a config key
+    def outputs(literal):
+        by_flag = run(capsys, *command, "--set-a", literal, "--set-b", "[1,2]")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"set_a": literal, "set_b": "[1,2]"}))
+        return by_flag, run(capsys, *command, "--config", str(cfg))
+
+    empty = outputs("{}")
+    assert outputs("") == empty
+    assert all(code == 0 and "{}" in out for code, out, _ in empty)
 
 
 class TestScanCommand:
@@ -593,6 +631,29 @@ class TestCheckOperatorsCommand:
         with pytest.raises(ValueError, match="got -0.5"):
             RunConfig("check-operators", mu=-0.5)
         assert built == []
+
+    def test_one_norm_const_per_command(self, tmp_path, monkeypatch):
+        # with every cache cold, the context's constant is the only one a
+        # default run computes: the panel rules and the transform's radius
+        # read it.  The name is counted in every module that holds it
+        calls = []
+        norm_const_mp = core_module.norm_const_mp
+
+        def counted(mu):
+            calls.append(mu)
+            return norm_const_mp(mu)
+
+        for name in [name for name in sys.modules
+                     if name.startswith("mudeform")]:
+            module = sys.modules[name]  # mudeform.measure: the module
+            if hasattr(module, "norm_const_mp"):
+                monkeypatch.setattr(module, "norm_const_mp", counted)
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+        assert main(["check-operators",
+                     "--out", str(tmp_path / "ops.json")]) == 0
+        assert calls == [0.5]
 
     def test_default_report_matches_golden_file(self, capsys, tmp_path):
         out_file = tmp_path / "check_operators.json"

@@ -60,28 +60,40 @@ class TestMuContext:
                 MuContext(bad)
 
     def test_norm_const_closed_form(self):
-        from scipy.special import gamma as gamma_fn
-        for mu in (-0.4, 0.0, 0.5, 3.0):
-            ctx = MuContext(mu)
-            direct = 1.0 / (2 ** (mu + 0.5) * gamma_fn(mu + 0.5))
-            assert ctx.norm_const == pytest.approx(direct, rel=1e-15)
-            assert ctx.norm_const > 0
+        # an mpf of 113 bits: exact where the closed form is a dyadic
+        # rational, within 2^-110 of a 40-digit reference elsewhere
+        for mu, want in ((0.5, 1 / 2), (1.5, 1 / 4), (2.5, 1 / 16)):
+            assert MuContext(mu).norm_const == want
+        with mpmath.workdps(40):
+            # Gamma(7/2) = (15/8) sqrt(pi)
+            for mu, ref in ((3.0, 8 / (15 * mpmath.power(2, 3.5)
+                                       * mpmath.sqrt(mpmath.pi))),
+                            (-0.25, 1 / (mpmath.root(2, 4)
+                                         * mpmath.gamma(mpmath.mpf(1) / 4)))):
+                got = MuContext(mu).norm_const
+                assert isinstance(got, mpmath.mpf) and got > 0
+                assert abs(got / ref - 1) <= 2 ** -110, mu
 
     def test_mu0_is_inverse_root_two_pi(self):
-        assert MuContext(0.0).norm_const == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+        with mpmath.workdps(40):
+            ref = 1 / mpmath.sqrt(2 * mpmath.pi)
+            assert abs(MuContext(0.0).norm_const / ref - 1) <= 2 ** -110
 
     def test_norm_const_within_one_ulp(self):
         # the log form exp(-(mu+1/2) ln 2 - lgamma(mu+1/2)) was 1.9e-15
-        # off at mu = 10 and 6.2e-14 at mu = 100; 141.7 is near the last
-        # mu whose constant is a normal float
+        # off at mu = 10 and 6.2e-14 at mu = 100.  The 113-bit constant is
+        # within 2^-110 of a 40-digit reference at every mu, and rounds to
+        # within 1 ulp of it up to 141.7, near the last mu whose constant is
+        # a normal float; at 200 and 250 it is far below float range
         for mu in (-0.499, -0.3, 0.0, 0.37, 1.0, 2.5, 10.0, 60.0, 100.0,
-                   141.7):
+                   141.7, 200.0, 250.0):
             got = MuContext(mu).norm_const
             with mpmath.workdps(40):
                 nu = mpmath.mpf(mu) + 0.5
                 ref = 1 / (mpmath.power(2, nu) * mpmath.gamma(nu))
-                assert abs(got - ref) <= math.ulp(float(ref)), mu
+                assert abs(got / ref - 1) <= 2 ** -110, mu
+                if mu <= 141.7:
+                    assert abs(float(got) - ref) <= math.ulp(float(ref)), mu
 
 
 class TestGammaMu:

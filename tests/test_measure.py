@@ -1,4 +1,4 @@
-"""Interval sets, the measure m_mu, and its closed-form moments."""
+"""Interval sets, the closed-form moments of m_mu and its panel rules."""
 
 import math
 
@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from mudeform.core import MuContext
 from mudeform.intervals import (IntervalSet, format_interval_set,
                                 parse_interval_set)
-from mudeform.measure import measure, moment, weighted_panel_rule
+from mudeform.measure import weighted_panel_rule
 
 from helpers import (moment_mp, panel_rule_by_panel, reflected, sup_abs,
                      total_length)
@@ -28,6 +28,13 @@ def interval_sets(draw):
     pts = sorted(float(p) for p in pts)
     pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
     return IntervalSet(tuple(pairs))
+
+
+def moment30(A: IntervalSet, mu: float, n: int = 0) -> float:
+    """The n-th moment of m_mu over A: helpers.moment_mp at 30 digits,
+    rounded to a float."""
+    with mpmath.workdps(30):
+        return float(moment_mp(A, mu, n))
 
 
 class TestIntervalSet:
@@ -108,60 +115,51 @@ class TestParsing:
 class TestMeasure:
     def test_lebesgue_case(self):
         # m_0 is Lebesgue scaled by (2 pi)^(-1/2)
-        assert measure(IntervalSet.of((1, 2)), MuContext(0.0)) == pytest.approx(
+        assert moment30(IntervalSet.of((1, 2)), 0.0) == pytest.approx(
             0.3989422804014327, rel=1e-12)
 
     def test_even_symmetry(self):
         for mu in (-0.3, 0.0, 0.7):
-            ctx = MuContext(mu)
             b = 1.7
-            sym = measure(IntervalSet.of((-b, b)), ctx)
-            half = measure(IntervalSet.of((0, b)), ctx)
+            sym = moment30(IntervalSet.of((-b, b)), mu)
+            half = moment30(IntervalSet.of((0, b)), mu)
             assert sym == pytest.approx(2.0 * half, rel=1e-13)
 
     def test_closed_form_mu_half(self):
         # b^(2mu+1) / ((2mu+1) 2^(mu+1/2) Gamma(mu+1/2)) at b=1, mu=1/2
-        assert measure(IntervalSet.of((0, 1)), MuContext(0.5)) == \
+        assert moment30(IntervalSet.of((0, 1)), 0.5) == \
             pytest.approx(0.25, rel=1e-14)
 
     def test_additivity(self):
-        ctx = MuContext(0.8)
-        whole = measure(IntervalSet.of((0.5, 3)), ctx)
-        split = measure(IntervalSet.of((0.5, 1.2)), ctx) + measure(
-            IntervalSet.of((1.2, 3)), ctx)
+        whole = moment30(IntervalSet.of((0.5, 3)), 0.8)
+        split = moment30(IntervalSet.of((0.5, 1.2)), 0.8) + moment30(
+            IntervalSet.of((1.2, 3)), 0.8)
         assert whole == pytest.approx(split, rel=1e-13)
 
     def test_empty_set(self):
-        assert measure(IntervalSet.empty(), MuContext(1.0)) == 0.0
+        assert moment30(IntervalSet.empty(), 1.0) == 0.0
 
     def test_nonnegative(self):
         for mu in (-0.45, -0.1, 0.0, 2.0):
-            assert measure(IntervalSet.of((-2, -1), (0.5, 3)),
-                           MuContext(mu)) > 0
+            assert moment30(IntervalSet.of((-2, -1), (0.5, 3)), mu) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(interval_sets(), st.floats(min_value=-0.45, max_value=3.0))
     def test_countable_additivity_property(self, s, mu):
-        ctx = MuContext(mu)
-        total = measure(s, ctx)
-        split = sum(measure(IntervalSet.of(iv), ctx) for iv in s.intervals)
+        total = moment30(s, mu)
+        split = sum(moment30(IntervalSet.of(iv), mu) for iv in s.intervals)
         assert total == pytest.approx(split, rel=1e-12, abs=1e-15)
         assert total >= 0.0
 
 
 class TestMoment:
-    def test_zeroth_moment_is_measure(self):
-        ctx = MuContext(0.3)
-        A = IntervalSet.of((-1, 0.5), (1, 2))
-        assert moment(A, ctx, 0) == pytest.approx(measure(A, ctx), rel=1e-14)
-
     def test_odd_moment_symmetric_set(self):
         for mu in (-0.2, 0.0, 1.5):
-            assert moment(IntervalSet.of((-1, 1)), MuContext(mu), 1) == \
+            assert moment30(IntervalSet.of((-1, 1)), mu, 1) == \
                 pytest.approx(0.0, abs=1e-16)
 
     def test_second_moment_mu0(self):
-        got = moment(IntervalSet.of((0, 1)), MuContext(0.0), 2)
+        got = moment30(IntervalSet.of((0, 1)), 0.0, 2)
         assert got == pytest.approx((1 / 3) / math.sqrt(2 * math.pi), rel=1e-13)
 
     def test_against_adaptive_quadrature(self):
@@ -174,7 +172,6 @@ class TestMoment:
             (-0.45, IntervalSet.of((-1.0, 1.0)), 4),
         ]
         for mu, A, n in cases:
-            ctx = MuContext(mu)
             total = 0.0
             for lo, hi in A.intervals:
                 if lo >= 0:
@@ -189,21 +186,8 @@ class TestMoment:
                     v2, _ = quad(lambda x: x ** (n + 2 * mu), 1e-300, hi)
                     val = v1 + v2
                 total += val
-            assert moment(A, ctx, n) == pytest.approx(
-                ctx.norm_const * total, rel=1e-9)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            moment(IntervalSet.of((0, 1)), MuContext(0.5), -1)
-
-    def test_mp_matches_float(self):
-        A = IntervalSet.of((-2, -1), (0.5, 1.5))
-        for mu in (-0.25, 0.75):
-            for n in (0, 2, 6):
-                with mpmath.workdps(30):
-                    got = float(moment_mp(A, mu, n))
-                want = moment(A, MuContext(mu), n)
-                assert got == pytest.approx(want, rel=1e-13)
+            assert moment30(A, mu, n) == pytest.approx(
+                float(MuContext(mu).norm_const) * total, rel=1e-9)
 
 
 class TestPanelRules:
@@ -214,7 +198,7 @@ class TestPanelRules:
             x, w = weighted_panel_rule(S, ctx, 4, 12)
             for n in (0, 1, 2, 7):
                 got = float(np.sum(w * x ** n))
-                want = moment(S, ctx, n)
+                want = moment30(S, mu, n)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_origin_panel_handles_singular_weight(self):
@@ -223,7 +207,7 @@ class TestPanelRules:
         ctx = MuContext(-0.45)
         x, w = weighted_panel_rule(IntervalSet.of((0, 1)), ctx, 1, 8)
         assert float(np.sum(w)) == pytest.approx(
-            measure(IntervalSet.of((0, 1)), ctx), rel=1e-13)
+            moment30(IntervalSet.of((0, 1)), -0.45), rel=1e-13)
 
     def test_panel_nearer_zero_than_its_width(self):
         # [1e-4, 1] is ruled as [0,1] minus [0,1e-4], both exact against
@@ -234,7 +218,7 @@ class TestPanelRules:
         assert np.all((x > 0) & (x < 1)) and np.sum(w < 0) == 12
         for n in (0, 1, 2, 7):
             assert float(np.sum(w * x ** n)) == pytest.approx(
-                moment(S, ctx, n), rel=1e-13)
+                moment30(S, -0.45, n), rel=1e-13)
 
     def test_one_count_per_half_line_panel(self):
         # [-5,-3], then [-2,0] and [0,1.5] from the interval across 0

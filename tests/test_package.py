@@ -7,6 +7,7 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import mudeform
 
@@ -15,6 +16,16 @@ def test_all_names_resolve_once():
     # a name deleted from a module must leave __all__ too
     assert [n for n, c in Counter(mudeform.__all__).items() if c > 1] == []
     assert [n for n in mudeform.__all__ if not hasattr(mudeform, n)] == []
+
+
+def test_no_package_name_shadows_a_module():
+    # `import mudeform.measure as m` binds the package's attribute, so a
+    # function named like its module would take the module's place
+    import mudeform.measure as m
+    assert isinstance(m, ModuleType)
+    for path in Path(mudeform.__file__).parent.glob("*.py"):
+        if path.stem in vars(mudeform):
+            assert isinstance(getattr(mudeform, path.stem), ModuleType)
 
 
 def test_every_public_name_has_a_caller():

@@ -19,7 +19,7 @@ import mudeform.trace as trace_module
 from mudeform.core import MuContext
 from mudeform.errors import EvaluationError
 from mudeform.intervals import IntervalSet
-from mudeform.measure import _positive_panels, measure
+from mudeform.measure import _positive_panels
 from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, TraceEstimate,
                             deviation_scan, evaluate_pair, rows_to_csv,
                             rows_to_json, trace_moment_series,
@@ -77,7 +77,8 @@ class TestTraceQuadrature:
         q, m = both(A12, A12, 1.0)
         assert q.value == pytest.approx(
             m.value, abs=q.error_estimate + m.error_estimate)
-        assert q.value < measure(A12, MuContext(1.0)) ** 2
+        with mpmath.workdps(30):
+            assert q.value < moment_mp(A12, 1.0, 0) ** 2
         # frozen from the moment-series route
         assert m.value == pytest.approx(0.2166489646423226, abs=1e-10)
 
@@ -807,13 +808,14 @@ class TestDeviationScan:
          IntervalSet.of((0.0, 18.0))),
     ])
     def test_measure_below_normal_range_is_no_resolved_sign(self, mu, A, B):
-        # the float m(A) is off by up to about the least normal float, so
+        # a float m(A) is off by up to about the least normal float, so
         # its deviation may have either sign; the corner sum's m(A) m(B) is
         # not.  At mu = 27.77 the series resolves the true deviation,
         # -6.0e-283 at 60 digits; at mu = 0.78125 the deviation is below 60
         # digits of the trace.  The quadrature's value underflows to 0
         q, m = both(A, B, mu)
-        assert measure(A, MuContext(mu)) < sys.float_info.min
+        with mpmath.workdps(30):
+            assert moment_mp(A, mu, 0) < sys.float_info.min
         assert not q.sign_resolved
         if mu > 1.0:
             assert m.sign_resolved and m.deviation < 0
