@@ -183,9 +183,7 @@ def _fmt(x) -> str:
 def _series_diag(r: SeriesResult, scale: float = 1.0) -> str:
     """r's diagnostics, with both error bars multiplied by scale."""
     return (f"terms={r.terms_used} trunc_error={scale * r.trunc_error:.3e} "
-            f"rounding_error={scale * r.rounding_error:.3e} "
-            f"cancellation={r.cancellation:.3e}"
-            + (" (escalated precision)" if r.escalated else ""))
+            f"rounding_error={scale * r.rounding_error:.3e} bits={r.bits}")
 
 
 def cmd_specfun(cfg: RunConfig) -> int:
@@ -202,8 +200,10 @@ def cmd_specfun(cfg: RunConfig) -> int:
         lines.append(f"exp_mu({_fmt(cfg.z)}):")
         lines.append(f"  series    {_fmt(r.value)}   [{_series_diag(r)}]")
         if eta_rule_exists(ctx.mu):
-            v = exp_mu_integral(cfg.z, ctx)
-            lines.append(f"  integral  {_fmt(v)}")
+            try:
+                lines.append(f"  integral  {_fmt(exp_mu_integral(cfg.z, ctx))}")
+            except EvaluationError as err:  # |z| past the rule's nodes
+                lines.append(f"  integral  left out: {err}")
     if cfg.s is not None:
         lines.append(f"|exp_mu(i*{_fmt(cfg.s)})|^2:")
         r = exp_mu_series(1j * cfg.s, ctx)
@@ -214,16 +214,20 @@ def cmd_specfun(cfg: RunConfig) -> int:
         r = even_series_result(cfg.s, ctx)
         lines.append(f"  even_series  {_fmt(r.value.real)}   [{_series_diag(r)}]")
         if eta_rule_exists(ctx.mu):
-            e = exp_mu_integral(1j * cfg.s, ctx)
-            v = e.real ** 2 + e.imag ** 2
-            # the tested bar of the integral's exp_mu(is) against the
-            # kernel, d = 1e-14 (1 + |s|) + 1e-12, is (2|e| + d) d on v:
-            # "< 1" is printed only where 1 - v clears it
-            d = 1e-14 * (1 + abs(cfg.s)) + 1e-12
-            below_one = 1 - v > (2 * abs(e) + d) * d
-            lines.append(f"  integral     {_fmt(v)}")
-            lines.append(f"  modulus |exp_mu(is)| = {_fmt(math.sqrt(v))}"
-                         + ("  < 1" if below_one else ""))
+            try:
+                e = exp_mu_integral(1j * cfg.s, ctx)
+            except EvaluationError as err:  # |s| past the rule's nodes
+                lines.append(f"  integral     left out: {err}")
+            else:
+                v = e.real ** 2 + e.imag ** 2
+                # the tested bar of the integral's exp_mu(is) against the
+                # kernel, d = 1e-14 (1 + |s|) + 1e-12, is (2|e| + d) d on
+                # v: "< 1" is printed only where 1 - v clears it
+                d = 1e-14 * (1 + abs(cfg.s)) + 1e-12
+                below_one = 1 - v > (2 * abs(e) + d) * d
+                lines.append(f"  integral     {_fmt(v)}")
+                lines.append(f"  modulus |exp_mu(is)| = {_fmt(math.sqrt(v))}"
+                             + ("  < 1" if below_one else ""))
     print("\n".join(lines))
     return 0
 

@@ -15,20 +15,22 @@ the probability measure eta_mu on [-1,1] with Jacobi weight
 (1-t)^(mu-1) (1+t)^mu (exp_mu_integral).  The oracles give |exp_mu(is)|^2
 as the even series' value or as the squared modulus of their exp_mu(is).
 
-Both series run on one engine, _sum_series, which sums
-t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.  It sums in
-floats first; when that pass's rounding bound exceeds the kernel's error
-floor, KERNEL_ABS2_FLOOR max(1, |value|), it sums again in mpmath, at four
-times working precision or at twice the bits of the float pass's peak
-partial sum plus 64, whichever is more.  Every result carries a truncation
-bound and a rounding bound whose sum bounds its true error.
+Both series run on one pass in Python integers, _fixed_series.  With
+mu = m/q exactly, each term ratio is z a_n / b_n in integers, and the sum
+runs in Gaussian-integer fixed point at a working precision fixed before
+the loop from a proved bound on sum |t_n|, so it never reruns.  Every
+result carries a truncation bound and a rounding bound whose sum bounds
+its true error, and the working precision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import mpmath
 import numpy as np
@@ -36,9 +38,7 @@ import numpy as np
 from .errors import EvaluationError
 
 MU_MIN = -0.5 + 1e-6
-ESCALATED_PREC_BITS = 4 * 53   # "4x working precision"
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def _check_mu(mu: float) -> None:
@@ -76,22 +76,19 @@ def norm_const_mp(mu):
 
 @dataclass
 class SeriesResult:
-    """A truncated power-series value with its error diagnostics.
+    """A summed series value with its error bars and working precision.
 
-    trunc_error bounds the discarded tail and rounding_error the arithmetic
-    error of the summed terms and of the final rounding to a float, so
-    |value - exact| <= trunc_error + rounding_error.  cancellation is the
-    largest intermediate partial-sum magnitude divided by the result
-    magnitude (>= 1); values much above 1 mean the final digits were
-    produced by cancellation of large terms.
+    trunc_error bounds the discarded tail and rounding_error the fixed-point
+    arithmetic and the final rounding to a float, so
+    |value - exact| <= trunc_error + rounding_error.  bits is the working
+    precision of the fixed-point sum.
     """
 
     value: complex
     terms_used: int
     trunc_error: float
     rounding_error: float
-    cancellation: float
-    escalated: bool = False
+    bits: int
 
 
 @dataclass(frozen=True)
@@ -158,104 +155,99 @@ def binomial_poly(k: int, x: complex, y: complex, ctx: MuContext) -> complex:
     return total
 
 
-# --- the series engine and the power series ----------------------------------
+# --- the series oracles: one summation in integers ---------------------------
 
-SERIES_REL_TOL = 1e-15  # stop once three terms in a row are this small
-SERIES_MAX_TERMS = 4000
+_GUARD_BITS = 80   # bits of wp past twice the bound on sum |t_n|
+_MAX_WP = 1 << 15  # a sum at this precision takes about a second
 
 
-def _sum_series(ratio, n_min: float):
-    """Sum t_0 = 1, t_n = t_(n-1) ratio(n) in whatever arithmetic ratio returns.
+def _abs_sum_bits(r: float, mu: float) -> int:
+    """An integer k with 2^k >= e^r and 2^k >= sum_n r^n / gamma_mu(n).
 
-    Stops once three consecutive terms are below SERIES_REL_TOL relative to
-    the partial sum and n > n_min.  Returns the sum, the number of terms,
-    the largest partial-sum magnitude, sum |t_n| and the truncation bound
-    |t_n| r / (1 - r), r the larger of the next two |ratio|: every later
-    ratio is that small while |ratio| falls along each parity.  A partial
-    sum that is not finite (float overflow) ends the sum at once, with an
-    infinite peak.
+    For mu >= 0, gamma_mu(n) >= n! bounds the sum by e^r.  For mu < 0 the
+    odd factors i + 2mu of gamma_mu(n) exceed i - 1 from i = 3 on, so
+    gamma_mu(n) >= (1 + 2mu) (n-1)!, and the sum is at most
+    1 + r e^r / (1 + 2mu) < 2 max(1, r e^r / (1 + 2mu)), itself >= e^r.
+    The + 2 covers that 2 and the rounding of the logarithms.
     """
-    total = term = peak = abs_sum = 1
-    consecutive = 0
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        term *= ratio(n)
-        total += term
-        if not abs(total) < math.inf:  # inf or nan
-            return total, n + 1, math.inf, abs_sum, math.inf
-        peak = max(peak, abs(total))
-        abs_sum += abs(term)
-        if abs(term) <= SERIES_REL_TOL * abs(total) and n > n_min:
-            consecutive += 1
-            if consecutive == 3:
-                break
-        else:
-            consecutive = 0
-    else:
-        raise EvaluationError(f"series did not converge in {n} terms")
-    r = max(abs(ratio(n + 1)), abs(ratio(n + 2)))
-    if not term:  # a zero ratio ended the series exactly (even series, mu = 0)
-        tail = 0
-    else:
-        tail = abs(term) * r / (1 - r) if r < 1 else math.inf
-    return total, n + 1, peak, abs_sum, tail
+    if not r < math.inf:
+        raise EvaluationError(f"the series needs a finite argument, got {r}")
+    log_b = r / math.log(2)
+    if mu < 0 and r > 0:
+        log_b += max(0.0, math.log2(r) - math.log2(1 + 2 * mu))
+    return math.ceil(log_b) + 2
 
 
-def _escalated_prec_bits(peak: float) -> int:
-    """Bits for the escalated pass: a sum whose partial sums reach peak
-    rounds to about peak 2^-bits, so twice peak's bits plus 64 leave far
-    more than double precision."""
-    return max(ESCALATED_PREC_BITS, 2 * math.ceil(math.log2(peak)) + 64)
+def _fixed_series(x: Fraction, y: Fraction, ratio, settled,
+                  log_bound: int) -> SeriesResult:
+    """Sum t_0 = 1, t_n = t_(n-1) z a_n / b_n, z = x + iy, in Gaussian
+    integers at wp = 2 log_bound + _GUARD_BITS bits, fixed before the loop.
 
-
-def _series_result(ratio_in, n_min: float) -> SeriesResult:
-    """Run _sum_series on ratio_in(float arithmetic); where the float pass's
-    rounding bound exceeds the kernel's error floor KERNEL_ABS2_FLOOR
-    max(1, |value|), rerun it on ratio_in(mpmath.mpmathify) at the precision
-    _escalated_prec_bits gives for the float pass's peak partial sum.
-
-    The rounding bound is terms * 2^-bits * sum |t_n| with bits the pass's
-    precision, plus 2 eps |value| for rounding an mpmath sum to a float.
-    A sum whose rounding bound reaches its magnitude has no correct digit:
-    that raises EvaluationError carrying it.
+    ratio(n) gives the integers (a_n, b_n), b_n > 0, and the dyadic z is
+    (X + iY) / 2^k, so each step T_n = floor(T_(n-1) (X + iY) a_n / b_n /
+    2^k), per part, is the one rounding: T_n is off t_n 2^wp by
+    e_n <= e_(n-1) |z a_n / b_n| + sqrt 2 units, e_0 = 0, that is by
+    sqrt 2 sum_(k=1..n) prod_(i=k+1..n) |z a_i / b_i|.  The caller proves
+    that sum, and sum |t_n|, at most 2^log_bound, so n steps are off by
+    less than 2n 2^log_bound units: a value down to 2^-log_bound keeps
+    about _GUARD_BITS - log2(2n) bits.  settled(n) says, from a proved
+    decreasing majorant, that |z a_i / b_i| <= 1/2 for all i > n.  The sum
+    stops at the first such n whose term parts are below 2^log_bound, so
+    |t_n| 2^wp < 2 sqrt 2 2^log_bound bounds the tail; a zero ratio ends
+    it exactly.  Rounding the value to a float costs at most
+    2 eps |value| + ulp(0), and the bars are exact unless they underflow,
+    for which rounding_error takes one more ulp(0).  A value past float
+    range raises EvaluationError, and so does a sum whose bars reach its
+    size, carrying the value as its best estimate.
     """
-    prec_bits, num = 53, (lambda x: x)  # a float's unit roundoff is 2^-53
-    for escalated in (False, True):
-        with mpmath.workprec(prec_bits):
-            total, terms, peak, abs_sum, tail = _sum_series(ratio_in(num),
-                                                            n_min)
-            cancellation = float(peak / abs(total)) if total else math.inf
-        if not math.isfinite(peak):
-            raise EvaluationError("the partial sums leave float range")
-        value = complex(total)
-        rounding = (terms * 2.0 ** -prec_bits * float(abs_sum)
-                    + 2 * _EPS * abs(value))
-        if escalated or rounding <= KERNEL_ABS2_FLOOR * max(1.0, abs(value)):
+    wp = 2 * log_bound + _GUARD_BITS
+    if wp > _MAX_WP:
+        raise EvaluationError(f"the series needs {wp:.3g} bits, past the "
+                              f"{_MAX_WP}")
+    den = max(x.denominator, y.denominator)  # powers of 2
+    X, Y = (v.numerator * den // v.denominator for v in (x, y))
+    re, im, small, k = 1 << wp, 0, 1 << log_bound, den.bit_length() - 1
+    sum_re, sum_im, tail = re, im, 3
+    for n in count(1):
+        a, b = ratio(n)
+        re, im = (((re * X - im * Y) * a // b) >> k,
+                  ((re * Y + im * X) * a // b) >> k)
+        sum_re += re
+        sum_im += im
+        if not a:
+            tail = 0
             break
-        prec_bits, num = _escalated_prec_bits(peak), mpmath.mpmathify
-    if rounding >= abs(value):
-        raise EvaluationError(
-            f"cancellation {cancellation:.3g} leaves no correct digit at "
-            f"{prec_bits} bits", best=value)
-    return SeriesResult(value=value, terms_used=terms, trunc_error=float(tail),
-                        rounding_error=rounding,
-                        cancellation=max(1.0, cancellation), escalated=escalated)
+        if -small < re < small and -small < im < small and settled(n):
+            break
+    try:
+        value = complex(sum_re / (1 << wp), sum_im / (1 << wp))
+    except OverflowError:
+        raise EvaluationError(f"the sum of {n + 1} terms would leave float "
+                              f"range") from None
+    if ((2 * n + tail) << log_bound) ** 2 >= sum_re ** 2 + sum_im ** 2:
+        raise EvaluationError(f"the error bars reach the sum: no correct "
+                              f"digit at {wp} bits", best=value)
+    rounding = math.nextafter(math.ldexp(2 * n, log_bound - wp) + 2 * (
+        _EPS * abs(value) + math.ulp(0.0)), math.inf)
+    return SeriesResult(value=value, terms_used=n + 1, trunc_error=math.ldexp(
+        tail, log_bound - wp), rounding_error=rounding, bits=wp)
 
 
 def exp_mu_series(z: complex, ctx: MuContext) -> SeriesResult:
-    """exp_mu(z) = sum_n z^n / gamma_mu(n), truncated by the stopping rule.
+    """exp_mu(z) = sum_n z^n / gamma_mu(n), summed by _fixed_series.
 
-    Stops once three consecutive terms are below SERIES_REL_TOL relative to
-    the partial sum and the index exceeds |z|; the discarded tail is bounded
-    by geometric comparison.  Re-evaluates in extended precision when the
-    float pass's rounding bound exceeds the kernel's error floor.
+    With mu = m/q exactly, the term ratio is z q / (nq + 2m [n odd]), below
+    the decreasing |z| / (n-1) from n = 2 on.  For 1 <= k <= n the ratios'
+    product is |z|^(n-k) gamma_mu(k) / gamma_mu(n), and gamma_mu(n) /
+    gamma_mu(k) >= k (k+1) ... (n-1) >= (n-k)!: the rounding sums are at
+    most e^|z|.
     """
     z = complex(z)
-
-    def ratio_in(num):
-        zz, two_mu = num(z), 2 * num(ctx.mu)
-        return lambda n: zz / (n + two_mu * _odd(n))
-
-    return _series_result(ratio_in, abs(z))
+    log_bound, (m, q) = _abs_sum_bits(abs(z), ctx.mu), ctx.mu.as_integer_ratio()
+    x, y = Fraction(z.real), Fraction(z.imag)
+    z2 = 4 * (x * x + y * y)  # |z| / n <= 1/2 where z2 <= n^2
+    return _fixed_series(x, y, lambda n: (q, n * q + 2 * m * _odd(n)),
+                         lambda n: z2 <= n * n, log_bound)
 
 
 # --- eta_mu: Gauss-Jacobi rule ------------------------------------------------
@@ -350,28 +342,26 @@ def exp_mu_integral(z: complex, ctx: MuContext) -> complex:
 
 def even_series_result(s: float, ctx: MuContext) -> SeriesResult:
     """|exp_mu(i s)|^2 as sum_j (-1)^j p_{2j,mu}(-1,1) s^{2j} / gamma_mu(2j),
-    with diagnostics.
+    summed by _fixed_series at z = -s^2.
 
     The coefficients c_j = p_{2j,mu}(-1,1) / gamma_mu(2j) follow from the
     paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
     with gamma_mu(2j) = 4^j j! (mu+1/2)_j, as c_j / c_{j-1} =
-    (mu+j-1) / (j (2mu+j) (mu+j-1/2)).  Both passes of the series engine
-    run the term ratio -s^2 c_j / c_{j-1} in their own arithmetic, from
-    the float mu; the tests hold the exact c_j as its oracle.  This sum
-    cancels like e^(2|s|), twice as hard as the complex series, and past
-    |s| of about 354 that cancellation leaves float range: it fails fast.
+    (mu+j-1) / (j (2mu+j) (mu+j-1/2)), exactly
+    2q (m+(j-1)q) / (j (2m+jq) (2m+(2j-1)q)) in mu = m/q; the tests hold
+    the exact c_j as its oracle.  From j = 2 on, 0 < mu+j-1 < mu+j-1/2,
+    so the ratio is below the decreasing s^2 / (j (2mu+j)) and below
+    s^2 / (j (j-1)): the rounding sums are at most
+    sum_d s^(2d) / d!^2 <= e^(2|s|).  As the Cauchy square of the power
+    series, sum_j |c_j| s^(2j) is at most (sum_n |s|^n / gamma_mu(n))^2.
     """
-    if 2.0 * abs(s) > _LOG_FLOAT_MAX:
-        raise EvaluationError(
-            f"even series cancellation e^(2|s|) exceeds float range at "
-            f"|s| = {abs(s):.3g}; use the closed-form kernel")
-
-    def ratio_in(num):
-        mu, step = num(ctx.mu), -num(s) ** 2
-        return lambda j: step * (mu + (j - 1)) / (
-            j * (2 * mu + j) * (mu + (j - 0.5)))
-
-    return _series_result(ratio_in, abs(s) / 2)
+    log_bound = 2 * _abs_sum_bits(abs(s), ctx.mu)
+    (m, q), s2 = ctx.mu.as_integer_ratio(), Fraction(s) ** 2
+    return _fixed_series(
+        -s2, Fraction(0),
+        lambda j: (2 * q * (m + (j - 1) * q),
+                   j * (2 * m + j * q) * (2 * m + (2 * j - 1) * q)),
+        lambda j: 2 * q * s2 <= (j + 1) * (2 * m + (j + 1) * q), log_bound)
 
 
 KERNEL_MU_MAX = 250.0  # beyond, Gamma(a+1) (2/t)^a overflows as J_a underflows

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,7 @@ from itertools import zip_longest
 import mpmath
 import numpy as np
 
-from .core import _LOG_FLOAT_MAX, MuContext, exp_mu_imag_on_grid
+from .core import MuContext, exp_mu_imag_on_grid
 from .errors import EvaluationError
 from .exact import MuPolynomial
 from .intervals import IntervalSet
@@ -381,10 +382,11 @@ def fourier_mu_numeric(psis: Sequence[GaussPoly], k_points,
     log_norm = float(mpmath.log(ctx.norm_const))  # once per call
     R = max(_support_radius(v, ctx.mu, log_norm, QUAD_ABS_TOL)
             for v in values if v.size)
+    log_max = math.log(sys.float_info.max)
     for v in values:  # Horner's partial sums are at most sum |c_n| R^n
         logs = [math.log(abs(c)) + n * math.log(R)
                 for n, c in enumerate(v.tolist()) if c]
-        if logs and math.log(len(logs)) + max(logs) > _LOG_FLOAT_MAX:
+        if logs and math.log(len(logs)) + max(logs) > log_max:
             raise EvaluationError(
                 f"psi leaves float range on [-R, R], R = {R:g}")
     ak, inv = np.unique(np.abs(k), return_inverse=True)

@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,8 @@ from .measure import (QUAD_LEVELS, QUAD_NODES, QUAD_REL_TOL, _density_scale,
 
 
 ROUNDING_ULPS = 4  # float rounding of a trace value and of m(A) m(B)
-_EPS = float(np.finfo(float).eps)  # a Python float keeps rows JSON-ready
-_MAXEXP = np.finfo(float).maxexp  # m(A) m(B) at or past 2^_MAXEXP overflows
+_EPS = sys.float_info.epsilon
+_MAXEXP = sys.float_info.max_exp  # m(A) m(B) at or past 2^_MAXEXP overflows
 
 
 @dataclass

@@ -55,8 +55,9 @@ def even_coeff(j: int, mu: Fraction) -> Fraction:
     The paper's product identities for p_{4n-2,mu}(-1,1) and p_{4n,mu}(-1,1),
     with gamma_mu(2j) = 4^j j! (mu+1/2)_j, give c_i / c_{i-1} =
     (mu+i-1) / (i (2mu+i) (mu+i-1/2)); per-mu tables grow on demand.  The
-    even series runs on this ratio in floats or mpmath; these exact values
-    are its oracle, checked against the symbolic layer.
+    even series runs on this ratio in integers, from the float mu's exact
+    m/q; these exact values are its oracle, checked against the symbolic
+    layer.
     """
     table = _even_coeff_table(mu)
     while len(table) <= j:
