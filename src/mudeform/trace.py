@@ -8,14 +8,15 @@ B that also gives m_mu(A) m_mu(B).  Its hot path works on libmp values at
 an explicit precision, with no mpf object per corner, and sums each 2F3 in
 fixed point up to t = prec bits; mpmath.hyp2f3 sums beyond, directly (at
 times misrounding by ulps) up to t of about 724 and asymptotically above.
-The corners t = x y are the same at every mu, so a scan does their mu-free
-work once: the corner list per (A, B, prec), and z = -t^2, float(t), the
-first guard and log t per (t, prec).  Per (mu, t, digits) only t^p and the
-2F3's terms are computed, and per row the checks on the two corner sums,
-also on libmp values.  Every cache is bounded, and holds bit for bit what
+A row sums its corners once a round, with bars proved up to t = prec
+(given mpmath calls within _MPMATH_ULPS ulps) and estimated beyond.  The
+exact corners t = x y are the same at every mu, so a scan does their
+mu-free work once: the corner list per (A, B), z = -t^2, float(t) and h
+per t, and log t per (t, prec); per (mu, t, digits) only t^p and the 2F3's
+terms are computed.  Every cache is bounded, and holds bit for bit what
 the same call would compute cold.
 Where both routes converge they must agree within their combined error
-estimates.  A scan row comes from the series alone, its best estimate
+bars.  A scan row comes from the series alone, its best estimate
 included where it fails.  The quadrature, at the fixed settings
 measure.QUAD_*, is the cross-check run by the trace command, the tests and
 the acceptance suite.  The deviation of interest, Tr - m_mu(A) m_mu(B), is
@@ -32,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import length_hint
 
 import mpmath
 import numpy as np
@@ -168,19 +170,23 @@ def trace_quadrature(A: IntervalSet, B: IntervalSet,
         f"subdivisions (last refinement change {diff:.3g})", best=best)
 
 
-SERIES_DPS = 20           # digits of the first pass of the corner sum
-SERIES_CHECK_DIGITS = 10  # the rerun that estimates its error runs higher
-SERIES_MAX_ROUNDS = 4     # both passes double their digits after each round
+SERIES_DPS = 30        # digits of the corner sum's first round
+SERIES_MAX_ROUNDS = 4  # the digits double after each unsettled round
+_MPMATH_ULPS = 4       # ulps by which one mpmath call or rounding may miss
+# (norm / p)^2 takes seven calls, each off by 2 _MPMATH_ULPS 2^-prec of its
+# value, and the square doubles the six before it: 26 _MPMATH_ULPS < 32
+_SCALE_ULPS = 32 * _MPMATH_ULPS
 
 
 @lru_cache(maxsize=256)
 def _series_params(mu: float, dps: int):
-    """The 2F3 parameters mu, mu + 1/2, p = 2 mu + 1, mu + 3/2 and the scale
-    (norm / p)^2 of F, at dps digits."""
+    """The 2F3 parameters mu, mu + 1/2, p = 2 mu + 1, mu + 3/2, exact, and
+    the scale (norm / p)^2 of F at dps digits."""
     with mpmath.workdps(dps):
         mu = mpmath.mpf(mu)
-        p = 2 * mu + 1
-        return mu, mu + 0.5, p, mu + 1.5, (norm_const_mp(mu) / p) ** 2
+        a2, p, b = (mpmath.fadd(x, y, exact=True)
+                    for x, y in ((mu, 0.5), (2 * mu, 1), (mu, 1.5)))
+        return mu, a2, p, b, (norm_const_mp(mu) / p) ** 2
 
 
 @lru_cache(maxsize=256)
@@ -213,34 +219,45 @@ def _stop_bound(et: float, wp: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _fixed_start(t: tuple, prec: int) -> tuple:
-    """The mu-free start of _fixed_2f3 at the corner t: z = -t^2 at prec
-    bits, float(t) rounded to nearest, and the first guard."""
+def _fixed_start(t: tuple) -> tuple:
+    """The mu-free start of _fixed_2f3 at the corner t: z = -t^2, exact,
+    float(t) rounded to nearest, and h = ceil(2 t / ln 2)."""
     ft = libmp.to_float(t, rnd="n")
-    return (libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n"), ft,
-            50 + math.ceil(2.0 * ft / math.log(2.0)))
+    return (libmp.mpf_neg(libmp.mpf_mul(t, t)), ft,
+            math.ceil(2.0 * ft / math.log(2.0)))
 
 
 def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
-    """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) in libmp at prec bits,
-    summed as mpmath's hypsum does, in integers at wp bits.
+    """2F3(mu, mu+1/2; 2mu+1, mu+3/2, mu+3/2; -t^2) in libmp at prec bits
+    and the exponent b of a proved bar 2^b on it, summed as mpmath's hypsum
+    does, in integers at wp bits.
 
-    The terms peak below about e^(2t), so wp carries ceil(2t / ln 2) bits
-    beyond mpmath's 50 from the start.  z = -t^2, float(t) and that first
-    guard are the same at every mu, and are read from _fixed_start, cached
-    per (t, prec); the term loop is all that runs per mu.  As in hypsum
-    the sum stops at the first term below 2^(25 - wp), reruns with twice
-    the guard where it cancels to within 30 bits of it (F > 0, a trace of
-    a positive kernel, so the reruns end), and is rounded once.  The
-    ratios come from one table per mu at W >= wp bits, shifted to
-    floor(r_j 2^wp), which is the same for every W, so the order of calls
-    cannot change a result.  As |r_j z| < t^2 / (j+1)^2, |term_j| <
-    (e t / j)^(2j), so the sum stops within _stop_bound(e t, wp) ratios (a
-    t below float range counts as 1e-300, which bounds it).  A table that
-    runs out first is grown to that bound and the pass restarts; one that
-    runs out at the bound is a fault, and raises.
-    """
-    (z, ft, guard), box = _fixed_start(t, prec), _ratio_table(mu)
+    The terms tau_n = z^n r_0 ... r_(n-1) peak below e^(2t), about 2^h, so
+    wp carries h bits beyond mpmath's 50 from the start.  z = -t^2 (exact),
+    float(t) and h are read from _fixed_start, cached per t; the term loop
+    is all that runs per mu.  As in hypsum the sum stops at the first term
+    below 2^(25 - wp), reruns with twice the guard where it cancels to
+    within 30 bits of it (F > 0, a trace of a positive kernel, so the
+    reruns end), and is rounded once.  The ratios come from one table per
+    mu at W >= wp bits, shifted to floor(r_j 2^wp), the same for every W,
+    so the order of calls cannot change a result.  As |r_j z| < t^2 /
+    (j+1)^2, |term_j| < (e t / j)^(2j), so the sum stops within
+    _stop_bound(e t, wp) ratios (a t below float range counts as 1e-300,
+    which bounds it).  A table that runs out first is grown to that bound
+    and the pass restarts; one that runs out at the bound raises.
+
+    The bar, in units of 2^-wp: |r_j| <= 1 / ((j+1) (mu+j+3/2)), and Z =
+    floor(z 2^wp) and R_j = floor(r_j 2^wp) are off by under a unit, so
+    every ratio, exact or summed, is below (1 + 2^-100) t^2 / (j+1)^2, and
+    a sum of products of consecutive ones below I_0(2t) < 2^(h+1).  Step
+    n+1 floors T_n Z R_n / 4^wp, adding |tau_n| (|r_n| + t^2) + 1 to the
+    error it carries on: the N steps to the stop term are off by E = (N^3
+    + N + 1) 2^(h+1) in all.  Past it, 2^wp |tau_N| < 2^25 + E, and terms
+    fall by q_n = t^2 / ((n+1) (mu+n+3/2)): the tail is below that where
+    q_N <= 1/2, 2^(h+1) times that before, and 0 at mu = 0 (r_0 = 0).
+    Rounding adds 2^(e - prec), 2^e > |value|."""
+    (z, ft, h), box = _fixed_start(t), _ratio_table(mu)
+    guard = 50 + h
     while True:
         wp = prec + guard
         bits, table = box[0]
@@ -248,7 +265,8 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
             bits, table = 2 * wp, ()
         shift, double, Z = bits - wp, 2 * wp, libmp.to_fixed(z, wp)
         S = T = 1 << wp
-        for R in table:
+        ratios = iter(table)
+        for R in ratios:
             T = T * Z * (R >> shift) >> double
             S += T
             if -(1 << 25) < T < 1 << 25:  # a term below 2^(25 - wp)
@@ -262,7 +280,14 @@ def _fixed_2f3(mu: float, t: tuple, prec: int) -> tuple:
             box[0] = (bits, table + _ratios(mu, bits, len(table), need))
             continue
         if wp - S.bit_length() < guard - 30:
-            return libmp.from_man_exp(S, -wp, prec, "n")
+            value = libmp.from_man_exp(S, -wp, prec, "n")
+            n = len(table) - length_hint(ratios)  # the stop term's index
+            E = (n ** 3 + n + 1) << (h + 1)
+            tail = (1 << 25) + E if mu else 0  # at mu = 0, r_0 = 0 ends it
+            if 2.000001 * ft * ft > (n + 1) * (mu + n + 1.5):  # q_N > 1/2
+                tail <<= h + 1
+            return value, max(value[2] + value[3] - prec,
+                              (E + tail).bit_length() - wp) + 1
         guard *= 2
 
 
@@ -274,33 +299,48 @@ def _log(t: tuple, prec: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def _corner(mu: float, t: tuple, dps: int):
-    """t^p and t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) in libmp at dps
-    digits, keyed on the rounded product t so equal products share them:
-    by _fixed_2f3 up to t = prec bits, by mpmath.hyp2f3 beyond, directly
-    (misrounding by ulps at times) below t = 724 and asymptotically above.
+    """t^p and V = t^p 2F3(mu, mu+1/2; p, mu+3/2, mu+3/2; -t^2) in libmp at
+    dps digits and the exponents a and c of bars 2^a and 2^c on them, keyed
+    on the exact t so equal products share them.  The 2F3 is _fixed_2f3's,
+    its bar 2^f proved, up to t = prec bits, and beyond mpmath.hyp2f3's
+    (misrounding by ulps at times below t = 724, asymptotic above), f then
+    from |F_D - F_(D+10)| at dps = D and 10 digits more, an estimate.
 
     t^p is libmp.mpf_pow's.  For p neither an integer nor a half-integer
-    that is exp(p log t), whose log t, the same at every mu, is cached per
-    (t, prec); other p call mpf_pow and take no log."""
+    that is exp(x), x = p log t, whose log t, the same at every mu, is
+    cached per (t, prec); other p call mpf_pow and take no log.  A call
+    may miss by _MPMATH_ULPS ulps, 2^(e - prec) for 2^e > t^p, and log t
+    at prec + 10 bits moves x by _MPMATH_ULPS 2^(e_x - prec - 9), 2^e_x >
+    |x|; so 2^a >= _MPMATH_ULPS 2^(e - prec), times 2 (1 + 2^(e_x - 9))
+    for exp(x).  Half an ulp of V, 2^a |F| < 2^(a + f + prec - 1) and
+    |t^p| 2^f < 2^(a + prec + f) (1 + 2^-prec) make c = a + prec + f + 2."""
     (a1, a2, p, b, _), prec = _series_params(mu, dps), libmp.dps_to_prec(dps)
+    ulps = _MPMATH_ULPS.bit_length()  # 2^ulps > _MPMATH_ULPS
     if p._mpf_[2] < -1:  # mpf_pow's general branch, step for step
-        power = libmp.mpf_exp(libmp.mpf_mul(p._mpf_, _log(t, prec)), prec, "n")
+        x = libmp.mpf_mul(p._mpf_, _log(t, prec))
+        power = libmp.mpf_exp(x, prec, "n")
+        ulps += 1 + max(0, x[2] + x[3] - 9)
     else:
         power = libmp.mpf_pow(t, p._mpf_, prec, "n")
     if libmp.mpf_le(t, libmp.from_int(prec)):
-        value = _fixed_2f3(mu, t, prec)
+        value, bar = _fixed_2f3(mu, t, prec)
     else:
-        with mpmath.workdps(dps):
-            t = mpmath.mp.make_mpf(t)
-            value = mpmath.hyp2f3(a1, a2, p, b, b, -t * t)._mpf_
-    return power, libmp.mpf_mul(power, value, prec, "n")
+        z, sums = mpmath.mp.make_mpf(_fixed_start(t)[0]), []
+        for digits in (dps, dps + 10):
+            with mpmath.workdps(digits):
+                sums.append(mpmath.hyp2f3(a1, a2, p, b, b, z)._mpf_)
+        value, gap = sums[0], libmp.mpf_sub(*sums)
+        bar = max(value[2] + value[3] - prec,
+                  gap[2] + gap[3] if gap[1] else -math.inf) + 1
+    a = power[2] + power[3] - prec + ulps
+    return power, libmp.mpf_mul(power, value, prec, "n"), a, a + prec + bar + 2
 
 
 @lru_cache(maxsize=256)
-def _corners(A: IntervalSet, B: IntervalSet, prec: int) -> tuple:
-    """The corners of the half-line panels of A and B, the same at every
-    mu: each product t = x y (exact in 106 bits) rounded once at prec bits,
-    with libmp.mpf_add or mpf_sub for its sign.  Corners at 0 drop."""
+def _corners(A: IntervalSet, B: IntervalSet) -> tuple:
+    """The corners of the half-line panels of A and B, the same at every mu
+    and precision: each product t = x y, exact in 106 bits, with
+    libmp.mpf_add or mpf_sub for its sign.  Corners at 0 drop."""
     corners = []
     for a, b, _ in _positive_panels(A):
         for c, d, _ in _positive_panels(B):
@@ -309,27 +349,32 @@ def _corners(A: IntervalSet, B: IntervalSet, prec: int) -> tuple:
                 if x > 0.0 and y > 0.0:
                     (m, u), (n, v) = x.as_integer_ratio(), y.as_integer_ratio()
                     corners.append((libmp.from_man_exp(
-                        m * n, 1 - (u * v).bit_length(), prec, "n"), add))
+                        m * n, 1 - (u * v).bit_length()), add))
     return tuple(corners)
 
 
 def _corner_sum(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
-    """m(A) m(B) and Tr as mpf at dps digits, the sums of +-scale t^p and
-    +-F(t) over the corners t = x y of the half-line panels of A and B,
-    whose list is built once per (A, B, prec)."""
+    """m(A) m(B) and Tr in libmp at dps digits, and a bar on each: the sums
+    of +-scale t^p and +-F(t) over the n corners t = x y of the half-line
+    panels of A and B, whose list is built once per (A, B).  A bar adds up
+    the corners' own (2^a on t^p, 2^c on V: see _corner), the roundings of
+    the n partial sums (each 2^-prec of the sum of |corners| so far, all
+    below 2^(a + prec) and 2^(c + prec - 2)), and the scaling (half an ulp
+    and _SCALE_ULPS ulps of scale < 2^s): n (n + _SCALE_ULPS + 3) 2^(s + a)
+    on m(A) m(B), and on Tr with c, for the largest a and c."""
     scale, prec = _series_params(mu, dps)[-1]._mpf_, libmp.dps_to_prec(dps)
-    product = trace = libmp.fzero
-    for t, add in _corners(A, B, prec):
-        power, value = _corner(mu, t, dps)
+    corners, product, trace = _corners(A, B), libmp.fzero, libmp.fzero
+    top_a = top_c = -math.inf
+    for t, add in corners:
+        power, value, a, c = _corner(mu, t, dps)
         product = add(product, power, prec, "n")
         trace = add(trace, value, prec, "n")
-    return (mpmath.mp.make_mpf(libmp.mpf_mul(scale, product, prec, "n")),
-            mpmath.mp.make_mpf(libmp.mpf_mul(scale, trace, prec, "n")))
-
-
-def _gap(x: tuple, y: tuple, prec: int) -> tuple:
-    """|x - y| at prec bits, rounded as abs(mpf - mpf) rounds it."""
-    return libmp.mpf_abs(libmp.mpf_sub(x, y, prec, "n"), prec, "n")
+        top_a, top_c = max(top_a, a), max(top_c, c)
+    n, s = len(corners), scale[2] + scale[3]
+    return (libmp.mpf_mul(scale, product, prec, "n"),
+            libmp.mpf_mul(scale, trace, prec, "n"),
+            *(libmp.from_man_exp(n * (n + _SCALE_ULPS + 3), s + top)
+              for top in (top_a, top_c)))
 
 
 def trace_moment_series(A: IntervalSet, B: IntervalSet,
@@ -342,13 +387,13 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
     [0,a] x [0,b] the series is F(ab), F(t) = scale t^p 2F3(mu, mu+1/2; p,
     mu+3/2, mu+3/2; -t^2), scale = (norm / p)^2, whose j = 0 term scale t^p
     is m([0,a]) m([0,b]).  The kernel is even, so panels [a,b] x [c,d] give
-    F(bd) - F(ad) - F(bc) + F(ac), and m(A) m(B) likewise.  Both sums run
-    at SERIES_DPS digits and SERIES_CHECK_DIGITS higher, the trace's
-    difference is the error estimate, and where the corners cancel past
-    double precision both digit counts double until both sums settle, for
-    at most SERIES_MAX_ROUNDS rounds.  A pair whose largest corner's
-    m(A) m(B) overflows a float fails before any 2F3, which there may take
-    seconds or not converge.
+    F(bd) - F(ad) - F(bc) + F(ac), and m(A) m(B) likewise.  One corner sum
+    a round, at SERIES_DPS digits and twice as many each further round for
+    at most SERIES_MAX_ROUNDS, gives both with their bars, and settles once
+    both bars are within eps of their sums; the trace bar, proved unless
+    mpmath.hyp2f3 sums a corner, is the error estimate.  A pair whose
+    largest corner's m(A) m(B) overflows a float fails before any 2F3,
+    which there may take seconds or not converge.
     """
     _, man, exp, _ = _series_params(ctx.mu, SERIES_DPS)[-1]._mpf_  # scale
     ends = _sup(A), _sup(B)
@@ -357,25 +402,18 @@ def trace_moment_series(A: IntervalSet, B: IntervalSet,
             * sum(map(math.log2, ends)) >= _MAXEXP):
         raise EvaluationError(f"m(A) m(B) over {A} x {B} at mu = {ctx.mu} "
                               "overflows a float")
-    # the checks make the libmp calls of mpf arithmetic, at its precision
-    wp, eps = mpmath.mp.prec, libmp.from_float(_EPS)
+    eps = libmp.from_float(_EPS)
     for rounds in range(SERIES_MAX_ROUNDS):
-        dps = SERIES_DPS * 2 ** rounds
-        low = _corner_sum(A, B, ctx.mu, dps)
-        product, value = (x._mpf_ for x in _corner_sum(
-            A, B, ctx.mu, dps + SERIES_CHECK_DIGITS))
-        error = _gap(value, low[1]._mpf_, wp)
+        dps = SERIES_DPS << rounds
+        product, value, product_bar, bar = _corner_sum(A, B, ctx.mu, dps)
         best = TraceEstimate.build(
-            libmp.to_float(value, rnd="n"), libmp.to_float(error, rnd="n"),
+            libmp.to_float(value, rnd="n"), libmp.to_float(bar, rnd="u"),
             "moment_series", libmp.to_float(product, rnd="n"))
-        if (libmp.mpf_le(error, libmp.mpf_mul(libmp.mpf_abs(value, wp, "n"),
-                                               eps, wp, "n"))
-                and libmp.mpf_le(_gap(product, low[0]._mpf_, wp),
-                                 libmp.mpf_mul(product, eps, wp, "n"))):
+        if (libmp.mpf_le(bar, libmp.mpf_mul(libmp.mpf_abs(value), eps))
+                and libmp.mpf_le(product_bar, libmp.mpf_mul(product, eps))):
             return best
     raise EvaluationError(
-        f"the moment-series corners cancel beyond "
-        f"{dps + SERIES_CHECK_DIGITS} digits", best=best)
+        f"the moment-series corners cancel beyond {dps} digits", best=best)
 
 
 # --- scans --------------------------------------------------------------------

@@ -81,10 +81,12 @@ def moment_mp(A: IntervalSet, mu, n: int):
 def corner_sum_uncached(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
     """trace._corner_sum with every corner evaluated where it occurs: the
     oracle of its cached corners, m(A) m(B) and the trace, which must match
-    it bit for bit."""
+    it bit for bit.  Each corner t = x y, z = -t^2 and the parameters are
+    exact, as there."""
     with mpmath.workdps(dps):
         mu = mpmath.mpf(mu)
-        p = 2 * mu + 1
+        p = mpmath.fadd(2 * mu, 1, exact=True)
+        a2, b3 = (mpmath.fadd(mu, x, exact=True) for x in (0.5, 1.5))
         norm = norm_const_mp(mu)
         product = total = mpmath.mpf(0)
         for a, b, _ in _positive_panels(A):
@@ -92,10 +94,12 @@ def corner_sum_uncached(A: IntervalSet, B: IntervalSet, mu: float, dps: int):
                 for x, y, sign in ((b, d, 1), (a, d, -1), (b, c, -1),
                                    (a, c, 1)):
                     if x > 0.0 and y > 0.0:
-                        t = mpmath.mpf(x) * y
+                        t = mpmath.fmul(x, y, exact=True)
+                        z = mpmath.fneg(mpmath.fmul(t, t, exact=True),
+                                        exact=True)
                         product += sign * t ** p
                         total += sign * t ** p * mpmath.hyp2f3(
-                            mu, mu + 0.5, p, mu + 1.5, mu + 1.5, -t * t)
+                            mu, a2, p, b3, b3, z)
         return (norm / p) ** 2 * product, (norm / p) ** 2 * total
 
 

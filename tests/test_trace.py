@@ -1,6 +1,7 @@
 """Trace evaluators, their cross-validation, and the deviation scan."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 import mudeform.trace as trace_module
-from mudeform.core import MuContext
+from mudeform.core import MU_MIN, MuContext, norm_const_mp
 from mudeform.errors import EvaluationError
-from mudeform.intervals import IntervalSet
+from mudeform.intervals import IntervalSet, parse_interval_set
 from mudeform.measure import _positive_panels
 from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, TraceEstimate,
                             deviation_scan, evaluate_pair, rows_to_csv,
@@ -28,6 +30,8 @@ from mudeform.trace import (DEFAULT_MU_GRID, DEFAULT_PAIRS, TraceEstimate,
 from helpers import (corner_sum_uncached, dense_trace, even_coeff,
                      moment_mp, reflected, set_quadrature, sup_abs)
 
+HARD_PAIRS = json.loads((Path(__file__).parent / "data" / "hard_pairs.json")
+                        .read_text())["pairs"]
 A12 = IntervalSet.of((1, 2))
 B0515 = IntervalSet.of((0.5, 1.5))
 
@@ -117,7 +121,7 @@ class TestTraceQuadrature:
         )
         for mu, A, B in pairs:
             est = trace_quadrature(A, B, MuContext(mu))
-            ref = trace_module._corner_sum(A, B, mu, 60)[1]
+            ref = corner_sum_uncached(A, B, mu, 60)[1]
             assert abs(est.value - ref) <= est.error_estimate, mu
 
     def test_matches_the_dense_tensor_sum(self):
@@ -187,7 +191,7 @@ class TestTraceQuadrature:
             calls.clear()
             est = trace_quadrature(A, B, MuContext(mu))
             assert len(calls) == 2 * 3, mu
-            ref = trace_module._corner_sum(A, B, mu, 60)[1]
+            ref = corner_sum_uncached(A, B, mu, 60)[1]
             assert abs(est.value - ref) <= est.error_estimate, mu
 
     def test_far_and_near_origin_pairs_resolve_by_both_routes(self):
@@ -307,15 +311,103 @@ def mirrored(s: IntervalSet) -> IntervalSet:
             else IntervalSet.of((-b, b)))
 
 
+def assert_bars_cover(A, B, mu, dps, refs):
+    """_corner_sum's bars at dps digits cover the references (m(A) m(B),
+    Tr)."""
+    sums = [mpmath.mp.make_mpf(x)
+            for x in trace_module._corner_sum(A, B, mu, dps)]
+    with mpmath.workdps(60):
+        for got, bar, ref in zip(sums[:2], sums[2:], refs):
+            assert abs(got - ref) <= bar, (mu, dps)
+
+
+def ulp(x: tuple, bits: int):
+    """2^(e - bits) for the libmp x, 2^e > |x|: an ulp at bits bits."""
+    return mpmath.ldexp(1, x[2] + x[3] - bits)
+
+
 class TestMomentSeriesWork:
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(-0.449, 2.0), bounded_pairs())
+    @given(st.floats(MU_MIN, 250.0, exclude_min=True), bounded_pairs())
+    @example(-0.499, (IntervalSet.of((1.0, 1.1)), IntervalSet.of((1.0, 1.1))))
+    @example(249.9, (IntervalSet.of((-2.0, 4.5)), IntervalSet.of((1.0, 4.0))))
+    @example(1e-200, (A12, IntervalSet.of((-9.0, -0.5))))
     def test_error_estimate_bounds_per_term_reference(self, mu, pair):
+        # the row's bar covers its trace and m(A) m(B), and the first
+        # round's bars their corner sums, against the 60-digit corner sum;
+        # up to mu = 2, the row's bar also covers the series term by term
         A, B = pair
         ctx = MuContext(mu)
         est = trace_moment_series(A, B, ctx)
-        ref = per_term_reference(A, B, ctx)
-        assert abs(est.value - ref) <= est.error_estimate
+        refs = corner_sum_uncached(A, B, mu, 60)
+        assert abs(est.product_measures - refs[0]) <= est.error_estimate
+        assert abs(est.value - refs[1]) <= est.error_estimate
+        assert_bars_cover(A, B, mu, trace_module.SERIES_DPS, refs)
+        if mu <= 2.0:
+            ref = per_term_reference(A, B, ctx)
+            assert abs(est.value - ref) <= est.error_estimate
+
+    @pytest.mark.parametrize("case", HARD_PAIRS, ids=lambda c: c["id"])
+    def test_hard_pairs_refuse_or_are_covered(self, case):
+        # pairs on which a route once failed or misreported: each refuses
+        # as it did then, or its row's bar and its first round's bars
+        # (a single corner sum's, where the case names its digits) cover
+        # the 60-digit corner sum
+        mu, A, B = (case["mu"], parse_interval_set(case["A"]),
+                    parse_interval_set(case["B"]))
+        if "refuses" in case:
+            with pytest.raises(EvaluationError) as err:
+                trace_moment_series(A, B, MuContext(mu))
+            assert str(err.value) == case["refuses"]
+            assert err.value.best is None
+            return
+        refs = corner_sum_uncached(A, B, mu, 60)
+        if "digits" in case:
+            assert_bars_cover(A, B, mu, case["digits"], refs)
+            return
+        est = trace_moment_series(A, B, MuContext(mu))
+        assert abs(est.product_measures - refs[0]) <= est.error_estimate
+        assert abs(est.value - refs[1]) <= est.error_estimate
+        assert_bars_cover(A, B, mu, trace_module.SERIES_DPS, refs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(MU_MIN, 250.0, exclude_min=True), st.floats(0.0, 1.0),
+           st.sampled_from([30, 60, 120]))
+    @example(0.413, 0.0, 30)    # |p log t| of 1300: exp(p log t)
+    @example(249.9, 0.0, 30)    # |p log t| of 3.5e5
+    @example(1.0, 0.5, 60)      # p = 3: mpf_pow
+    @example(-0.25, 1.0, 120)   # p = 1/2
+    @example(1e-300, 0.3, 30)   # norm_const's mu + 1/2 rounds
+    def test_mpmath_values_within_their_allowance(self, mu, frac, digits):
+        # the bars' one assumption: an mpmath call misses by at most
+        # _MPMATH_ULPS ulps.  Each call of t^p (log t at prec + 10 bits,
+        # then exp, or mpf_pow) keeps to it against references 30 digits
+        # higher, t^p to its bar 2^a, and scale = (norm / p)^2 to
+        # _SCALE_ULPS ulps
+        prec = libmp.dps_to_prec(digits)
+        with mpmath.workdps(digits):  # t from 1e-300 up to prec bits
+            t = (mpmath.mpf(1e-300) ** (1 - frac)
+                 * mpmath.mp.prec ** frac)._mpf_
+        p = trace_module._series_params(mu, digits)[2]._mpf_
+        power, _, a, _ = trace_module._corner.__wrapped__(mu, t, digits)
+        scale = trace_module._series_params(mu, digits)[-1]._mpf_
+        log = trace_module._log(t, prec)
+        with mpmath.workdps(digits + 30):
+            m, T = mpmath.mpf(mu), mpmath.mp.make_mpf(t)
+            x = libmp.mpf_mul(p, log)
+            ref = T ** (2 * m + 1)
+            calls = [(log, mpmath.log(T), prec + 10),
+                     (libmp.mpf_exp(x, prec, "n"),
+                      mpmath.exp(mpmath.mp.make_mpf(x)), prec)]
+            if p[2] >= -1:  # p an integer or a half-integer: mpf_pow's own
+                calls.append((power, ref, prec))
+            for got, want, bits in calls:
+                assert abs(mpmath.mp.make_mpf(got) - want) <= (
+                    trace_module._MPMATH_ULPS * ulp(got, bits))
+            assert abs(mpmath.mp.make_mpf(power) - ref) <= mpmath.ldexp(1, a)
+            want = (norm_const_mp(m) / (2 * m + 1)) ** 2
+            assert abs(mpmath.mp.make_mpf(scale) - want) <= (
+                trace_module._SCALE_ULPS * ulp(scale, prec))
 
     def test_error_estimate_covers_an_underflowed_trace(self):
         # at mu = 0 the trace over [0,a] x [0,b] is ab/(2 pi), here 9.5e-392
@@ -328,22 +420,23 @@ class TestMomentSeriesWork:
 
     def test_no_per_term_transcendentals(self, monkeypatch):
         """No term loop outside the 2F3: one fixed-point sum per distinct
-        corner product up to t = prec bits, one mpmath.hyp2f3 beyond, one
-        Gamma per (mu, digits), and none when the row repeats."""
+        corner product up to t = prec bits, two mpmath.hyp2f3 (its value
+        and the estimate of its bar) beyond, one Gamma per (mu, digits),
+        and none when the row repeats."""
         cases = [
             # four nonzero corners of A times two of B (the corners at 0
             # drop) give eight products, seven distinct since 3 x 1 =
-            # 1.5 x 2, in one round of two passes
+            # 1.5 x 2, in one round
             (0.413, IntervalSet.of((-3.0, -2.0), (0.5, 1.5)),
-             IntervalSet.of((-1.0, 2.0)), (7, 0), 2),
-            # a panel 1e-9 wide cancels its corners past 20 digits, so a
+             IntervalSet.of((-1.0, 2.0)), (7, 0), 1),
+            # a panel 1e-9 wide cancels its corners past 30 digits, so a
             # second round runs; its four corners have three products
             (0.413, IntervalSet.of((1.0, 1.0 + 1e-9)),
-             IntervalSet.of((1.0, 1.0 + 1e-9)), (3, 0), 4),
-            # t of about 5e5 is past every pass's prec: mpmath sums the
-            # four corners, by its asymptotics, in two rounds
+             IntervalSet.of((1.0, 1.0 + 1e-9)), (3, 0), 2),
+            # t of about 5e5 is past prec: mpmath sums the four corners,
+            # by its asymptotics, in one round
             (-0.45, IntervalSet.of((1000.0, 1001.0)),
-             IntervalSet.of((500.0, 501.0)), (0, 4), 4),
+             IntervalSet.of((500.0, 501.0)), (0, 4), 1),
         ]
         quads = [trace_quadrature(A, B, MuContext(mu))
                  for mu, A, B, _, _ in cases]
@@ -359,7 +452,7 @@ class TestMomentSeriesWork:
             monkeypatch.setattr(mpmath, name, counted(name, getattr(mpmath, name)))
         monkeypatch.setattr(trace_module, "_fixed_2f3",
                             counted("fixed", trace_module._fixed_2f3))
-        for (mu, A, B, (fixed, hyp), passes), quad in zip(cases, quads):
+        for (mu, A, B, (fixed, hyp), rounds), quad in zip(cases, quads):
             ctx = MuContext(mu)  # its norm_const takes a Gamma of its own
             trace_module._corner.cache_clear()
             trace_module._series_params.cache_clear()
@@ -367,8 +460,8 @@ class TestMomentSeriesWork:
             est = trace_moment_series(A, B, ctx)
             assert est.value == pytest.approx(
                 quad.value, abs=est.error_estimate + quad.error_estimate)
-            assert calls == {"gamma": passes, "fixed": fixed * passes,
-                             "hyp2f3": hyp * passes}
+            assert calls == {"gamma": rounds, "fixed": fixed * rounds,
+                             "hyp2f3": 2 * hyp * rounds}
             calls.update(gamma=0, fixed=0, hyp2f3=0)
             assert trace_moment_series(A, B, ctx) == est
             assert calls == {"gamma": 0, "fixed": 0, "hyp2f3": 0}
@@ -402,8 +495,8 @@ class TestMomentSeriesWork:
             A, B = mirrored(A), mirrored(B)
         for dps in (20, 30, 40, 50):
             trace_module._corner_sum(A, B, mu, dps)  # warm the caches
-            assert trace_module._corner_sum(A, B, mu, dps) == \
-                corner_sum_uncached(A, B, mu, dps), dps
+            assert trace_module._corner_sum(A, B, mu, dps)[:2] == tuple(
+                x._mpf_ for x in corner_sum_uncached(A, B, mu, dps)), dps
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-0.5, 250.0, exclude_min=True), st.floats(0.0, 1.0),
@@ -423,7 +516,7 @@ class TestMomentSeriesWork:
             t = (mpmath.mpf(1e-300) ** (1 - frac)
                  * (2 * mpmath.mp.prec) ** frac)._mpf_
         p = trace_module._series_params(mu, digits)[2]._mpf_
-        power, _ = trace_module._corner.__wrapped__(mu, t, digits)
+        power = trace_module._corner.__wrapped__(mu, t, digits)[0]
         assert power == libmp.mpf_pow(t, p, libmp.dps_to_prec(digits), "n")
 
     def test_cold_corner_sum_enters_workdps_only_for_the_parameters(
@@ -447,7 +540,7 @@ class TestMomentSeriesWork:
         assert trace_module._corner.cache_info().misses == 2 * 7
 
     def test_default_scan_cache_counts(self, monkeypatch):
-        # 12 mu x 5 pairs x 4 corners x 2 passes = 480 corners, 336
+        # 12 mu x 5 pairs x 4 corners = 240 corners in one pass a row, 168
         # distinct, every one with t <= prec, so none reaches mpmath.hyp2f3
         def forbidden(*args):
             raise AssertionError("mpmath.hyp2f3 ran")
@@ -456,35 +549,41 @@ class TestMomentSeriesWork:
         clear_series_caches()
         deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)
         corner = trace_module._corner.cache_info()
-        assert (corner.misses, corner.hits) == (336, 144)
-        assert trace_module._series_params.cache_info().misses == 12 * 2
-        # the mu-free work runs once per scan: one corner list per (pair,
-        # prec), and one z, float(t) and first guard per distinct (t, prec),
-        # 28 of them (the 20 corners of the 5 pairs have 14 products, at
-        # each of 2 precs); so is log t, read at the 7 mu (-0.45 to 0.05)
-        # whose p = 2 mu + 1 is neither an integer nor a half-integer
-        assert trace_module._corners.cache_info().misses == 5 * 2
-        assert trace_module._fixed_start.cache_info().misses == 28
+        assert (corner.misses, corner.hits) == (168, 72)
+        assert trace_module._series_params.cache_info().misses == 12
+        # the mu-free work runs once per scan: one corner list per pair,
+        # and one z, float(t) and h per distinct t, 14 of them (the 20
+        # corners of the 5 pairs have 14 products); so is log t, read at
+        # the 7 mu (-0.45 to 0.05) whose p = 2 mu + 1 is neither an
+        # integer nor a half-integer
+        assert trace_module._corners.cache_info().misses == 5
+        assert trace_module._fixed_start.cache_info().misses == 14
         log = trace_module._log.cache_info()
-        assert (log.misses, log.hits + log.misses) == (28, 7 * 28)
+        assert (log.misses, log.hits + log.misses) == (14, 7 * 14)
         clear_series_caches()
         assert [f.cache_info().currsize for f in series_caches()] == \
             [0] * len(series_caches())
 
     def test_product_settles_as_well_as_the_trace(self, monkeypatch):
         # near mu = -1/2 the corners of m(A) m(B) cancel about 1/p^2 times
-        # worse than the trace's: at 20 and 30 digits the trace agrees to
-        # 2e-19 and the product only to 4e-15, so a second round runs
+        # worse than the trace's; a product bar above eps m(A) m(B), here
+        # made so in the first round, runs a second round at twice the
+        # digits however small the trace bar is
         mu, A = -0.499, IntervalSet.of((1.0, 1.1))
         digits, real = [], trace_module._corner_sum
 
         def corner_sum(A, B, mu, dps):
             digits.append(dps)
-            return real(A, B, mu, dps)
+            product, value, product_bar, bar = real(A, B, mu, dps)
+            if len(digits) == 1:
+                assert libmp.mpf_le(bar, libmp.mpf_mul(value, libmp.from_float(
+                    sys.float_info.epsilon)))
+                product_bar = product
+            return product, value, product_bar, bar
 
         monkeypatch.setattr(trace_module, "_corner_sum", corner_sum)
         est = trace_moment_series(A, A, MuContext(mu))
-        assert digits == [20, 30, 40, 50]
+        assert digits == [30, 60]
         with mpmath.workdps(60):
             ref = moment_mp(A, mu, 0) ** 2
             assert abs(est.product_measures - ref) <= mpmath.mpf(
@@ -501,13 +600,13 @@ class TestMomentSeriesWork:
 
     def test_quadrature_takes_the_failed_series_best_product(self,
                                                              monkeypatch):
-        # at 6 and 8 digits, one round, the corners of [1,2] x [0.5,1.5]
-        # cancel past double precision; the quadrature still reports the
-        # best estimate's m(A) m(B), about 1e-10 relative off the full one
+        # at 10 digits, one round, the bars on the corners of [1,2] x
+        # [0.5,1.5] exceed double precision; the quadrature still reports
+        # the best estimate's m(A) m(B), about 1e-11 relative off the full
+        # one
         ctx = MuContext(0.3)
         full = trace_moment_series(A12, B0515, ctx)
-        for name, value in (("SERIES_DPS", 6), ("SERIES_CHECK_DIGITS", 2),
-                            ("SERIES_MAX_ROUNDS", 1)):
+        for name, value in (("SERIES_DPS", 10), ("SERIES_MAX_ROUNDS", 1)):
             monkeypatch.setattr(trace_module, name, value)
         with pytest.raises(EvaluationError, match="corners cancel") as err:
             trace_moment_series(A12, B0515, ctx)
@@ -539,9 +638,9 @@ def corner_t(digits: int, frac: float):
 
 
 def kernel_sum(mu: float, t, digits: int):
-    """_fixed_2f3 at digits on the libmp t, with the unrounded integer sum S
-    and the wp of its last pass, read at the one libmp.from_man_exp call
-    that rounds S."""
+    """_fixed_2f3 at digits on the libmp t (its value and bar), with the
+    unrounded integer sum S and the wp of its last pass, read at the one
+    libmp.from_man_exp call that rounds S."""
     seen, real = [], libmp.from_man_exp
 
     def from_man_exp(man, exp, *rest):
@@ -555,11 +654,11 @@ def kernel_sum(mu: float, t, digits: int):
     return value, S, wp
 
 
-def replayed_terms(mu: float, t, digits: int, wp: int) -> list:
-    """The integer terms of the kernel's pass at wp bits, each ratio read
-    as floor(r_j 2^wp) from trace._ratios itself, with no table."""
-    prec = libmp.dps_to_prec(digits)
-    Z = libmp.to_fixed(libmp.mpf_mul(libmp.mpf_neg(t), t, prec, "n"), wp)
+def replayed_terms(mu: float, t, wp: int) -> list:
+    """The integer terms of the kernel's pass at wp bits on the exact
+    z = -t^2, each ratio read as floor(r_j 2^wp) from trace._ratios
+    itself, with no table."""
+    Z = libmp.to_fixed(libmp.mpf_neg(libmp.mpf_mul(t, t)), wp)
     terms = [1 << wp]
     while abs(terms[-1]) >= 1 << 25:  # the first term is 2^wp
         j = len(terms) - 1
@@ -584,11 +683,12 @@ class TestFixedPoint2F3:
     @example(-0.4999, 0.95, 50)
     @example(249.9, 1.0, 50)
     def test_rounds_the_sum_to_nearest(self, mu, frac, digits):
-        # mpmath.hyp2f3 40 digits higher, on the same rounded z
+        # mpmath.hyp2f3 40 digits higher, on the same exact z
         t = corner_t(digits, frac)
+        z = mpmath.fneg(mpmath.fmul(t, t, exact=True), exact=True)
         with mpmath.workdps(digits):
-            z, got = -t * t, mpmath.mp.make_mpf(trace_module._fixed_2f3(
-                mu, t._mpf_, mpmath.mp.prec))
+            got = mpmath.mp.make_mpf(trace_module._fixed_2f3(
+                mu, t._mpf_, mpmath.mp.prec)[0])
         with mpmath.workdps(digits + 40):
             m = mpmath.mpf(mu)
             ref = mpmath.hyp2f3(m, m + 0.5, 2 * m + 1, m + 1.5, m + 1.5, z)
@@ -623,7 +723,7 @@ class TestFixedPoint2F3:
         trace_module._ratio_table.cache_clear()
         for digits in (20, 50):
             _, S, wp = kernel_sum(mu, t, digits)
-            terms = replayed_terms(mu, t, digits, wp)
+            terms = replayed_terms(mu, t, wp)
             assert S == sum(terms)
             W, table = trace_module._ratio_table(mu)[0]
             assert [table[j] >> (W - wp) for j in range(len(terms) - 1)] \
@@ -640,7 +740,7 @@ class TestFixedPoint2F3:
         t = corner_t(digits, frac)._mpf_
         trace_module._ratio_table.cache_clear()
         _, _, wp = kernel_sum(mu, t, digits)
-        reads = len(replayed_terms(mu, t, digits, wp)) - 1
+        reads = len(replayed_terms(mu, t, wp)) - 1
         tabled = len(trace_module._ratio_table(mu)[0][1])
         bound = trace_module._stop_bound(math.e * libmp.to_float(t), wp)
         assert reads <= tabled <= bound
@@ -648,7 +748,7 @@ class TestFixedPoint2F3:
     def test_a_corner_below_float_range_sums_to_one(self):
         # t = 2^-1100 is 0.0 as a float; 2F3(...; -t^2) rounds to one
         t = libmp.from_man_exp(1, -1100)
-        assert trace_module._fixed_2f3(0.25, t, 70) == libmp.fone
+        assert trace_module._fixed_2f3(0.25, t, 70)[0] == libmp.fone
 
     def test_reverse_order_gives_the_same_rows(self):
         clear_series_caches()
@@ -783,6 +883,19 @@ class TestDeviationScan:
     def test_rejects_invalid_mu(self):
         with pytest.raises(ValueError):
             deviation_scan((-0.6,), DEFAULT_PAIRS[:1])
+
+    def test_default_scan_moves_only_its_error_column(self):
+        # the SHA-256 of the default scan's CSV with its error column
+        # dropped, recorded when the two-pass error estimate gave way to
+        # the proved bars: every other column kept its bytes
+        rows = list(csv.reader(io.StringIO(rows_to_csv(
+            deviation_scan(DEFAULT_MU_GRID, DEFAULT_PAIRS)))))
+        i = rows[0].index("error")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            row[:i] + row[i + 1:] for row in rows)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "718b5b589b7b1aa7e9fd7f20d0805b2420fcd01a5e8584c0de0836d71c6acbb3")
 
     def test_evaluate_pair_prefers_smaller_error(self):
         # a converged series' error is a few eps of its value, below the
